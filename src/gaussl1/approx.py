@@ -22,30 +22,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, ValidationError
 from .concepts import Concept
 from .hermite import (
+    GAUSS_CUTOFF,
     HermiteExpansion,
     MultiIndex,
     _gauss_hermite_1d,
     basis_matrix,
     expansion,
     expansion_eval_batch,
+    gauss_density,
     hermite_upto,
     multi_indices_upto,
     NODE_BUDGET,
 )
-from .mc import EstimateWithError, chunk_rngs, derive_seed, mc_mean, check_seed
+from .mc import EstimateWithError, chunk_rngs, derive_seed, mc_means, check_seed
 from .noise import apply_to_expansion, validate_noise_level
 from .quadrature1d import integrate_adaptive
 from .hermite import truncate
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-GAUSS_CUTOFF = 12.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def halfspace_expansion(w, c: float, degree: int) -> HermiteExpansion:
         raise ValidationError(f"degree must be >= 0, got {degree}")
     c = float(c)
     n = w.size
-    density = math.exp(-0.5 * c * c) / _SQRT_2PI
+    density = gauss_density(c)
     hc = hermite_upto(max(degree - 1, 0), c)
     g = np.empty(degree + 1)
     g[0] = math.erf(c / math.sqrt(2.0))
@@ -266,27 +265,29 @@ def build(
 
 def l1_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``E|f(X) - p(X)|``."""
-    _check_same_dimension(c, p)
-
-    def values(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rng.standard_normal((m, c.dimension))
-        return np.abs(c.batch(x) - expansion_eval_batch(p, x))
-
-    return mc_mean(values, int(samples), seed)
+    return _mc_errors(c, p, samples, seed)[0]
 
 
 def l2_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``E[(f - p)^2]^(1/2)`` (delta-method stderr)."""
+    return _mc_errors(c, p, samples, seed)[1]
+
+
+def _mc_errors(
+    c: Concept, p: HermiteExpansion, samples: int, seed: int
+) -> tuple[EstimateWithError, EstimateWithError]:
+    # L1 and L2 error from one pass: each chunk's f - p gives both moments
     _check_same_dimension(c, p)
 
-    def values(rng: np.random.Generator, m: int) -> np.ndarray:
+    def values(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng.standard_normal((m, c.dimension))
-        return (c.batch(x) - expansion_eval_batch(p, x)) ** 2
+        diff = c.batch(x) - expansion_eval_batch(p, x)
+        return np.abs(diff), diff**2
 
-    msq = mc_mean(values, int(samples), seed)
+    l1, msq = mc_means(values, int(samples), seed)
     root = math.sqrt(max(0.0, msq.mean))
     stderr = msq.stderr / (2.0 * root) if root > 0 else 0.0
-    return EstimateWithError(root, stderr, msq.samples, msq.seed)
+    return l1, EstimateWithError(root, stderr, msq.samples, msq.seed)
 
 
 def _check_same_dimension(c: Concept, p: HermiteExpansion) -> None:
@@ -320,8 +321,29 @@ def l1_error_quad_1d(
 
     The integral straddles the concept's discontinuities (known for
     halfspaces/balls/constants, otherwise supplied by the caller) and is cut
-    at ``|x| = 12`` where the Gaussian weight is negligible.
+    at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
+    return _quad_error_1d(c, p, breakpoints, abs_tol, np.abs)
+
+
+def l2_error_quad_1d(
+    c: Concept,
+    p: HermiteExpansion,
+    breakpoints: Sequence[float] | None = None,
+    abs_tol: float = 1e-8,
+) -> float:
+    """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
+    return math.sqrt(max(0.0, _quad_error_1d(c, p, breakpoints, abs_tol, np.square)))
+
+
+def _quad_error_1d(
+    c: Concept,
+    p: HermiteExpansion,
+    breakpoints: Sequence[float] | None,
+    abs_tol: float,
+    norm: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF]
     _check_same_dimension(c, p)
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
@@ -335,7 +357,7 @@ def l1_error_quad_1d(
     def integrand(x: np.ndarray) -> np.ndarray:
         f = c.batch(x[:, None])
         q = expansion_eval_batch(p, x[:, None])
-        return np.abs(f - q) * np.exp(-0.5 * x * x) / _SQRT_2PI
+        return norm(f - q) * gauss_density(x)
 
     pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
     return integrate_adaptive(
@@ -346,36 +368,6 @@ def l1_error_quad_1d(
         breakpoints=list(breakpoints),
         initial_intervals=pieces,
     )
-
-
-def l2_error_quad_1d(
-    c: Concept,
-    p: HermiteExpansion,
-    breakpoints: Sequence[float] | None = None,
-    abs_tol: float = 1e-8,
-) -> float:
-    """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
-    _check_same_dimension(c, p)
-    if c.dimension != 1:
-        raise ValidationError("quadrature error path applies to dimension 1 only")
-    if breakpoints is None:
-        breakpoints = _known_breakpoints(c) or []
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        f = c.batch(x[:, None])
-        q = expansion_eval_batch(p, x[:, None])
-        return (f - q) ** 2 * np.exp(-0.5 * x * x) / _SQRT_2PI
-
-    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
-    value = integrate_adaptive(
-        integrand,
-        -GAUSS_CUTOFF,
-        GAUSS_CUTOFF,
-        abs_tol=abs_tol,
-        breakpoints=list(breakpoints),
-        initial_intervals=pieces,
-    )
-    return math.sqrt(max(0.0, value))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +453,7 @@ def bound_check(
     tensor quadrature up to dimension 3, and Monte Carlo beyond (adding the
     coefficient-noise slack).  The error is measured by dense quadrature in
     dimension 1 (stderr then reflects the quadrature tolerance) and by Monte
-    Carlo otherwise.  GNS uses the concept's closed form when present, a
+    Carlo otherwise, where one pass gives both the L1 and the L2 error.  GNS uses the concept's closed form when present, a
     supplied trusted value, or a Monte-Carlo estimate.
     """
     check_seed(seed)
@@ -498,8 +490,7 @@ def bound_check(
         )
         error_method = "quadrature"
     else:
-        measured_l1 = l1_error(c, p, error_budget, derive_seed(seed, 3))
-        measured_l2 = l2_error(c, p, error_budget, derive_seed(seed, 4))
+        measured_l1, measured_l2 = _mc_errors(c, p, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 
     return ApproxReport(

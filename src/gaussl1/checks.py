@@ -124,10 +124,11 @@ def _sign_coefficients() -> CheckResult:
     for k in range(10):
         def integrand(x, k=k):
             h = hermite.hermite_eval(k, x)
-            return h * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+            return h * hermite.gauss_density(x)
 
-        quad = fixed_panels(integrand, 0.0, 12.0, 120, 10) - fixed_panels(
-            lambda x, k=k: integrand(-x, k), 0.0, 12.0, 120, 10
+        cutoff = hermite.GAUSS_CUTOFF
+        quad = fixed_panels(integrand, 0.0, cutoff, 120, 10) - fixed_panels(
+            lambda x, k=k: integrand(-x, k), 0.0, cutoff, 120, 10
         )
         worst = max(worst, abs(quad - sign_series.sign_coefficient(k)))
     return CheckResult("sign-coefficients", worst <= 1e-10, f"max defect {worst:.2e}")
@@ -170,7 +171,7 @@ def _sine_integral() -> CheckResult:
 
 
 def _plan_example() -> CheckResult:
-    p = approx.plan(0.5, 1.0 / math.sqrt(2.0 * math.pi))
+    p = approx.plan(0.5, hermite.gauss_density(0.0))
     ok = p.degree == 44 and abs(p.rho - 0.96875) <= 1e-12
     return CheckResult("plan-worked-example", ok, f"rho {p.rho!r}, degree {p.degree}")
 

@@ -32,16 +32,9 @@ from .errors import (
     GaussL1Error,
     ValidationError,
 )
-from .hermite import HermiteExpansion, expansion_eval_batch
+from .hermite import HermiteExpansion, expansion_eval_batch, gauss_density
 from .mc import EstimateWithError, mc_fraction, mc_mean, derive_seed, check_seed
 from .noise import validate_noise_level
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def gauss_density(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
-
 
 @dataclass(frozen=True, eq=False)
 class Concept:

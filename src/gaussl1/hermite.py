@@ -35,6 +35,29 @@ MultiIndex = tuple[int, ...]
 
 NODE_BUDGET = 2_000_000
 
+# Float64 cells that one point block of the batch kernels holds at once: the
+# per-axis tables plus one prefix chunk's intermediate (expansion_eval_batch)
+# or the basis block (basis_matrix).  2^17 cells are 1 MiB, so a block stays
+# in a core's L2 cache.
+BLOCK_CELLS = 1 << 17
+
+
+# ---------------------------------------------------------------------------
+# the standard Gaussian measure
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Upper limit for Gaussian-weighted integrals; the excluded tail is far
+# below every tolerance used in the package.
+GAUSS_CUTOFF = 12.0
+
+
+def gauss_density(x):
+    """Standard normal density ``phi(x)`` of a float or an ndarray."""
+    if isinstance(x, np.ndarray):
+        return np.exp(-0.5 * x * x) / _SQRT_2PI
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
+
 
 # ---------------------------------------------------------------------------
 # univariate evaluation
@@ -58,8 +81,15 @@ def hermite_upto(k: int, x) -> np.ndarray:
     out[0] = 1.0
     if k >= 1:
         out[1] = x
+    # in place, with the operations and rounding of
+    # out[j + 1] = (x * out[j] - sqrt(j) * out[j - 1]) / sqrt(j + 1)
+    rows = out.reshape(k + 1, -1)
+    scaled = np.empty(rows.shape[1])
     for j in range(1, k):
-        out[j + 1] = (x * out[j] - math.sqrt(j) * out[j - 1]) / math.sqrt(j + 1)
+        np.multiply(rows[1], rows[j], out=rows[j + 1])
+        np.multiply(rows[j - 1], math.sqrt(j), out=scaled)
+        rows[j + 1] -= scaled
+        rows[j + 1] /= math.sqrt(j + 1)
     return out
 
 
@@ -286,27 +316,77 @@ def expansion_eval(p: HermiteExpansion, x) -> float:
     return float(value)
 
 
+def _block_length(cells_per_point: int) -> int:
+    # points per block so that one block's buffers hold BLOCK_CELLS cells
+    return max(1, BLOCK_CELLS // max(1, cells_per_point))
+
+
 def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
-    """Evaluate ``p`` at ``points`` of shape ``(N, dimension)`` -> ``(N,)``."""
+    """Evaluate ``p`` at ``points`` of shape ``(N, dimension)`` -> ``(N,)``.
+
+    Blocked per-axis contraction.  The terms are grouped by their prefix
+    ``alpha[:-1]`` into a dense matrix ``C`` (prefixes x last-axis degree),
+    whose rows are taken in chunks of at most as many rows as the per-axis
+    tables have.  The points are taken in blocks sized so that the tables and
+    one chunk's prefixes x points intermediate hold :data:`BLOCK_CELLS`
+    cells, whatever the number of terms.  Per block and chunk, one matrix
+    product ``C @ H_last`` contracts the last axis; each prefix row is then
+    multiplied by its table rows of non-zero degree (``H_0 = 1``) and the
+    rows are summed.  Values are deterministic for a given input array; they
+    may differ from the term-by-term sum in the last bits (about 1e-15
+    relative).
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != p.dimension:
         raise DimensionMismatchError(
             f"points shape {points.shape} does not match dimension {p.dimension}"
         )
-    tables = _axis_tables(p, points)
     values = np.zeros(points.shape[0])
+    if not p.terms:
+        return values
+    n = p.dimension
+    dmax = [max(alpha[i] for alpha in p.terms) for i in range(n)]
+    rows: dict[MultiIndex, int] = {}
+    for alpha in p.terms:
+        rows.setdefault(alpha[:-1], len(rows))
+    coef = np.zeros((len(rows), dmax[-1] + 1))
     for alpha, c in p.terms.items():
-        term = np.full(points.shape[0], c)
-        for i, a in enumerate(alpha):
-            term *= tables[i][a]
-        values += term
+        coef[rows[alpha[:-1]], alpha[-1]] = c
+    prefixes = np.array(list(rows), dtype=np.intp).reshape(len(rows), n - 1)
+    table_rows = sum(d + 1 for d in dmax)
+    chunk = min(len(rows), table_rows)
+    chunks = []
+    for lo in range(0, len(rows), chunk):
+        part = prefixes[lo : lo + chunk]
+        # per leading axis, the chunk's rows of non-zero degree there
+        factors = []
+        for i in range(n - 1):
+            nonzero = np.flatnonzero(part[:, i])
+            if nonzero.size:
+                factors.append((i, nonzero, part[nonzero, i]))
+        chunks.append((coef[lo : lo + chunk], factors))
+    block = _block_length(table_rows + chunk)
+    for start in range(0, points.shape[0], block):
+        x = points[start : start + block]
+        tables = [hermite_upto(dmax[i], x[:, i]) for i in range(n)]
+        out = values[start : start + block]
+        for chunk_coef, factors in chunks:
+            partial = chunk_coef @ tables[-1]
+            for i, nonzero, degrees in factors:
+                partial[nonzero] *= tables[i][degrees]
+            out += partial.sum(axis=0)
     return values
 
 
 def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     """Design matrix ``M[i, j] = H_{alphas[j]}(points[i])``.
 
-    Shares one recurrence table per axis across all basis functions.
+    Rows are built in blocks of :data:`BLOCK_CELLS` cells: per block, one
+    recurrence table per axis, then all columns at once in a transposed
+    (basis x points) scratch buffer, whose rows are contiguous, copied into
+    the output.  Each entry is the product of its table values in axis
+    order, so the matrix is bit-identical to the column-by-column
+    construction and deterministic for a given input array.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -315,13 +395,16 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     if any(len(a) != n for a in alphas):
         raise DimensionMismatchError("multi-index length does not match points")
     dmax = [max((a[i] for a in alphas), default=0) for i in range(n)]
-    tables = [hermite_upto(dmax[i], points[:, i]) for i in range(n)]
+    index = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
     out = np.empty((points.shape[0], len(alphas)))
-    for j, alpha in enumerate(alphas):
-        col = tables[0][alpha[0]].copy()
+    block = _block_length(len(alphas) + sum(d + 1 for d in dmax))
+    for start in range(0, points.shape[0], block):
+        x = points[start : start + block]
+        tables = [hermite_upto(dmax[i], x[:, i]) for i in range(n)]
+        scratch = tables[0][index[:, 0]]
         for i in range(1, n):
-            col *= tables[i][alpha[i]]
-        out[:, j] = col
+            scratch *= tables[i][index[:, i]]
+        out[start : start + block] = scratch.T
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,33 +86,71 @@ def mc_mean(
     sampled value is identical the estimate is that value with stderr exactly
     0 (covers degenerate cases such as constant integrands).
     """
-    samples = _check_samples(samples)
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    vmin = math.inf
-    vmax = -math.inf
-    for rng, count in chunk_rngs(seed, samples):
-        values = np.asarray(sample_values(rng, count), dtype=np.float64)
-        if values.shape != (count,):
-            raise ValidationError(
-                f"sampler returned shape {values.shape}, expected ({count},)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("sampler produced non-finite values")
+    return mc_means(lambda rng, m: (sample_values(rng, m),), samples, seed, note)[0]
+
+
+@dataclass
+class _Moments:
+    """Running count, mean, squared deviations and range of one quantity."""
+
+    n: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    vmin: float = math.inf
+    vmax: float = -math.inf
+
+    def add(self, values: np.ndarray) -> None:
+        # Welford-style merge of one chunk
+        count = values.size
         c_mean = float(values.mean())
         c_m2 = float(((values - c_mean) ** 2).sum())
-        delta = c_mean - mean
-        total = n + count
-        mean += delta * count / total
-        m2 += c_m2 + delta * delta * n * count / total
-        n = total
-        vmin = min(vmin, float(values.min()))
-        vmax = max(vmax, float(values.max()))
-    if vmin == vmax:
-        return EstimateWithError(vmin, 0.0, n, int(seed), note)
-    var = max(0.0, m2 / (n - 1))
-    return EstimateWithError(mean, math.sqrt(var / n), n, int(seed), note)
+        delta = c_mean - self.mean
+        total = self.n + count
+        self.mean += delta * count / total
+        self.m2 += c_m2 + delta * delta * self.n * count / total
+        self.n = total
+        self.vmin = min(self.vmin, float(values.min()))
+        self.vmax = max(self.vmax, float(values.max()))
+
+    def estimate(self, seed: int, note: str | None) -> EstimateWithError:
+        if self.vmin == self.vmax:
+            return EstimateWithError(self.vmin, 0.0, self.n, seed, note)
+        var = max(0.0, self.m2 / (self.n - 1))
+        return EstimateWithError(self.mean, math.sqrt(var / self.n), self.n, seed, note)
+
+
+def mc_means(
+    sample_values: Callable[[np.random.Generator, int], Sequence[np.ndarray]],
+    samples: int,
+    seed: int,
+    note: str | None = None,
+) -> list[EstimateWithError]:
+    """:func:`mc_mean` of several quantities sampled from one stream.
+
+    ``sample_values(rng, m)`` returns one ``(m,)`` array per quantity, all
+    computed from the same ``m`` draws; each estimate equals what
+    :func:`mc_mean` gives for that quantity alone.
+    """
+    samples = _check_samples(samples)
+    moments: list[_Moments] = []
+    for rng, count in chunk_rngs(seed, samples):
+        batch = sample_values(rng, count)
+        if not moments:
+            moments = [_Moments() for _ in batch]
+        if len(batch) != len(moments):
+            raise ValidationError(
+                f"sampler returned {len(batch)} quantities, expected {len(moments)}"
+            )
+        for acc, values in zip(moments, batch):
+            values = np.asarray(values, dtype=np.float64)
+            if values.shape != (count,):
+                raise ValidationError(
+                    f"sampler returned shape {values.shape}, expected ({count},)"
+                )
+            if not np.all(np.isfinite(values)):
+                raise ValidationError("sampler produced non-finite values")
+            acc.add(values)
+    return [acc.estimate(int(seed), note) for acc in moments]
 
 
 def mc_fraction(

@@ -29,14 +29,14 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import ValidationError
-from .hermite import hermite_upto, hermite_zero, hermite_zeros_upto
+from .hermite import (
+    GAUSS_CUTOFF,
+    gauss_density,
+    hermite_upto,
+    hermite_zero,
+    hermite_zeros_upto,
+)
 from .quadrature1d import integrate_adaptive
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Upper limit for Gaussian-weighted integrals; the excluded tail is far
-# below every tolerance used here.
-GAUSS_CUTOFF = 12.0
 
 # Small-t switchover for the removable singularity of H_d(t)/t.
 _TAYLOR_CUT = 1e-4
@@ -151,10 +151,6 @@ def truncation_eval_integral(d: int, x: float, tol: float = 1e-9) -> float:
     return math.copysign(prefactor * integral, x)
 
 
-def _gauss_density(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
-
-
 def truncation_l1_error(d: int, abs_tol: float = 1e-8) -> float:
     """Gaussian L1 error ``E|sign(X) - sign_{<=d}(X)|`` of the truncation.
 
@@ -164,7 +160,7 @@ def truncation_l1_error(d: int, abs_tol: float = 1e-8) -> float:
     t = truncation(d)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return np.abs(1.0 - truncation_eval_direct(t, x)) * _gauss_density(x)
+        return np.abs(1.0 - truncation_eval_direct(t, x)) * gauss_density(x)
 
     pieces = max(16, int(math.ceil(GAUSS_CUTOFF * math.sqrt(d) / math.pi)))
     return 2.0 * integrate_adaptive(

@@ -24,6 +24,7 @@ from gaussl1 import (
 )
 from gaussl1.approx import l2_error, l2_error_quad_1d
 from gaussl1.hermite import expansion, hermite_upto, l2_norm
+from gaussl1.mc import derive_seed
 from gaussl1.quadrature1d import integrate_adaptive
 
 SEED = 424242
@@ -393,6 +394,21 @@ def test_bound_check_2d_matches_1d():
     gap = abs(r2.measured_l1.mean - r1.measured_l1.mean)
     assert gap <= 4.0 * r2.measured_l1.stderr + 1e-6
     assert r2.passed
+
+
+def test_bound_check_one_pass_l2_matches_l2_error():
+    # the Monte-Carlo branch takes L1 and L2 from one pass over the
+    # derive_seed(seed, 3) stream: each equals its own estimator on it
+    c = halfspace([0.6, 0.8], 0.2)
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=8)
+    report = bound_check(c, aplan, error_budget=150_000, seed=SEED)
+    assert report.error_method == "monte_carlo"
+    fhat = halfspace_expansion(c.params["w"], c.params["c"], aplan.degree)
+    p = build(fhat, aplan, complete_through=aplan.degree)
+    stream = derive_seed(SEED, 3)
+    assert report.measured_l1 == l1_error(c, p, 150_000, stream)
+    assert report.measured_l2 == l2_error(c, p, 150_000, stream)
+    assert report.measured_l2.seed == stream
 
 
 def test_bound_check_constant_concept():

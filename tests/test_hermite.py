@@ -1,7 +1,9 @@
 """Basis-layer tests: recurrence values, orthonormality, quadrature, expansions."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,13 @@ from gaussl1 import (
     multi_indices_upto,
     truncate,
 )
-from gaussl1.hermite import expansion, sqrt_factorial
+from gaussl1.hermite import (
+    _block_length,
+    basis_matrix,
+    expansion,
+    expansion_eval_batch,
+    sqrt_factorial,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,6 +138,130 @@ def test_density_derivative_identity():
             lhs = hermite_eval(k, x) * float(_phi(x))
             rhs = (-1.0) ** k * _phi_kth_derivative(k, x) / sqrt_factorial((k,))
             assert abs(lhs - rhs) <= 1e-5
+
+
+# -- batch kernels against independent references ---------------------------
+
+
+def _indices(dimension, degree):
+    # total degree <= degree, generated as compositions (multi_indices_upto
+    # filters all (degree+1)^dimension tuples, too slow at 10-D degree 6)
+    out = []
+    for d in range(degree + 1):
+        for axes in itertools.combinations_with_replacement(range(dimension), d):
+            alpha = [0] * dimension
+            for i in axes:
+                alpha[i] += 1
+            out.append(tuple(alpha))
+    return out
+
+
+def _random_expansion(rng, alphas, dimension):
+    return expansion(dimension, {a: rng.standard_normal() for a in alphas})
+
+
+def _term_by_term(p, points):
+    # sum_alpha c_alpha prod_i H_{alpha_i}(x_i) from hermite_eval's recurrence,
+    # with the per-point scale sum_alpha |c_alpha H_alpha(x)| for the tolerance
+    column = {}
+    total = np.zeros(points.shape[0])
+    scale = np.zeros(points.shape[0])
+    for alpha, c in p.terms.items():
+        term = np.full(points.shape[0], c)
+        for i, a in enumerate(alpha):
+            if (i, a) not in column:
+                column[(i, a)] = hermite_eval(a, points[:, i])
+            term *= column[(i, a)]
+        total += term
+        scale += np.abs(term)
+    return total, scale
+
+
+def _plain_recurrence(k, x):
+    out = np.empty((k + 1,) + np.shape(x))
+    out[0] = 1.0
+    if k >= 1:
+        out[1] = x
+    for j in range(1, k):
+        out[j + 1] = (x * out[j] - math.sqrt(j) * out[j - 1]) / math.sqrt(j + 1)
+    return out
+
+
+def _column_products(points, alphas):
+    n = points.shape[1]
+    tables = [
+        _plain_recurrence(max(a[i] for a in alphas), points[:, i]) for i in range(n)
+    ]
+    out = np.empty((points.shape[0], len(alphas)))
+    for j, alpha in enumerate(alphas):
+        col = tables[0][alpha[0]].copy()
+        for i in range(1, n):
+            col *= tables[i][alpha[i]]
+        out[:, j] = col
+    return out
+
+
+def test_expansion_eval_batch_matches_term_by_term():
+    rng = np.random.default_rng(11)
+    ten = _indices(10, 3)
+    kept = [a for a, drop in zip(ten, rng.random(len(ten)) < 1 / 3) if not drop]
+    # one point past a block: P prefixes plus the table rows per point
+    small = _random_expansion(rng, _indices(1, 3), 1)
+    past_block = _block_length(1 + 4) + 1
+    cases = [
+        (_random_expansion(rng, _indices(2, 15), 2), 1 << 17),
+        (_random_expansion(rng, _indices(4, 4), 4), 5000),
+        (_random_expansion(rng, kept, 10), 3000),
+        (_random_expansion(rng, _indices(1, 100), 1), 4000),
+        (small, past_block),
+        (expansion(3, {}), 100),
+        (_random_expansion(rng, _indices(3, 2), 3), 0),
+    ]
+    assert len(cases[0][0].terms) == 136
+    for p, size in cases:
+        points = rng.standard_normal((size, p.dimension))
+        got = expansion_eval_batch(p, points)
+        want, scale = _term_by_term(p, points)
+        assert got.shape == (size,)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.array_equal(got, expansion_eval_batch(p, points.copy()))
+
+
+def test_basis_matrix_bit_identical_to_column_products():
+    rng = np.random.default_rng(12)
+    for dimension, degree, size in ((4, 4, 1 << 15), (1, 30, 20000)):
+        alphas = multi_indices_upto(dimension, degree)
+        points = rng.standard_normal((size, dimension))
+        got = basis_matrix(points, alphas)
+        assert got.shape == (size, len(alphas))
+        assert np.array_equal(got, _column_products(points, alphas))
+
+
+def test_hermite_upto_bit_identical_to_plain_recurrence():
+    rng = np.random.default_rng(13)
+    x = 3.0 * rng.standard_normal(10000)
+    for k in (15, 30, 100):
+        assert np.array_equal(hermite_upto(k, x), _plain_recurrence(k, x))
+        assert np.array_equal(hermite_upto(k, x[::2]), _plain_recurrence(k, x[::2]))
+        grid = x[:60].reshape(6, 10)
+        assert np.array_equal(hermite_upto(k, grid), _plain_recurrence(k, grid))
+        assert np.array_equal(hermite_upto(k, 0.7), _plain_recurrence(k, 0.7))
+
+
+def test_expansion_eval_batch_memory_is_bounded_by_blocks():
+    # 8008 terms on 2^16 points: the prefixes x points intermediate alone
+    # would be 5005 x 2^16 doubles (2.6 GB); blocking keeps it to a few MB
+    rng = np.random.default_rng(14)
+    p = _random_expansion(rng, _indices(10, 6), 10)
+    assert len(p.terms) == 8008
+    points = rng.standard_normal((1 << 16, 10))
+    tracemalloc.start()
+    try:
+        expansion_eval_batch(p, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # -- multivariate evaluation -------------------------------------------------
