@@ -32,19 +32,19 @@ from .hermite import (
     GAUSS_CUTOFF,
     HermiteExpansion,
     MultiIndex,
-    _gauss_hermite_1d,
     basis_matrix,
     expansion,
     expansion_eval_batch,
     gauss_density,
+    gauss_hermite_rule,
     hermite_upto,
     multi_indices_upto,
     NODE_BUDGET,
+    truncate,
 )
 from .mc import EstimateWithError, chunk_rngs, derive_seed, mc_means, check_seed
 from .noise import apply_to_expansion, validate_noise_level
 from .quadrature1d import integrate_adaptive
-from .hermite import truncate
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,12 @@ def estimate_coefficients(
 
 
 def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEstimate:
-    x1, w1 = _gauss_hermite_1d(m)
     n = c.dimension
-    grids = np.meshgrid(*([x1] * n), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    values = np.asarray(c.batch(nodes), dtype=np.float64).reshape((m,) * n)
+    grid = gauss_hermite_rule(m, n).nodes
+    values = np.asarray(c.batch(grid), dtype=np.float64).reshape((m,) * n)
     # fold the weights into per-axis contraction matrices B[k, i] = w_i H_k(x_i)
-    table = hermite_upto(degree, x1)  # (degree+1, m)
-    B = table * w1[None, :]
+    line = gauss_hermite_rule(m)
+    B = hermite_upto(degree, line.nodes[:, 0]) * line.weights[None, :]
     tensor = values
     for _ in range(n):
         tensor = np.tensordot(tensor, B, axes=([0], [1]))
@@ -453,8 +451,9 @@ def bound_check(
     tensor quadrature up to dimension 3, and Monte Carlo beyond (adding the
     coefficient-noise slack).  The error is measured by dense quadrature in
     dimension 1 (stderr then reflects the quadrature tolerance) and by Monte
-    Carlo otherwise, where one pass gives both the L1 and the L2 error.  GNS uses the concept's closed form when present, a
-    supplied trusted value, or a Monte-Carlo estimate.
+    Carlo otherwise, where one pass gives both the L1 and the L2 error.  GNS
+    uses the concept's closed form when present, a supplied trusted value, or
+    a Monte-Carlo estimate.
     """
     check_seed(seed)
     validate_noise_level(aplan.rho)

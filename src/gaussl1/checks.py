@@ -155,7 +155,7 @@ def _christoffel_darboux() -> CheckResult:
 def _oscillatory_magnitude() -> CheckResult:
     d = 201
     t = np.linspace(0.0, d ** (1.0 / 6.0), 64)
-    scaled = np.abs(sign_series._scaled_hermite_grid(d, t)) * d**0.25
+    scaled = np.abs(hermite._recurrence(d, t, start=np.exp(-0.25 * t * t))) * d**0.25
     worst = float(scaled.max())
     return CheckResult("hermite-scaled-magnitude", worst <= 2.0, f"sup {worst:.3f}")
 

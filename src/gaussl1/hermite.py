@@ -14,7 +14,6 @@ store only non-zero coefficients.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,6 +68,46 @@ def _check_degree(k: int) -> int:
     return int(k)
 
 
+def _recurrence(k: int, x: np.ndarray, start=None, weights=None, table=False):
+    """The three-term recurrence over a float64 array ``x``:
+    ``h_0 = start`` (default 1), ``h_1 = x h_0`` and
+    ``h_{j+1} = (x h_j - sqrt(j) h_{j-1}) / sqrt(j + 1)``, so ``h_j = start H_j(x)``.
+
+    Returns the ``(k + 1,) + x.shape`` table of ``h_0 .. h_k`` with ``table``;
+    otherwise, holding three rows at a time, ``h_k`` or, given ``weights``
+    (length ``k + 1``), ``sum_j weights[j] h_j`` over the non-zero weights.
+    """
+    shape = x.shape
+    if shape or table:
+        # arrays step in place: row j goes into its table row, or else into
+        # the buffer that h_{j-3} leaves in a ring of three
+        x = np.ascontiguousarray(x).reshape(-1)
+        rows = np.empty((k + 1, x.size)) if table else [np.empty(x.size) for _ in range(3)]
+        scaled = np.empty(x.size)
+        mul = np.multiply
+    else:
+        # a 0-d x steps as a numpy scalar: the same operations without the
+        # fixed cost of a ufunc call, which dominates at one point
+        x, rows, scaled = x[()], [None] * 3, None
+
+        def mul(a, b, out):
+            return a * b
+
+    total = None if weights is None else np.zeros_like(x)
+    prev, cur = None, 1.0 if start is None else np.reshape(start, np.shape(x))
+    for j in range(k + 1):
+        new = mul(x if j else 1.0, cur, rows[j % len(rows)])  # h_0 = 1 * start
+        if j > 1:
+            new -= mul(prev, math.sqrt(j - 1), scaled)
+            new /= math.sqrt(j)
+        if total is not None and weights[j] != 0.0:
+            total += mul(new, weights[j], scaled)
+        prev, cur = cur, new
+    if table:
+        return rows.reshape((k + 1,) + shape)
+    return np.reshape(cur if total is None else total, shape)
+
+
 def hermite_upto(k: int, x) -> np.ndarray:
     """Values ``H_0(x) .. H_k(x)`` in one upward recurrence pass.
 
@@ -76,32 +115,14 @@ def hermite_upto(k: int, x) -> np.ndarray:
     ``(k + 1,) + shape(x)``.
     """
     k = _check_degree(k)
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((k + 1,) + x.shape, dtype=np.float64)
-    out[0] = 1.0
-    if k >= 1:
-        out[1] = x
-    # in place, with the operations and rounding of
-    # out[j + 1] = (x * out[j] - sqrt(j) * out[j - 1]) / sqrt(j + 1)
-    rows = out.reshape(k + 1, -1)
-    scaled = np.empty(rows.shape[1])
-    for j in range(1, k):
-        np.multiply(rows[1], rows[j], out=rows[j + 1])
-        np.multiply(rows[j - 1], math.sqrt(j), out=scaled)
-        rows[j + 1] -= scaled
-        rows[j + 1] /= math.sqrt(j + 1)
-    return out
+    return _recurrence(k, np.asarray(x, dtype=np.float64), table=True)
 
 
 def hermite_eval(k: int, x):
     """``H_k(x)`` by the three-term recurrence (scalar or ndarray ``x``)."""
     k = _check_degree(k)
-    x = np.asarray(x, dtype=np.float64)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for j in range(k):
-        prev, cur = cur, (x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-    return float(cur) if cur.ndim == 0 else cur
+    value = _recurrence(k, np.asarray(x, dtype=np.float64))
+    return float(value) if value.ndim == 0 else value
 
 
 def hermite_zero(k: int) -> float:
@@ -111,13 +132,7 @@ def hermite_zero(k: int) -> float:
     ``H_{2m}(0) = -sqrt((2m-1)/(2m)) H_{2m-2}(0)``, which evaluates the exact
     value ``(-1)^m (2m-1)!! / sqrt((2m)!)`` without forming factorials.
     """
-    k = _check_degree(k)
-    if k % 2 == 1:
-        return 0.0
-    value = 1.0
-    for m in range(1, k // 2 + 1):
-        value *= -math.sqrt((2 * m - 1) / (2 * m))
-    return value
+    return float(hermite_zeros_upto(k)[k])
 
 
 def hermite_zeros_upto(k: int) -> np.ndarray:
@@ -152,19 +167,21 @@ def total_degree(alpha: MultiIndex) -> int:
 
 def multi_indices_upto(dimension: int, degree: int) -> list[MultiIndex]:
     """All multi-indices of total degree <= ``degree``, degree-major then
-    lexicographic (a deterministic basis ordering with nested prefixes)."""
+    lexicographic (a deterministic basis ordering with nested prefixes).
+    More than ``NODE_BUDGET`` of them raise :class:`ValidationError` at once."""
     if dimension < 1:
         raise ValidationError(f"dimension must be >= 1, got {dimension}")
     degree = _check_degree(degree)
-    out: list[MultiIndex] = []
-    for d in range(degree + 1):
-        level = [
-            alpha
-            for alpha in itertools.product(range(d + 1), repeat=dimension)
-            if sum(alpha) == d
-        ]
-        out.extend(sorted(level))
-    return out
+    if math.comb(dimension + degree, degree) > NODE_BUDGET:
+        raise ValidationError(f"more than {NODE_BUDGET} multi-indices up to degree {degree}")
+    return [alpha for d in range(degree + 1) for alpha in _compositions(d, dimension)]
+
+
+def _compositions(total: int, n: int) -> list[MultiIndex]:
+    # the n-tuples of non-negative ints summing to total, in ascending order
+    if n == 1:
+        return [(total,)]
+    return [(a,) + rest for a in range(total + 1) for rest in _compositions(total - a, n - 1)]
 
 
 def hermite_multi_eval(alpha, x) -> float:
@@ -477,15 +494,15 @@ def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRu
             f"{NODE_BUDGET}; use a Monte-Carlo estimator instead"
         )
     x1, w1 = _gauss_hermite_1d(points_per_axis)
-    if dimension == 1:
-        return QuadratureRule(1, x1[:, None].copy(), w1.copy())
-    grids = np.meshgrid(*([x1] * dimension), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    weights = np.ones(nodes.shape[0])
-    wgrids = np.meshgrid(*([w1] * dimension), indexing="ij")
-    for g in wgrids:
-        weights *= g.reshape(-1)
-    return QuadratureRule(dimension, nodes, weights)
+    # "ij" order (last axis fastest); weights multiply in axis order
+    grid = (points_per_axis,) * dimension
+    nodes = np.empty(grid + (dimension,))
+    weights = np.ones(grid)
+    for i in range(dimension):
+        along = (-1,) + (1,) * (dimension - i - 1)  # broadcasts onto axis i
+        nodes[..., i] = x1.reshape(along)
+        weights *= w1.reshape(along)
+    return QuadratureRule(dimension, nodes.reshape(-1, dimension), weights.reshape(-1))
 
 
 def expectation(f: Callable, rule: QuadratureRule) -> float:

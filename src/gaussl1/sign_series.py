@@ -31,6 +31,7 @@ from scipy.special import erfc
 from .errors import ValidationError
 from .hermite import (
     GAUSS_CUTOFF,
+    _recurrence,
     gauss_density,
     hermite_upto,
     hermite_zero,
@@ -92,14 +93,9 @@ def truncation_eval_direct(t: SignTruncation, x):
     Accepts scalar or ndarray ``x``; exactly antisymmetric in ``x`` because
     the recurrence commutes with the sign flip in floating point.
     """
-    x = np.asarray(x, dtype=np.float64)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    total = np.zeros_like(x)
-    for k in range(1, t.degree + 1):
-        prev, cur = cur, (x * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
-        if k % 2 == 1:
-            total = total + t.odd_coefficients[(k - 1) // 2] * cur
+    weights = np.zeros(t.degree + 1)
+    weights[1::2] = t.odd_coefficients
+    total = _recurrence(t.degree, np.asarray(x, dtype=np.float64), weights=weights)
     return float(total) if total.ndim == 0 else total
 
 
@@ -117,11 +113,7 @@ def _hermite_over_t(d: int, t: np.ndarray, absolute: bool = False) -> np.ndarray
         out[small] = c0 + c2 * t[small] ** 2
     if np.any(~small):
         ts = t[~small]
-        prev = np.zeros_like(ts)
-        cur = np.ones_like(ts)
-        for k in range(d):
-            prev, cur = cur, (ts * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-        out[~small] = cur / ts
+        out[~small] = _recurrence(d, ts) / ts
     if absolute:
         out = np.abs(out)
     return out
@@ -197,17 +189,6 @@ class RemainderSample:
     envelope: float
 
 
-def _scaled_hermite_grid(d: int, x: np.ndarray) -> np.ndarray:
-    """``H_d(x) e^{-x^2/4}`` by running the recurrence on scaled initial
-    values; avoids overflow for ``|x|`` up to order ``sqrt(d)``."""
-    damp = np.exp(-0.25 * x * x)
-    prev = np.zeros_like(x)
-    cur = damp.copy()
-    for k in range(d):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur
-
-
 def remainder_grid(d: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized remainders and envelopes over a grid (see RemainderSample)."""
     if d < 1:
@@ -215,7 +196,8 @@ def remainder_grid(d: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x) > math.sqrt(d)):
         raise ValidationError("remainder is only tracked for |x| <= sqrt(d)")
-    scaled = _scaled_hermite_grid(d, x) * (math.pi * d / 2.0) ** 0.25
+    # the damped start row keeps H_d(x) e^{-x^2/4} finite for |x| up to ~sqrt(d)
+    scaled = _recurrence(d, x, start=np.exp(-0.25 * x * x)) * (math.pi * d / 2.0) ** 0.25
     phase = np.sin((1 - d) * math.pi / 2.0 + math.sqrt(d) * x)
     remainder = scaled - phase
     ax = np.abs(x)

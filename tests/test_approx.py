@@ -1,6 +1,7 @@
 """Tests for the plan / coefficient / build / error-measurement pipeline."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ def test_halfspace_expansion_validation():
         halfspace_expansion([1.0], 0.0, -1)
     with pytest.raises(ValidationError):
         halfspace_expansion([], 0.0, 3)
+
+
+def test_halfspace_expansion_past_index_budget_fails_fast():
+    # 10-D degree 15 has C(25, 15) = 3 268 760 terms, past NODE_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        halfspace_expansion(np.full(10, 1.0 / math.sqrt(10.0)), 0.0, 15)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from gaussl1.hermite import (
     basis_matrix,
     expansion,
     expansion_eval_batch,
+    hermite_zeros_upto,
     sqrt_factorial,
 )
 
@@ -144,8 +146,8 @@ def test_density_derivative_identity():
 
 
 def _indices(dimension, degree):
-    # total degree <= degree, generated as compositions (multi_indices_upto
-    # filters all (degree+1)^dimension tuples, too slow at 10-D degree 6)
+    # total degree <= degree, from multisets of axes: an enumeration
+    # independent of multi_indices_upto, in a different order
     out = []
     for d in range(degree + 1):
         for axes in itertools.combinations_with_replacement(range(dimension), d):
@@ -240,12 +242,33 @@ def test_basis_matrix_bit_identical_to_column_products():
 def test_hermite_upto_bit_identical_to_plain_recurrence():
     rng = np.random.default_rng(13)
     x = 3.0 * rng.standard_normal(10000)
-    for k in (15, 30, 100):
+    for k in (0, 1, 2, 15, 30, 100):
         assert np.array_equal(hermite_upto(k, x), _plain_recurrence(k, x))
         assert np.array_equal(hermite_upto(k, x[::2]), _plain_recurrence(k, x[::2]))
         grid = x[:60].reshape(6, 10)
         assert np.array_equal(hermite_upto(k, grid), _plain_recurrence(k, grid))
         assert np.array_equal(hermite_upto(k, 0.7), _plain_recurrence(k, 0.7))
+
+
+def test_hermite_eval_bit_identical_to_plain_recurrence():
+    rng = np.random.default_rng(15)
+    x = 3.0 * rng.standard_normal(10000)
+    x[:3] = (0.0, -0.0, 1e-300)
+    column = np.stack([x, -x], axis=1)[:, 1]  # a strided view
+    for k in (0, 1, 2, 30, 101):
+        assert np.array_equal(hermite_eval(k, x), _plain_recurrence(k, x)[k])
+        assert np.array_equal(hermite_eval(k, column), _plain_recurrence(k, column)[k])
+        assert hermite_eval(k, -1.3) == float(_plain_recurrence(k, -1.3)[k])
+
+
+def test_hermite_zero_is_the_origin_product():
+    value, want = 1.0, [1.0]
+    for k in range(1, 202):
+        if k % 2 == 0:
+            value *= -math.sqrt((k - 1) / k)
+        want.append(value if k % 2 == 0 else 0.0)
+    assert [hermite_zero(k) for k in range(202)] == want
+    assert hermite_zeros_upto(201).tolist() == want
 
 
 def test_expansion_eval_batch_memory_is_bounded_by_blocks():
@@ -299,6 +322,34 @@ def test_multi_indices_upto_counts_and_order():
     }
     # prefix property: degree <= 2 indices come first
     assert all(sum(a) <= 2 for a in idx[:6])
+
+
+def _filtered_indices(dimension, degree):
+    # per degree, every tuple with entries <= d kept if it sums to d, sorted
+    out = []
+    for d in range(degree + 1):
+        level = itertools.product(range(d + 1), repeat=dimension)
+        out.extend(sorted(a for a in level if sum(a) == d))
+    return out
+
+
+def test_multi_indices_upto_matches_filtered_product():
+    for dimension in range(1, 5):
+        for degree in range(7):
+            got = multi_indices_upto(dimension, degree)
+            assert got == _filtered_indices(dimension, degree)
+            assert len(got) == math.comb(dimension + degree, degree)
+    assert multi_indices_upto(10, 3) == _filtered_indices(10, 3)
+
+
+def test_multi_indices_upto_budget():
+    assert len(multi_indices_upto(10, 6)) == 8008
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        multi_indices_upto(1000, 10)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValidationError):
+        multi_indices_upto(10, 15)  # 3 268 760 indices
 
 
 # -- expansions ---------------------------------------------------------------
@@ -445,6 +496,19 @@ def test_rule_budget_and_validation():
         gauss_hermite_rule(0)
     with pytest.raises(ValidationError):
         gauss_hermite_rule(4, 0)
+
+
+def test_rule_tensor_grid_matches_meshgrid():
+    for m, n in ((1, 1), (7, 1), (13, 2), (9, 3), (5, 4)):
+        rule = gauss_hermite_rule(m, n)
+        line = gauss_hermite_rule(m)
+        x1, w1 = line.nodes[:, 0], line.weights
+        grids = np.meshgrid(*([x1] * n), indexing="ij")
+        assert np.array_equal(rule.nodes, np.stack([g.reshape(-1) for g in grids], axis=1))
+        weights = np.ones(m**n)
+        for g in np.meshgrid(*([w1] * n), indexing="ij"):
+            weights *= g.reshape(-1)
+        assert np.array_equal(rule.weights, weights)
 
 
 def test_expectation_error_carries_node():

@@ -7,9 +7,10 @@ import pytest
 from scipy.special import sici
 
 from gaussl1.errors import ValidationError
-from gaussl1.hermite import hermite_eval
+from gaussl1.hermite import hermite_eval, hermite_zero
 from gaussl1.quadrature1d import fixed_panels, integrate_adaptive
 from gaussl1.sign_series import (
+    _TAYLOR_CUT,
     christoffel_darboux_residual,
     parseval_residual,
     plancherel_rotach_remainder,
@@ -104,6 +105,78 @@ def test_dual_form_agreement_grid():
             direct = truncation_eval_direct(t, float(x))
             integral = truncation_eval_integral(d, float(x), tol=1e-7)
             assert abs(direct - integral) <= 10 * 1e-7
+
+
+# the loops the shared recurrence replaced, kept as plain references
+
+
+def _plain_direct(t, x):
+    prev, cur, total = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for k in range(1, t.degree + 1):
+        prev, cur = cur, (x * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+        if k % 2 == 1:
+            total = total + t.odd_coefficients[(k - 1) // 2] * cur
+    return total
+
+
+def _plain_last(d, x, start):
+    prev, cur = np.zeros_like(x), start.copy()
+    for k in range(d):
+        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+    return cur
+
+
+def _plain_over_t(d, t):
+    out = np.empty_like(t)
+    small = np.abs(t) < _TAYLOR_CUT
+    c0 = math.sqrt(d) * hermite_zero(d - 1)
+    c2 = math.sqrt(d * (d - 1) * (d - 2)) * hermite_zero(d - 3) / 6.0
+    out[small] = c0 + c2 * t[small] ** 2
+    ts = t[~small]
+    out[~small] = _plain_last(d, ts, np.ones_like(ts)) / ts
+    return out
+
+
+def test_direct_eval_bit_identical_to_plain_recurrence():
+    x = np.concatenate([np.linspace(-6.0, 6.0, 1001), [0.0, -0.0, 1e-300]])
+    for d in (1, 21, 101, 1001):
+        t = truncation(d)
+        assert np.array_equal(truncation_eval_direct(t, x), _plain_direct(t, x))
+        assert truncation_eval_direct(t, 0.3) == float(_plain_direct(t, np.float64(0.3)))
+
+
+def test_remainder_grid_bit_identical_to_plain_recurrence():
+    for d in (11, 101, 201):
+        x = np.linspace(-math.sqrt(d), math.sqrt(d), 2001)
+        scaled = _plain_last(d, x, np.exp(-0.25 * x * x)) * (math.pi * d / 2.0) ** 0.25
+        remainder, _ = remainder_grid(d, x)
+        want = scaled - np.sin((1 - d) * math.pi / 2.0 + math.sqrt(d) * x)
+        assert np.array_equal(remainder, want)
+
+
+def test_integral_form_bit_identical_to_plain_recurrence():
+    d, tol = 101, 1e-9
+    prefactor = math.sqrt(2.0 * d / math.pi) * hermite_zero(d - 1)
+    seen = []
+
+    def integrand(t):
+        seen.append(np.abs(t) < _TAYLOR_CUT)
+        return _plain_over_t(d, t)
+
+    for x in (5e-5, 1.5e-4, 0.8, -2.3):
+        pieces = max(4, int(math.ceil(abs(x) * math.sqrt(d) / math.pi)) + 1)
+        integral = integrate_adaptive(
+            integrand,
+            0.0,
+            abs(x),
+            abs_tol=tol / max(1.0, abs(prefactor)),
+            initial_intervals=pieces,
+        )
+        want = math.copysign(prefactor * integral, x)
+        assert truncation_eval_integral(d, x, tol=tol) == want
+    # the Taylor branch, the recurrence branch, and both in one batch
+    assert any(s.all() for s in seen) and any(not s.any() for s in seen)
+    assert any(s.any() and not s.all() for s in seen)
 
 
 def test_integral_form_validation():
