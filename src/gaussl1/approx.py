@@ -39,7 +39,6 @@ from .hermite import (
     gauss_hermite_rule,
     hermite_upto,
     multi_indices_upto,
-    NODE_BUDGET,
     truncate,
 )
 from .mc import EstimateWithError, chunk_rngs, derive_seed, mc_means, check_seed
@@ -154,7 +153,8 @@ def estimate_coefficients(
 
     ``method="quadrature"`` uses a tensorized Gauss-Hermite rule with
     ``budget`` points per axis (default 400; dimensions above 3 are
-    rejected -- the tensor grid would be astronomically large).
+    rejected -- the tensor grid would be astronomically large; a rule past
+    ``NODE_BUDGET`` raises :class:`NodeBudgetError`).
     ``method="monte_carlo"`` averages ``f(X) H_alpha(X)`` over ``budget``
     common samples (default 10^6) and records per-coefficient stderr.
     """
@@ -167,10 +167,6 @@ def estimate_coefficients(
         if c.dimension > 3:
             raise CapabilityError(
                 "tensor quadrature is limited to dimension <= 3; use monte_carlo"
-            )
-        if m**c.dimension > NODE_BUDGET:
-            raise ValidationError(
-                f"{m}^{c.dimension} tensor nodes exceed the budget {NODE_BUDGET}"
             )
         return _coefficients_quadrature(c, degree, m)
     if method == "monte_carlo":

@@ -13,8 +13,8 @@ class DimensionMismatchError(ValidationError):
     """Operands declare incompatible dimensions or shapes."""
 
 
-class NodeBudgetError(GaussL1Error):
-    """A tensorized quadrature rule would exceed the node budget."""
+class NodeBudgetError(ValidationError):
+    """A quadrature rule or index set would exceed the node budget."""
 
 
 class EvaluationError(GaussL1Error):

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DimensionMismatchError,
@@ -161,19 +160,15 @@ def check_multi_index(alpha) -> MultiIndex:
     return alpha
 
 
-def total_degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def multi_indices_upto(dimension: int, degree: int) -> list[MultiIndex]:
     """All multi-indices of total degree <= ``degree``, degree-major then
     lexicographic (a deterministic basis ordering with nested prefixes).
-    More than ``NODE_BUDGET`` of them raise :class:`ValidationError` at once."""
+    More than ``NODE_BUDGET`` of them raise :class:`NodeBudgetError` at once."""
     if dimension < 1:
         raise ValidationError(f"dimension must be >= 1, got {dimension}")
     degree = _check_degree(degree)
     if math.comb(dimension + degree, degree) > NODE_BUDGET:
-        raise ValidationError(f"more than {NODE_BUDGET} multi-indices up to degree {degree}")
+        raise NodeBudgetError(f"more than {NODE_BUDGET} multi-indices up to degree {degree}")
     return [alpha for d in range(degree + 1) for alpha in _compositions(d, dimension)]
 
 
@@ -466,7 +461,7 @@ def _gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
     if m == 1:
         return np.zeros(1), np.ones(1)
     offdiag = np.sqrt(np.arange(1.0, m))
-    nodes, vectors = eigh_tridiagonal(np.zeros(m), offdiag)
+    nodes, vectors = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     weights = vectors[0, :] ** 2
     # enforce the exact +/- symmetry of the rule
     nodes = 0.5 * (nodes - nodes[::-1])
@@ -481,16 +476,18 @@ def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRu
     """Tensorized Gauss-Hermite rule for the standard normal on R^n.
 
     Exact for polynomials of per-axis degree <= ``2 * points_per_axis - 1``.
-    Raises :class:`NodeBudgetError` when the tensor grid would exceed
-    ``NODE_BUDGET`` nodes (use the Monte-Carlo paths instead).
+    Raises :class:`NodeBudgetError` when the tensor grid, or in 1-D the
+    ``m x m`` Jacobi matrix the nodes are computed from, would exceed
+    ``NODE_BUDGET`` cells (use the Monte-Carlo paths instead).
     """
     if points_per_axis < 1:
         raise ValidationError(f"points_per_axis must be >= 1, got {points_per_axis}")
     if dimension < 1:
         raise ValidationError(f"dimension must be >= 1, got {dimension}")
-    if points_per_axis**dimension > NODE_BUDGET:
+    power = max(dimension, 2)
+    if points_per_axis**power > NODE_BUDGET:
         raise NodeBudgetError(
-            f"{points_per_axis}^{dimension} nodes exceed the budget of "
+            f"{points_per_axis}^{power} cells exceed the budget of "
             f"{NODE_BUDGET}; use a Monte-Carlo estimator instead"
         )
     x1, w1 = _gauss_hermite_1d(points_per_axis)

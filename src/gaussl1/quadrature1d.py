@@ -1,7 +1,8 @@
 """Adaptive one-dimensional quadrature on finite intervals.
 
-Each interval is evaluated with nested Gauss-Legendre rules (21 and 10
-points); the difference between the two estimates serves as the local error
+Each interval is evaluated with two Gauss-Legendre rules (21 and 10
+points).  They are not nested, so f is evaluated at 31 points per interval;
+the difference between the two estimates serves as the local error
 indicator, and intervals failing their proportional share of the absolute
 tolerance are bisected.  Integrands must accept ndarray arguments and are
 evaluated in batched sweeps, so oscillatory integrands with thousands of

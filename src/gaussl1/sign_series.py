@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ValidationError
 from .hermite import (
@@ -341,7 +340,7 @@ def truncation_integral_envelopes(
         small_bound = SMALL_T_CONSTANT * d**0.25 * tau * math.exp(tau * tau / 4.0)
 
     def tail_integrand(t: np.ndarray) -> np.ndarray:
-        upper = 0.5 * erfc(t / math.sqrt(2.0))
+        upper = 0.5 * np.array([math.erfc(v) for v in (t / math.sqrt(2.0)).tolist()])
         return _hermite_over_t(d, t, absolute=True) * upper
 
     large_value = integrate_adaptive(

@@ -9,6 +9,7 @@ import pytest
 from gaussl1 import (
     ApproximationPlan,
     CapabilityError,
+    NodeBudgetError,
     ValidationError,
     ball,
     bound_check,
@@ -238,6 +239,13 @@ def test_estimate_coefficients_validation():
     with pytest.raises(ValidationError):
         # 2000^2 tensor nodes blow the node budget
         estimate_coefficients(ball(1.0, 2), 2, method="quadrature", budget=2000)
+
+
+def test_estimate_coefficients_1d_rule_past_budget_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(NodeBudgetError):
+        estimate_coefficients(ball(1.0, 1), 2, "quadrature", budget=100_000)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +269,29 @@ def test_check_command_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
     assert len(lines) >= 15
     assert "checks passed" in out
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency: no path the checks, the envelope
+    # integrals or a large Gauss-Hermite rule take may import scipy
+    src = Path(sign_series.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import gaussl1\n"
+        "from gaussl1 import checks, hermite, sign_series\n"
+        "assert all(r.passed for r in checks.run_all())\n"
+        "sign_series.truncation_integral_envelopes(101, 3.0)\n"
+        "hermite.gauss_hermite_rule(400)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -29,6 +29,7 @@ from gaussl1 import (
 )
 from gaussl1.hermite import (
     _block_length,
+    _gauss_hermite_1d,
     basis_matrix,
     expansion,
     expansion_eval_batch,
@@ -509,6 +510,26 @@ def test_rule_tensor_grid_matches_meshgrid():
         for g in np.meshgrid(*([w1] * n), indexing="ij"):
             weights *= g.reshape(-1)
         assert np.array_equal(rule.weights, weights)
+
+
+def test_gauss_hermite_1d_matches_scipy_golub_welsch():
+    from scipy.linalg import eigh_tridiagonal
+
+    # all rules first: alternating numpy's and scipy's BLAS thread pools
+    # call by call makes both spin against each other
+    rules = [_gauss_hermite_1d(m) for m in range(1, 401)]
+    for m, (nodes, weights) in enumerate(rules, start=1):
+        # the same Golub-Welsch rule through scipy's tridiagonal eigensolver
+        if m == 1:
+            want_nodes, want_weights = np.zeros(1), np.ones(1)
+        else:
+            want_nodes, vectors = eigh_tridiagonal(np.zeros(m), np.sqrt(np.arange(1.0, m)))
+            want_weights = vectors[0, :] ** 2
+            want_nodes = 0.5 * (want_nodes - want_nodes[::-1])
+            want_weights = 0.5 * (want_weights + want_weights[::-1])
+            want_weights = want_weights / want_weights.sum()
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0.0)
 
 
 def test_expectation_error_carries_node():

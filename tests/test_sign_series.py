@@ -7,10 +7,11 @@ import pytest
 from scipy.special import sici
 
 from gaussl1.errors import ValidationError
-from gaussl1.hermite import hermite_eval, hermite_zero
+from gaussl1.hermite import GAUSS_CUTOFF, hermite_eval, hermite_zero
 from gaussl1.quadrature1d import fixed_panels, integrate_adaptive
 from gaussl1.sign_series import (
     _TAYLOR_CUT,
+    _hermite_over_t,
     christoffel_darboux_residual,
     parseval_residual,
     plancherel_rotach_remainder,
@@ -321,6 +322,21 @@ def test_envelope_large_t_tau3():
     # tau = 3 exceeds 101^{1/6}, so only the large-t branch applies
     assert report.small_t_value is None
     assert report.large_t_value <= math.exp(-9.0 / 4.0)
+
+
+def test_envelope_large_t_matches_scipy_erfc_integrand():
+    from scipy.special import erfc
+
+    # the same tail integral with scipy's erfc as the Gaussian upper tail
+    reference = integrate_adaptive(
+        lambda t: _hermite_over_t(101, t, absolute=True) * 0.5 * erfc(t / math.sqrt(2.0)),
+        3.0,
+        GAUSS_CUTOFF,
+        abs_tol=1e-9,
+        initial_intervals=max(8, int(math.ceil(GAUSS_CUTOFF * math.sqrt(101) / math.pi))),
+    )
+    report = truncation_integral_envelopes(101, 3.0)
+    assert report.large_t_value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_envelope_small_t_degree_scaling():
