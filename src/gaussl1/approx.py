@@ -36,6 +36,7 @@ from .hermite import (
     expansion,
     expansion_eval_batch,
     gauss_density,
+    gauss_hermite_nodes,
     gauss_hermite_rule,
     hermite_upto,
     multi_indices_upto,
@@ -152,7 +153,7 @@ def estimate_coefficients(
     """Estimate all coefficients of ``c`` up to total degree ``degree``.
 
     ``method="quadrature"`` uses a tensorized Gauss-Hermite rule with
-    ``budget`` points per axis (default 400; dimensions above 3 are
+    ``budget > degree`` points per axis (default 400; dimensions above 3 are
     rejected -- the tensor grid would be astronomically large; a rule past
     ``NODE_BUDGET`` raises :class:`NodeBudgetError`).
     ``method="monte_carlo"`` averages ``f(X) H_alpha(X)`` over ``budget``
@@ -164,6 +165,8 @@ def estimate_coefficients(
         m = 400 if budget is None else int(budget)
         if m < 1:
             raise ValidationError("quadrature budget must be >= 1")
+        if degree >= m:  # H_m vanishes at every node of the m-point rule
+            raise ValidationError(f"degree {degree} needs more than {m} quadrature points per axis")
         if c.dimension > 3:
             raise CapabilityError(
                 "tensor quadrature is limited to dimension <= 3; use monte_carlo"
@@ -179,22 +182,14 @@ def estimate_coefficients(
 
 def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEstimate:
     n = c.dimension
-    grid = gauss_hermite_rule(m, n).nodes
-    values = np.asarray(c.batch(grid), dtype=np.float64).reshape((m,) * n)
     # fold the weights into per-axis contraction matrices B[k, i] = w_i H_k(x_i)
     line = gauss_hermite_rule(m)
     B = hermite_upto(degree, line.nodes[:, 0]) * line.weights[None, :]
-    tensor = values
+    tensor = np.asarray(c.batch(gauss_hermite_nodes(m, n)), dtype=np.float64).reshape((m,) * n)
     for _ in range(n):
         tensor = np.tensordot(tensor, B, axes=([0], [1]))
-    terms = {}
-    for alpha in multi_indices_upto(n, degree):
-        coeff = float(tensor[alpha])
-        if coeff != 0.0:
-            terms[alpha] = coeff
-    return CoefficientEstimate(
-        expansion(n, terms), int(degree), "quadrature", int(m)
-    )
+    terms = {a: float(tensor[a]) for a in multi_indices_upto(n, degree) if tensor[a] != 0.0}
+    return CoefficientEstimate(expansion(n, terms), int(degree), "quadrature", int(m))
 
 
 def _coefficients_mc(

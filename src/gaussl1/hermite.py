@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -472,14 +472,9 @@ def _gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRule:
-    """Tensorized Gauss-Hermite rule for the standard normal on R^n.
-
-    Exact for polynomials of per-axis degree <= ``2 * points_per_axis - 1``.
-    Raises :class:`NodeBudgetError` when the tensor grid, or in 1-D the
-    ``m x m`` Jacobi matrix the nodes are computed from, would exceed
-    ``NODE_BUDGET`` cells (use the Monte-Carlo paths instead).
-    """
+def gauss_hermite_nodes(points_per_axis: int, dimension: int = 1) -> np.ndarray:
+    """The nodes of :func:`gauss_hermite_rule`, shape ``(m^n, n)``, without
+    building its ``m^n`` weights; the same checks and budget."""
     if points_per_axis < 1:
         raise ValidationError(f"points_per_axis must be >= 1, got {points_per_axis}")
     if dimension < 1:
@@ -490,16 +485,22 @@ def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRu
             f"{points_per_axis}^{power} cells exceed the budget of "
             f"{NODE_BUDGET}; use a Monte-Carlo estimator instead"
         )
-    x1, w1 = _gauss_hermite_1d(points_per_axis)
-    # "ij" order (last axis fastest); weights multiply in axis order
-    grid = (points_per_axis,) * dimension
-    nodes = np.empty(grid + (dimension,))
-    weights = np.ones(grid)
-    for i in range(dimension):
-        along = (-1,) + (1,) * (dimension - i - 1)  # broadcasts onto axis i
-        nodes[..., i] = x1.reshape(along)
-        weights *= w1.reshape(along)
-    return QuadratureRule(dimension, nodes.reshape(-1, dimension), weights.reshape(-1))
+    axes = [_gauss_hermite_1d(points_per_axis)[0]] * dimension
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, dimension)
+
+
+def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRule:
+    """Tensorized Gauss-Hermite rule for the standard normal on R^n.
+
+    Exact for polynomials of per-axis degree <= ``2 * points_per_axis - 1``.
+    Nodes are in "ij" order (last axis fastest); weights multiply in axis
+    order.  Raises :class:`NodeBudgetError` when the tensor grid, or in 1-D the
+    ``m x m`` Jacobi matrix the nodes are computed from, would exceed
+    ``NODE_BUDGET`` cells (use the Monte-Carlo paths instead).
+    """
+    nodes = gauss_hermite_nodes(points_per_axis, dimension)  # validates first
+    weights = reduce(np.multiply.outer, [_gauss_hermite_1d(points_per_axis)[1]] * dimension, 1.0)
+    return QuadratureRule(dimension, nodes, weights.reshape(-1))
 
 
 def expectation(f: Callable, rule: QuadratureRule) -> float:

@@ -1,8 +1,8 @@
 """Agnostic learning of concepts by L1 polynomial regression.
 
-The learner fits a low-degree polynomial to noisy +/-1 labels in Gaussian L1
-norm (smoothed iteratively reweighted least squares with a subgradient
-polish), then thresholds the fitted score to produce a +/-1 hypothesis.  For
+The learner fits a low-degree polynomial to noisy +/-1 labels in empirical L1
+norm (a Frisch-Newton interior point that certifies its optimality gap), then
+thresholds the fitted score to produce a +/-1 hypothesis.  For
 concept classes approximated within ``epsilon`` by the planned degree, the
 hypothesis' error exceeds the label noise rate by at most ``epsilon`` plus a
 sampling term.
@@ -20,6 +20,7 @@ from .approx import ApproximationPlan, plan
 from .concepts import Concept
 from .errors import ValidationError
 from .hermite import (
+    BLOCK_CELLS,
     HermiteExpansion,
     basis_matrix,
     expansion,
@@ -81,32 +82,23 @@ def generate_agnostic_data(c: Concept, eta: float, m: int, seed: int) -> Labeled
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver knobs for :func:`fit_l1`.
-
-    The weighted least-squares reweighting uses ``1 / max(|r|, delta)`` so
-    each stage minimizes a Huber-smoothed L1 loss whose optimum is within
-    ``delta / 2`` of the true L1 optimum; ``delta`` starts at ``delta_huber``
-    and is refined twice by a factor of 100.
-    """
+    """Solver knobs: at most ``max_iters`` steps; ``converged`` iff the certified gap <= ``tol``."""
 
     max_iters: int = 200
     tol: float = 1e-6
-    delta_huber: float = 1e-4
-    polish_iters: int = 30
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """``gap`` bounds ``train_loss`` minus the optimum; ``iterations`` counts solver steps."""
+
     expansion: HermiteExpansion
     alphas: tuple
     coefficients: np.ndarray
     train_loss: float
     converged: bool
     iterations: int
-
-
-def _l1_loss(A: np.ndarray, y: np.ndarray, coeffs: np.ndarray) -> float:
-    return float(np.abs(y - A @ coeffs).mean())
+    gap: float
 
 
 def _median_toward_zero(y: np.ndarray) -> float:
@@ -120,13 +112,20 @@ def _median_toward_zero(y: np.ndarray) -> float:
     return float(min(max(0.0, lo), hi))
 
 
+# Steps cover this share of the way to the boundary; the iteration stops at a
+# duality gap of _GAP_SHARE * tol, so rounding limits the reported loss.
+_STEP_BACK, _GAP_SHARE = 0.99995, 1e-3
+
+
 def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> FitResult:
     """Fit ``argmin_p mean |y_i - p(x_i)|`` over polynomials of total degree
-    <= ``degree`` by smoothed IRLS with a final subgradient polish.
+    <= ``degree`` by a Frisch-Newton interior point (Portnoy & Koenker 1997).
 
-    Deterministic: no randomness enters the solve.  If the iteration cap is
-    reached without the loss stabilizing, the best iterate is returned with
-    ``converged=False`` (and a warning).
+    With ``A = QR``, a Mehrotra predictor-corrector solves the dual ``max y.a
+    s.t. Q^T a = Q^T 1 / 2, 0 <= a <= 1`` from ``a = 1/2``; ``z`` and ``w``
+    price ``a >= 0`` and ``s = 1 - a >= 0``, with ``w - z = r = y - Q lam``, and
+    the coefficients are ``R^-1 lam``.  Deterministic: the labels are solved as
+    ``y[0] * y``, so negating them negates the coefficients exactly.
     """
     config = config or FitConfig()
     if degree < 0:
@@ -136,77 +135,81 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
         c0 = _median_toward_zero(data.y)
         coeffs = np.asarray([c0])
         p = expansion(data.dimension, {alphas[0]: c0} if c0 != 0.0 else {})
-        return FitResult(
-            p, tuple(alphas), coeffs, float(np.abs(data.y - c0).mean()), True, 0
-        )
+        return FitResult(p, tuple(alphas), coeffs, float(np.abs(data.y - c0).mean()), True, 0, 0.0)
+    m, n_terms = data.size, len(alphas)
+    if m < n_terms:
+        raise ValidationError(f"{n_terms} basis terms need as many samples, got {m}")
 
     A = basis_matrix(data.x, alphas)
-    y = data.y
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    best_loss = _l1_loss(A, y, coeffs)
-    best = coeffs.copy()
-    converged = False
-    iterations = 0
-    # continuation in the smoothing scale: the Huber optimum tracks the L1
-    # optimum to O(delta), so refining delta after the coarse solve settles
-    # pulls the fit onto the LP vertex
-    for delta in (config.delta_huber, config.delta_huber * 1e-2, config.delta_huber * 1e-4):
-        coeffs = best.copy()
-        losses = [best_loss]
-        converged = False
-        for it in range(1, config.max_iters + 1):
-            iterations += 1
-            r = y - A @ coeffs
-            w = 1.0 / np.maximum(np.abs(r), delta)
-            Aw = A * w[:, None]
-            G = Aw.T @ A
-            b = Aw.T @ y
-            try:
-                coeffs = np.linalg.solve(G, b)
-            except np.linalg.LinAlgError:
-                coeffs, *_ = np.linalg.lstsq(
-                    A * np.sqrt(w)[:, None], y * np.sqrt(w), rcond=None
-                )
-            loss = _l1_loss(A, y, coeffs)
-            losses.append(loss)
-            if loss < best_loss:
-                best_loss = loss
-                best = coeffs.copy()
-            if it >= 5 and losses[-6] - losses[-1] < config.tol:
-                converged = True
-                break
-    if not converged:
-        warnings.warn(
-            f"L1 fit did not stabilize within {config.max_iters} iterations; "
-            "returning the best iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    # subgradient polish: small deterministic steps from the Huber scale down
-    coeffs = best.copy()
-    for j in range(config.polish_iters):
-        r = y - A @ coeffs
-        g = -(A.T @ np.where(r >= 0.0, 1.0, -1.0)) / data.size
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
+    step = max(1, BLOCK_CELLS // n_terms)  # row blocks bound the scratch of passes over A
+    blocks = [slice(i, i + step) for i in range(0, m, step)]
+    # Q = A R^-1, R from a blocked Householder QR (TSQR); one Cholesky pass in
+    # place restores orthogonality (CholeskyQR2).  Column-major for the solver
+    R = np.linalg.qr(np.vstack([np.linalg.qr(A[b], mode="r") for b in blocks]), mode="r")
+    Q = np.matmul(A, np.linalg.inv(R), out=np.empty(A.shape, order="F"))
+    C = np.linalg.cholesky(Q.T @ Q).T
+    R = C @ R
+    C = np.linalg.inv(C)
+    for b in blocks:
+        Q[b] = Q[b] @ C
+    y = data.y[0] * data.y
+    a, s = np.full(m, 0.5), np.full(m, 0.5)
+    lam = Q.T @ y
+    r = y - Q @ lam
+    w = np.maximum(r, 0.0) + np.abs(r).mean()
+    z = w - r
+    steps, gap = 0, float(a @ z + s @ w)
+    def direction(rho):  # the Newton step for residual rho, by this step's factor chol
+        dlam = np.linalg.solve(chol.T, np.linalg.solve(chol, Q.T @ (q * rho)))
+        Qdlam = Q @ dlam
+        return dlam, Qdlam, q * (rho - Qdlam)
+    def longest(da, dz, dw):  # steps <= 1 keeping a, s and z, w nonnegative
+        tp = 1.0 / max(1.0, (-da / a).max(), (da / s).max())
+        return tp, 1.0 / max(1.0, (-dz / z).max(), (-dw / w).max())
+    while steps < config.max_iters and 2.0 * gap / m > _GAP_SHARE * config.tol:
+        q = 1.0 / (z / a + w / s)
+        G = np.zeros((n_terms, n_terms))
+        for b in blocks:
+            S = Q[b] * np.sqrt(q[b, None])
+            G += S.T @ S
+        del S  # free the block before the solves: it shows in peak RSS
+        try:
+            chol = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:  # definiteness lost at the end of the path
             break
-        step = config.delta_huber * 0.5**j
-        coeffs = coeffs - (step / norm) * g
-        loss = _l1_loss(A, y, coeffs)
-        if loss < best_loss:
-            best_loss = loss
-            best = coeffs.copy()
-
-    terms = {alpha: float(v) for alpha, v in zip(alphas, best) if v != 0.0}
-    return FitResult(
-        expansion(data.dimension, terms),
-        tuple(alphas),
-        best,
-        best_loss,
-        converged,
-        iterations,
-    )
+        steps += 1
+        # predictor: the affine direction's gap sets the centring target mu
+        da = direction(r)[2]
+        dz, dw = -z * (1.0 + da / a), -w * (1.0 - da / s)
+        tp, td = longest(da, dz, dw)
+        gap_aff = float((a + tp * da) @ (z + td * dz) + (s - tp * da) @ (w + td * dw))
+        mu = (gap_aff / gap) ** 3 * gap / (2 * m)
+        # corrector: the same factor, centred on mu with second-order terms
+        cz, cw = mu - da * dz, mu + da * dw
+        dlam, Qdlam, da = direction(r - cw / s + cz / a)
+        dz, dw = (cz - z * da) / a - z, (cw + w * da) / s - w
+        tp, td = longest(da, dz, dw)
+        a += _STEP_BACK * tp * da
+        s -= _STEP_BACK * tp * da
+        z += _STEP_BACK * td * dz
+        w += _STEP_BACK * td * dw
+        lam += _STEP_BACK * td * dlam
+        r -= _STEP_BACK * td * Qdlam
+        gap = float(a @ z + s @ w)
+    coeffs = np.linalg.solve(R, lam)
+    loss = float(np.abs(y - A @ coeffs).mean())
+    # d = 2a - 1 projected onto Q^T d = 0 and scaled into [-1, 1] is dual
+    # feasible: mean |y - A c| >= y.d / m for every c
+    d = 2.0 * a - 1.0
+    d -= Q @ (Q.T @ d)
+    gap = loss - float(y @ d) / (m * max(1.0, float(np.abs(d).max())))
+    if gap > config.tol:
+        msg = f"L1 fit certified gap {gap:.2e} > tol {config.tol:.1e} after {steps} steps"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    coeffs *= data.y[0]
+    terms = {alpha: float(v) for alpha, v in zip(alphas, coeffs) if v != 0.0}
+    p = expansion(data.dimension, terms)
+    return FitResult(p, tuple(alphas), coeffs, loss, gap <= config.tol, steps, gap)
 
 
 def l1_fit_oracle(A: np.ndarray, y: np.ndarray) -> float:

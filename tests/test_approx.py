@@ -241,6 +241,22 @@ def test_estimate_coefficients_validation():
         estimate_coefficients(ball(1.0, 2), 2, method="quadrature", budget=2000)
 
 
+def test_quadrature_degree_at_least_points_per_axis_fails_fast():
+    # H_m vanishes at every node of the m-point rule, so coefficient m would
+    # read 0 and higher ones alias lower ones
+    with pytest.raises(ValidationError, match="quadrature points per axis"):
+        estimate_coefficients(ball(1.0, 1), 16, "quadrature", budget=8)
+    with pytest.raises(ValidationError, match="quadrature points per axis"):
+        estimate_coefficients(ball(1.0, 1), 8, "quadrature", budget=8)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="quadrature points per axis"):
+        # raised before the 3000^2 grid could blow the node budget
+        estimate_coefficients(ball(1.0, 2), 3000, "quadrature", budget=2000)
+    assert time.perf_counter() - start < 1.0
+    est = estimate_coefficients(ball(1.0, 1), 7, "quadrature", budget=8)
+    assert est.expansion.degree_bound <= 7
+
+
 def test_estimate_coefficients_1d_rule_past_budget_fails_fast():
     start = time.perf_counter()
     with pytest.raises(NodeBudgetError):

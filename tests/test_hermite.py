@@ -33,6 +33,7 @@ from gaussl1.hermite import (
     basis_matrix,
     expansion,
     expansion_eval_batch,
+    gauss_hermite_nodes,
     hermite_zeros_upto,
     sqrt_factorial,
 )
@@ -510,6 +511,15 @@ def test_rule_tensor_grid_matches_meshgrid():
         for g in np.meshgrid(*([w1] * n), indexing="ij"):
             weights *= g.reshape(-1)
         assert np.array_equal(rule.weights, weights)
+
+
+def test_gauss_hermite_nodes_are_the_rule_nodes():
+    for m, n in ((1, 1), (7, 1), (13, 2), (9, 3)):
+        assert np.array_equal(gauss_hermite_nodes(m, n), gauss_hermite_rule(m, n).nodes)
+    with pytest.raises(NodeBudgetError):
+        gauss_hermite_nodes(1000, 3)
+    with pytest.raises(ValidationError):
+        gauss_hermite_nodes(0)
 
 
 def test_gauss_hermite_1d_matches_scipy_golub_welsch():

@@ -1,6 +1,10 @@
 """Tests for agnostic L1 regression learning."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,77 @@ def test_fit_matches_enumeration_oracle():
         fit = fit_l1(data, degree)
         assert fit.train_loss >= opt - 1e-9
         assert fit.train_loss <= opt + 1e-4, (trial, m, dimension, degree)
+
+
+def test_fit_degree_zero_gap_is_zero():
+    fit = fit_l1(_toy_data(9, 1, SEED), 0)
+    assert fit.gap == 0.0 and fit.converged and fit.iterations == 0
+
+
+def test_fit_needs_as_many_samples_as_terms():
+    with pytest.raises(ValidationError):
+        fit_l1(_toy_data(5, 1, SEED), 5)  # 6 basis terms
+
+
+def test_fit_gap_certifies_against_highs():
+    # an independent LP solver at realistic size: min mean(u + v) subject to
+    # A beta + u - v = y, u, v >= 0
+    sparse = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    data = generate_agnostic_data(halfspace([0.6, 0.8], 0.25), 0.1, 2000, SEED)
+    fit = fit_l1(data, 10)
+    A = basis_matrix(data.x, multi_indices_upto(2, 10))
+    m, B = A.shape
+    lp = linprog(
+        np.concatenate([np.zeros(B), np.full(2 * m, 1.0 / m)]),
+        A_eq=sparse.hstack([sparse.csr_matrix(A), sparse.identity(m), -sparse.identity(m)]),
+        b_eq=data.y,
+        bounds=[(None, None)] * B + [(0.0, None)] * (2 * m),
+        method="highs",
+    )
+    assert lp.status == 0, lp.message
+    assert fit.converged and 0.0 <= fit.gap <= FitConfig().tol
+    assert fit.train_loss == pytest.approx(lp.fun, rel=1e-7)
+    assert fit.train_loss - fit.gap <= lp.fun <= fit.train_loss
+
+
+def test_fit_loss_independent_of_blas_threads():
+    # the learn benchmark's 1-D degree-30 class (cond(A) ~ 1e12) in fresh
+    # interpreters: the thread count changes the rounding of every BLAS call
+    code = (
+        "from gaussl1 import fit_l1, generate_agnostic_data, halfspace\n"
+        "c = halfspace([-1.0], -0.4097547736217526)\n"
+        "data = generate_agnostic_data(c, 0.1, 20000, 1289360436062027116)\n"
+        "fit = fit_l1(data, 30)\n"
+        "print(repr(fit.train_loss), fit.converged)\n"
+    )
+    src = Path(fit_l1.__code__.co_filename).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    losses = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        loss, converged = proc.stdout.split()
+        assert converged == "True"
+        losses.append(float(loss))
+    assert losses[1] == pytest.approx(losses[0], rel=1e-7)
+
+
+def test_fit_ill_conditioned_basis_is_not_certified():
+    # at 1-D degree 30 on 2000 samples the optimal coefficients are so large
+    # that evaluating them loses digits: the certificate must say so
+    data = generate_agnostic_data(halfspace([1.0], 0.25), 0.1, 2000, 7)
+    with pytest.warns(RuntimeWarning, match="certified gap"):
+        fit = fit_l1(data, 30)
+    assert not fit.converged
+    assert fit.gap > FitConfig().tol
+    A = basis_matrix(data.x, multi_indices_upto(1, 30))
+    # the loss and the gap are those of the returned coefficients
+    assert fit.train_loss == pytest.approx(np.abs(data.y - A @ fit.coefficients).mean(), rel=1e-12)
 
 
 def test_oracle_validation():
