@@ -25,6 +25,7 @@ import datetime
 import json
 import shlex
 import sys
+import time
 from typing import Sequence
 
 import numpy as np
@@ -248,6 +249,21 @@ def _cmd_learn(args, argv) -> int:
 
 
 def _cmd_check(args, argv) -> int:
+    if args.json:
+        entries = []
+        # read at call time, as run_all does, so wrappers put on it are timed too
+        for check in checks.ALL_CHECKS:
+            start = time.perf_counter()
+            res = check()
+            seconds = time.perf_counter() - start
+            entries.append({
+                "name": res.name,
+                "pass": bool(res.passed),
+                "detail": res.detail,
+                "seconds": seconds,
+            })
+        _emit_json({"meta": _meta(argv, None), "checks": entries}, None)
+        return 0 if all(entry["pass"] for entry in entries) else 1
     results = checks.run_all()
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
@@ -322,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_learn)
 
     p = sub.add_parser("check", help="run the deterministic invariant suite")
+    p.add_argument("--json", action="store_true", help="one JSON object with per-check seconds")
     p.set_defaults(run=_cmd_check)
 
     return parser

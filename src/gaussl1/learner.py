@@ -10,6 +10,7 @@ sampling term.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,9 +19,10 @@ import numpy as np
 
 from .approx import ApproximationPlan, plan
 from .concepts import Concept
-from .errors import ValidationError
+from .errors import NodeBudgetError, ValidationError
 from .hermite import (
     BLOCK_CELLS,
+    NODE_BUDGET,
     HermiteExpansion,
     basis_matrix,
     expansion,
@@ -217,24 +219,33 @@ def l1_fit_oracle(A: np.ndarray, y: np.ndarray) -> float:
 
     Some optimal L1 fit interpolates ``B = rank(A)`` points, so scanning all
     size-B sample subsets with invertible submatrices finds the optimum.
-    Intended as a test oracle: cost grows like C(m, B).
+    Intended as a test oracle: it scores C(m, B) subsets, raising
+    :class:`NodeBudgetError` before any work when that exceeds
+    ``NODE_BUDGET``.  Subsets are taken in lexicographic blocks of about
+    ``BLOCK_CELLS`` float64 cells, each scored by one batched determinant,
+    solve and residual mean.
     """
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m, B = A.shape
     if m > 60 or B > 6:
         raise ValidationError("oracle is restricted to m <= 60, B <= 6")
+    count = math.comb(m, B)
+    if count > NODE_BUDGET:
+        raise NodeBudgetError(f"C({m}, {B}) = {count} subsets exceed the budget of {NODE_BUDGET}")
     if np.linalg.matrix_rank(A) < B:
         raise ValidationError("design matrix must have full column rank")
-    import itertools
 
     best = float(np.abs(y).mean())  # the zero fit is always available
-    for subset in itertools.combinations(range(m), B):
-        sub = A[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        c = np.linalg.solve(sub, y[list(subset)])
-        best = min(best, float(np.abs(y - A @ c).mean()))
+    subsets = itertools.combinations(range(m), B)
+    block = BLOCK_CELLS // (B * max(B, m))  # >= 364 under the guards above
+    for _ in range(0, count, block):
+        idx = np.fromiter(itertools.islice(subsets, block), (np.intp, B))
+        sub = A[idx]
+        keep = np.abs(np.linalg.det(sub)) >= 1e-12
+        if keep.any():
+            c = np.linalg.solve(sub[keep], y[idx[keep]][..., None])[..., 0]
+            best = min(best, float(np.abs(y - c @ A.T).mean(axis=1).min()))
     return best
 
 

@@ -122,7 +122,7 @@ def fixed_panels(
     """Composite Gauss-Legendre rule with ``panels`` panels of ``points`` nodes."""
     if points < 1 or panels < 1:
         raise ValidationError("points and panels must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = _panel(points)
     edges = np.linspace(float(a), float(b), panels + 1)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)

@@ -271,6 +271,15 @@ def test_check_command_passes(capsys):
     assert "checks passed" in out
 
 
+def test_check_json_lists_every_check(capsys):
+    assert main(["check", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    assert len(entries) == 18
+    assert len({entry["name"] for entry in entries}) == 18
+    assert all(entry["pass"] is True for entry in entries)
+    assert all(entry["seconds"] >= 0.0 and entry["detail"] for entry in entries)
+
+
 # ---------------------------------------------------------------------------
 # dependencies
 

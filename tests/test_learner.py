@@ -1,9 +1,11 @@
 """Tests for agnostic L1 regression learning."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,9 @@ from gaussl1 import (
     generate_agnostic_data,
     halfspace,
     learn,
+    learner,
 )
+from gaussl1.errors import NodeBudgetError
 from gaussl1.hermite import basis_matrix, expansion, expansion_eval_batch, multi_indices_upto
 from gaussl1.learner import LabeledData, l1_fit_oracle
 
@@ -250,6 +254,74 @@ def test_oracle_validation():
         l1_fit_oracle(rng.standard_normal((100, 2)), np.ones(100))  # too big
     with pytest.raises(ValidationError):
         l1_fit_oracle(np.ones((10, 2)), np.ones(10))  # rank deficient
+
+
+def _oracle_by_loop(A, y):
+    """Vertex enumeration one subset at a time; also counts singular subsets."""
+    best, skipped = float(np.abs(y).mean()), 0
+    for subset in itertools.combinations(range(A.shape[0]), A.shape[1]):
+        sub = A[list(subset)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            skipped += 1
+            continue
+        c = np.linalg.solve(sub, y[list(subset)])
+        best = min(best, float(np.abs(y - A @ c).mean()))
+    return best, skipped
+
+
+@pytest.mark.parametrize(
+    "m, dimension, degree", [(12, 1, 1), (30, 1, 2), (15, 2, 1), (25, 1, 4), (50, 2, 1)]
+)
+def test_oracle_blocks_match_subset_loop(m, dimension, degree):
+    # 25 x 5 and 50 x 3 span several blocks of subsets
+    data = _toy_data(m, dimension, 4000 + 10 * m + dimension)
+    A = basis_matrix(data.x, multi_indices_upto(dimension, degree))
+    expected, _ = _oracle_by_loop(A, data.y)
+    assert abs(l1_fit_oracle(A, data.y) - expected) <= 1e-15
+
+
+def test_oracle_skips_singular_subsets():
+    rng = np.random.default_rng(SEED)
+    x = rng.standard_normal((9, 1))
+    x = np.concatenate([x, x[:5], x[:3]])  # duplicated samples
+    y = np.where(rng.random(len(x)) < 0.5, 1.0, -1.0)
+    A = basis_matrix(x, multi_indices_upto(1, 2))
+    expected, skipped = _oracle_by_loop(A, y)
+    assert skipped > 0
+    assert abs(l1_fit_oracle(A, y) - expected) <= 1e-15
+    # determinants near 1e-9 are above the singular threshold and scored
+    small, _ = _oracle_by_loop(1e-3 * A, y)
+    assert small < float(np.abs(y).mean())
+    assert abs(l1_fit_oracle(1e-3 * A, y) - small) <= 1e-15
+
+
+def test_oracle_scores_the_optimal_subset_at_every_position(monkeypatch):
+    # blocks of 5 subsets; the unique optimal vertex is moved through every
+    # lexicographic position, block boundaries and the short last block included
+    monkeypatch.setattr(learner, "BLOCK_CELLS", 5 * 2 * 12)
+    rng = np.random.default_rng(SEED)
+    A = basis_matrix(rng.standard_normal((12, 1)), multi_indices_upto(1, 1))
+    y = rng.standard_normal(12)
+    losses = {}
+    for subset in itertools.combinations(range(12), 2):
+        c = np.linalg.solve(A[list(subset)], y[list(subset)])
+        losses[subset] = float(np.abs(y - A @ c).mean())
+    best, second = sorted(losses.values())[:2]
+    assert second - best > 1e-6
+    optimal = min(losses, key=losses.get)
+    for target in itertools.combinations(range(12), 2):
+        rows = [i for i in range(12) if i not in optimal]
+        for new, old in sorted(zip(target, optimal)):
+            rows.insert(new, old)
+        assert abs(l1_fit_oracle(A[rows], y[rows]) - best) <= 1e-15, target
+
+
+def test_oracle_rejects_over_budget_before_enumerating():
+    A = np.random.default_rng(SEED).standard_normal((60, 6))  # C(60, 6) = 5e7
+    start = time.perf_counter()
+    with pytest.raises(NodeBudgetError):
+        l1_fit_oracle(A, np.ones(60))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussl1 import quadrature1d
 from gaussl1.errors import EvaluationError, ToleranceError, ValidationError
 from gaussl1.quadrature1d import fixed_panels, integrate_adaptive
 
@@ -83,3 +84,20 @@ def test_fixed_panels():
     assert got == pytest.approx(math.e - 1.0, abs=1e-13)
     with pytest.raises(ValidationError):
         fixed_panels(np.exp, 0.0, 1.0, 0)
+
+
+def test_fixed_panels_equals_fresh_legendre_rule():
+    def f(t):
+        return np.cos(3.0 * t) * np.exp(-t)
+
+    for points, panels in ((120, 10), (20, 3), (7, 1)):
+        x, w = np.polynomial.legendre.leggauss(points)
+        edges = np.linspace(-1.0, 2.5, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = mid[:, None] + half[:, None] * x[None, :]
+        expected = float(((f(nodes.reshape(-1)).reshape(nodes.shape) @ w) * half).sum())
+        assert fixed_panels(f, -1.0, 2.5, points, panels) == expected
+        cached = quadrature1d._panel(points)
+        assert not any(a.flags.writeable for a in cached)
+        assert np.array_equal(cached[0], x) and np.array_equal(cached[1], w)
