@@ -203,9 +203,12 @@ def _coefficients_mc(
     m2 = np.zeros(len(alphas))
     for rng, m in chunk_rngs(seed, samples):
         x = rng.standard_normal((m, c.dimension))
-        vals = np.asarray(c.batch(x), dtype=np.float64)[:, None] * basis_matrix(x, alphas)
+        # one (m x terms) buffer, reused in place for f H, its deviations and their squares
+        vals = basis_matrix(x, alphas)
+        vals *= np.asarray(c.batch(x), dtype=np.float64)[:, None]
         c_mean = vals.mean(axis=0)
-        c_m2 = ((vals - c_mean) ** 2).sum(axis=0)
+        vals -= c_mean
+        c_m2 = np.square(vals, out=vals).sum(axis=0)
         delta = c_mean - mean
         total = count + m
         mean += delta * m / total
@@ -443,8 +446,8 @@ def bound_check(
     coefficient-noise slack).  The error is measured by dense quadrature in
     dimension 1 (stderr then reflects the quadrature tolerance) and by Monte
     Carlo otherwise, where one pass gives both the L1 and the L2 error.  GNS
-    uses the concept's closed form when present, a supplied trusted value, or
-    a Monte-Carlo estimate.
+    uses a supplied trusted value, the concept's closed form when present
+    (every halfspace has one), or a Monte-Carlo estimate.
     """
     check_seed(seed)
     validate_noise_level(aplan.rho)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .approx import ApproximationPlan, plan
 from .concepts import Concept
-from .errors import NodeBudgetError, ValidationError
+from .errors import DimensionMismatchError, NodeBudgetError, ValidationError
 from .hermite import (
     BLOCK_CELLS,
     NODE_BUDGET,
@@ -228,6 +228,8 @@ def l1_fit_oracle(A: np.ndarray, y: np.ndarray) -> float:
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m, B = A.shape
+    if y.shape != (m,):
+        raise DimensionMismatchError(f"labels of shape {y.shape} do not match {m} design rows")
     if m > 60 or B > 6:
         raise ValidationError("oracle is restricted to m <= 60, B <= 6")
     count = math.comb(m, B)

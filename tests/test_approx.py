@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from gaussl1 import (
     sign_coefficient,
 )
 from gaussl1.approx import l2_error, l2_error_quad_1d
-from gaussl1.hermite import expansion, hermite_upto, l2_norm
-from gaussl1.mc import derive_seed
+from gaussl1.concepts import gns_halfspace_closed_form
+from gaussl1.hermite import basis_matrix, expansion, hermite_upto, l2_norm, multi_indices_upto
+from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed
 from gaussl1.quadrature1d import integrate_adaptive
 
 SEED = 424242
@@ -224,6 +226,55 @@ def test_mc_coefficients_deterministic():
     b = estimate_coefficients(c, 3, method="monte_carlo", budget=50_000, seed=7)
     assert a.expansion.terms == b.expansion.terms
     assert a.stderr == b.stderr
+
+
+def _mc_coefficients_reference(c, degree, samples, seed):
+    """Per-chunk moments with three temporaries (f H, deviations, squares)."""
+    alphas = multi_indices_upto(c.dimension, degree)
+    count, mean, m2 = 0, np.zeros(len(alphas)), np.zeros(len(alphas))
+    for rng, m in chunk_rngs(seed, samples):
+        x = rng.standard_normal((m, c.dimension))
+        vals = np.asarray(c.batch(x), dtype=np.float64)[:, None] * basis_matrix(x, alphas)
+        c_mean = vals.mean(axis=0)
+        c_m2 = ((vals - c_mean) ** 2).sum(axis=0)
+        delta = c_mean - mean
+        total = count + m
+        mean += delta * m / total
+        m2 += c_m2 + delta * delta * count * m / total
+        count = total
+    return alphas, mean, np.sqrt(np.maximum(m2, 0.0) / (count - 1) / count)
+
+
+@pytest.mark.parametrize(
+    "concept, degree, samples",
+    [
+        (ball(2.2, 4), 4, 1 << 15),  # the audit's 4-D ball
+        (ball(1.3, 2), 5, 2 * CHUNK_SIZE + 1000),  # three chunks, the last short
+        (constant_concept(3, -1), 3, 5000),
+    ],
+)
+def test_mc_coefficients_in_place_pass_is_bit_identical(concept, degree, samples):
+    alphas, mean, stderr = _mc_coefficients_reference(concept, degree, samples, SEED)
+    est = estimate_coefficients(concept, degree, "monte_carlo", samples, SEED)
+    got = np.array([est.expansion.terms.get(a, 0.0) for a in alphas])
+    assert np.array_equal(got, mean)
+    assert np.array_equal(np.array([est.stderr[a] for a in alphas]), stderr)
+
+
+def test_mc_coefficients_chunk_holds_about_one_basis_matrix():
+    # 70 terms on 2^15 points: the basis matrix is 17.5 MB, and the
+    # per-chunk moments reuse it instead of allocating copies beside it
+    c = ball(2.2, 4)
+    samples = 1 << 15
+    matrix_bytes = samples * len(multi_indices_upto(4, 4)) * 8
+    estimate_coefficients(c, 4, "monte_carlo", 1000, SEED)  # warm caches
+    tracemalloc.start()
+    try:
+        estimate_coefficients(c, 4, "monte_carlo", samples, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix_bytes
 
 
 def test_estimate_coefficients_validation():
@@ -442,6 +493,17 @@ def test_bound_check_one_pass_l2_matches_l2_error():
     assert report.measured_l1 == l1_error(c, p, 150_000, stream)
     assert report.measured_l2 == l2_error(c, p, 150_000, stream)
     assert report.measured_l2.seed == stream
+
+
+def test_bound_check_offset_halfspace_gns_is_exact():
+    # every halfspace carries its closed-form GNS, so none is sampled
+    c = halfspace([0.6, 0.8], 0.2)
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=8)
+    report = bound_check(c, aplan, error_budget=100_000, seed=SEED)
+    assert report.gns_stderr == 0.0
+    assert report.gns_term == 2.0 * gns_halfspace_closed_form(1.0 - aplan.rho, 0.2)
+    assert report.gns_term < 2.0 * math.acos(0.9) / math.pi
+    assert report.passed
 
 
 def test_bound_check_constant_concept():

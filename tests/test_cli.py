@@ -11,7 +11,7 @@ import pytest
 
 from gaussl1 import sign_series
 from gaussl1.cli import main
-from gaussl1.concepts import concept_to_dict, halfspace
+from gaussl1.concepts import concept_to_dict, gns_halfspace_closed_form, halfspace
 
 SEED = 31
 
@@ -119,6 +119,19 @@ def test_gns_closed_form_and_estimate(tmp_path):
     est = payload["estimate"]
     assert abs(est["mean"] - want) <= 4.0 * est["stderr"]
     assert payload["meta"]["master_seed"] == SEED
+
+
+def test_gns_off_centre_halfspace_writes_closed_form(tmp_path):
+    concept = _write_halfspace(tmp_path, w=(0.6, 0.8), c=0.5)
+    out = tmp_path / "gns.json"
+    code = main(["gns", "--concept", concept, "--delta", "0.1",
+                 "--samples", "200000", "--seed", str(SEED), "--output", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    want = gns_halfspace_closed_form(0.1, 0.5)
+    assert payload["closed_form"] == want
+    est = payload["estimate"]
+    assert abs(est["mean"] - want) <= 4.0 * est["stderr"]
 
 
 def test_gsa_estimate(tmp_path):

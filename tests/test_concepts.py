@@ -115,6 +115,46 @@ def test_batch_shape_validation():
         hs.batch(np.zeros(4))
 
 
+def test_ball_evaluator_matches_norm():
+    # the column-wise row norm equals np.linalg.norm bit for bit up to 7
+    # columns; points exactly on the sphere (and their sign flips) are +1
+    rng = np.random.default_rng(SEED)
+    for n in range(1, 8):
+        points = rng.standard_normal((3000, n))
+        radius = float(np.linalg.norm(points[0]))
+        points[1:9] = points[0] * rng.choice([-1.0, 1.0], size=(8, n))
+        points[9] = 0.0
+        points[9, n - 1] = radius
+        want = np.where(np.linalg.norm(points, axis=1) <= radius, 1.0, -1.0)
+        got = ball(radius, n).batch(points)
+        assert np.array_equal(got, want), n
+        assert np.all(got[:10] == 1.0), n
+        dist = ball(radius, n).distance_to_set(points)
+        assert np.array_equal(dist, np.maximum(0.0, np.linalg.norm(points, axis=1) - radius))
+
+
+def test_intersection_evaluator_matches_all_reduction():
+    # the axis-aligned first face puts 50 points exactly on x_0 = 0.25,
+    # where ties go to +1
+    rng = np.random.default_rng(SEED + 1)
+    for k in range(1, 11):
+        normals = rng.standard_normal((k - 1, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        faces = [halfspace([1.0, 0.0, 0.0], 0.25)]
+        faces += [halfspace(w, float(rng.uniform(-0.5, 0.5))) for w in normals]
+        W = np.array([h.params["w"] for h in faces])
+        cvec = np.array([h.params["c"] for h in faces])
+        points = 0.5 * rng.standard_normal((4000, 3))
+        points[:50, 0] = 0.25
+        want = np.where((points @ W.T <= cvec).all(axis=1), 1.0, -1.0)
+        assert np.array_equal(intersection(faces).batch(points), want), k
+    assert np.all(intersection(faces[:1]).batch(points[:50]) == 1.0)
+    # a tie on the last face counts as inside too
+    corner = intersection([halfspace([1.0, 0.0, 0.0], 0.25), halfspace([0.0, 1.0, 0.0], -0.1)])
+    points[:50, 1] = -0.1
+    assert np.all(corner.batch(points[:50]) == 1.0)
+
+
 # -- distance oracles ----------------------------------------------------------
 
 
@@ -189,6 +229,47 @@ def test_gns_closed_form_values():
         gns_halfspace_closed_form(-0.1)
     with pytest.raises(ValidationError):
         gns_halfspace_closed_form(1.5)
+
+
+def _phi_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def test_gns_halfspace_origin_is_arccos():
+    for delta in (0.0, 1e-9, 0.01, 0.1, 0.37, 0.5, 0.9, 1.0):
+        want = math.acos(1.0 - delta) / math.pi
+        assert gns_halfspace_closed_form(delta, 0.0) == want
+        assert gns_halfspace_closed_form(delta) == want
+        assert halfspace([0.6, 0.8], 0.0).gns_closed_form(delta) == want
+
+
+def test_gns_halfspace_full_noise_is_product_of_tails():
+    # at delta = 1, X and Y are independent: P[f(X) != f(Y)] = 2 Phi(c) Phi(-c)
+    for c in (0.3, 1.2, 4.0):
+        want = 2.0 * _phi_cdf(c) * _phi_cdf(-c)
+        assert gns_halfspace_closed_form(1.0, c) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_gns_halfspace_symmetric_monotone_and_zero_at_no_noise():
+    deltas = np.linspace(0.0, 1.0, 41)
+    for c in (0.05, 0.4, 1.5, 3.0):
+        values = [gns_halfspace_closed_form(d, c) for d in deltas]
+        assert values == [gns_halfspace_closed_form(d, -c) for d in deltas]
+        assert values[0] == 0.0
+        assert all(b > a for a, b in zip(values, values[1:])), c
+        # an off-centre cut is crossed less often than the central one
+        assert all(v < gns_halfspace_closed_form(d) for v, d in zip(values[1:], deltas[1:]))
+
+
+def test_gns_halfspace_offset_matches_mc():
+    s = 1.0 / math.sqrt(2.0)
+    for i, offset in enumerate((-0.3, 0.7, 1.6)):
+        hs = halfspace([s, -s], offset)
+        for j, delta in enumerate((0.05, 0.3, 1.0)):
+            est = gns_mc(hs, delta, 400_000, derive_seed(SEED, 10 * i + j))
+            closed = hs.gns_closed_form(delta)
+            assert closed == gns_halfspace_closed_form(delta, offset)
+            assert abs(est.mean - closed) <= 4.0 * est.stderr, (offset, delta)
 
 
 def test_gns_mc_delta_zero_exact():

@@ -24,7 +24,7 @@ from gaussl1 import (
     learn,
     learner,
 )
-from gaussl1.errors import NodeBudgetError
+from gaussl1.errors import DimensionMismatchError, NodeBudgetError
 from gaussl1.hermite import basis_matrix, expansion, expansion_eval_batch, multi_indices_upto
 from gaussl1.learner import LabeledData, l1_fit_oracle
 
@@ -254,6 +254,13 @@ def test_oracle_validation():
         l1_fit_oracle(rng.standard_normal((100, 2)), np.ones(100))  # too big
     with pytest.raises(ValidationError):
         l1_fit_oracle(np.ones((10, 2)), np.ones(10))  # rank deficient
+
+
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1)])
+def test_oracle_rejects_labels_of_the_wrong_shape(shape):
+    A = np.random.default_rng(SEED).standard_normal((10, 2))
+    with pytest.raises(DimensionMismatchError, match=r"do not match 10 design rows"):
+        l1_fit_oracle(A, np.ones(shape))
 
 
 def _oracle_by_loop(A, y):
