@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, ValidationError
-from .concepts import Concept
+from .concepts import Concept, gns_mc
 from .hermite import (
     GAUSS_CUTOFF,
     HermiteExpansion,
@@ -469,8 +469,6 @@ def bound_check(
     elif c.gns_closed_form is not None:
         gns, gns_stderr = c.gns_closed_form(delta), 0.0
     else:
-        from .concepts import gns_mc
-
         g = gns_mc(c, delta, error_budget, derive_seed(seed, 2))
         gns, gns_stderr = g.mean, g.stderr
 

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .hermite import HermiteExpansion, expansion_eval_batch, gauss_density
-from .mc import EstimateWithError, mc_fraction, mc_mean, derive_seed, check_seed
+from .mc import EstimateWithError, chunk_rngs, mc_fraction, mc_mean, derive_seed, check_seed
 from .noise import validate_noise_level
 from .quadrature1d import fixed_panels
 
@@ -395,7 +395,6 @@ def gsa_mc(
 
     counts = np.zeros(len(ds), dtype=np.int64)
     n = 0
-    from .mc import chunk_rngs  # local import to keep module init cheap
 
     for rng, m in chunk_rngs(seed, int(samples)):
         x = rng.standard_normal((m, c.dimension))

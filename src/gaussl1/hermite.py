@@ -34,9 +34,9 @@ MultiIndex = tuple[int, ...]
 NODE_BUDGET = 2_000_000
 
 # Float64 cells that one point block of the batch kernels holds at once: the
-# per-axis tables plus one prefix chunk's intermediate (expansion_eval_batch)
-# or the basis block (basis_matrix).  2^17 cells are 1 MiB, so a block stays
-# in a core's L2 cache.
+# stacked table of every axis plus one prefix chunk's intermediate
+# (expansion_eval_batch) or the basis block (basis_matrix).  2^17 cells are
+# 1 MiB, so a block stays in a core's L2 cache.
 BLOCK_CELLS = 1 << 17
 
 
@@ -338,15 +338,18 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
 
     Blocked per-axis contraction.  The terms are grouped by their prefix
     ``alpha[:-1]`` into a dense matrix ``C`` (prefixes x last-axis degree),
-    whose rows are taken in chunks of at most as many rows as the per-axis
-    tables have.  The points are taken in blocks sized so that the tables and
-    one chunk's prefixes x points intermediate hold :data:`BLOCK_CELLS`
-    cells, whatever the number of terms.  Per block and chunk, one matrix
-    product ``C @ H_last`` contracts the last axis; each prefix row is then
-    multiplied by its table rows of non-zero degree (``H_0 = 1``) and the
-    rows are summed.  Values are deterministic for a given input array; they
-    may differ from the term-by-term sum in the last bits (about 1e-15
-    relative).
+    whose rows are taken in chunks of at most as many rows as the table has.
+    Per block of points one recurrence pass builds the stacked table
+    ``H_j(x_i)`` for every axis ``i`` up to the largest per-axis degree
+    ``k``, ``n (k + 1)`` rows; an expansion whose axes reach unequal degrees
+    pays for the rows above each axis' own.  The blocks are sized so that the
+    table and one chunk's prefixes x points intermediate hold
+    :data:`BLOCK_CELLS` cells, whatever the number of terms.  Per block and
+    chunk, one matrix product ``C @ H_last`` contracts the last axis; each
+    prefix row is then multiplied by its table row on every leading axis in
+    axis order (degree 0 gathers ``H_0 = 1``) and the rows are summed.
+    Values are deterministic for a given input array; they may differ from
+    the term-by-term sum in the last bits (about 1e-15 relative).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != p.dimension:
@@ -358,34 +361,32 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
         return values
     n = p.dimension
     dmax = [max(alpha[i] for alpha in p.terms) for i in range(n)]
+    k = max(dmax)
     rows: dict[MultiIndex, int] = {}
     for alpha in p.terms:
         rows.setdefault(alpha[:-1], len(rows))
     coef = np.zeros((len(rows), dmax[-1] + 1))
     for alpha, c in p.terms.items():
         coef[rows[alpha[:-1]], alpha[-1]] = c
-    prefixes = np.array(list(rows), dtype=np.intp).reshape(len(rows), n - 1)
-    table_rows = sum(d + 1 for d in dmax)
+    # row of H_{alpha_i}(x_i) in the stacked table viewed as (k + 1) n rows
+    prefix_rows = np.array(list(rows), dtype=np.intp).reshape(len(rows), n - 1) * n
+    prefix_rows += np.arange(n - 1)
+    table_rows = n * (k + 1)
     chunk = min(len(rows), table_rows)
-    chunks = []
-    for lo in range(0, len(rows), chunk):
-        part = prefixes[lo : lo + chunk]
-        # per leading axis, the chunk's rows of non-zero degree there
-        factors = []
-        for i in range(n - 1):
-            nonzero = np.flatnonzero(part[:, i])
-            if nonzero.size:
-                factors.append((i, nonzero, part[nonzero, i]))
-        chunks.append((coef[lo : lo + chunk], factors))
+    chunks = [
+        (coef[lo : lo + chunk], prefix_rows[lo : lo + chunk].T.copy())
+        for lo in range(0, len(rows), chunk)
+    ]
     block = _block_length(table_rows + chunk)
     for start in range(0, points.shape[0], block):
-        x = points[start : start + block]
-        tables = [hermite_upto(dmax[i], x[:, i]) for i in range(n)]
+        table = hermite_upto(k, points[start : start + block].T)
+        last = table[: dmax[-1] + 1, -1]
+        table = table.reshape(table_rows, -1)
         out = values[start : start + block]
-        for chunk_coef, factors in chunks:
-            partial = chunk_coef @ tables[-1]
-            for i, nonzero, degrees in factors:
-                partial[nonzero] *= tables[i][degrees]
+        for chunk_coef, axis_rows in chunks:
+            partial = chunk_coef @ last
+            for rows_i in axis_rows:
+                partial *= np.take(table, rows_i, axis=0)
             out += partial.sum(axis=0)
     return values
 
@@ -394,10 +395,12 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     """Design matrix ``M[i, j] = H_{alphas[j]}(points[i])``.
 
     Rows are built in blocks of :data:`BLOCK_CELLS` cells: per block, one
-    recurrence table per axis, then all columns at once in a transposed
-    (basis x points) scratch buffer, whose rows are contiguous, copied into
-    the output.  Each entry is the product of its table values in axis
-    order, so the matrix is bit-identical to the column-by-column
+    recurrence pass for the stacked table of every axis up to the largest
+    per-axis degree ``k`` (``n (k + 1)`` rows, so unequal per-axis degrees pay
+    for the rows above each axis' own), then all columns at once in a
+    transposed (basis x points) scratch buffer, whose rows are contiguous,
+    copied into the output.  Each entry is the product of its table values
+    in axis order, so the matrix is bit-identical to the column-by-column
     construction and deterministic for a given input array.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -406,16 +409,17 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     n = points.shape[1]
     if any(len(a) != n for a in alphas):
         raise DimensionMismatchError("multi-index length does not match points")
-    dmax = [max((a[i] for a in alphas), default=0) for i in range(n)]
-    index = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
+    k = max((max(a, default=0) for a in alphas), default=0)
+    # row of H_{alpha_i}(x_i) in the stacked table viewed as (k + 1) n rows
+    axis_rows = np.array(alphas, dtype=np.intp).reshape(len(alphas), n) * n + np.arange(n)
+    axis_rows = axis_rows.T.copy()
     out = np.empty((points.shape[0], len(alphas)))
-    block = _block_length(len(alphas) + sum(d + 1 for d in dmax))
+    block = _block_length(len(alphas) + n * (k + 1))
     for start in range(0, points.shape[0], block):
-        x = points[start : start + block]
-        tables = [hermite_upto(dmax[i], x[:, i]) for i in range(n)]
-        scratch = tables[0][index[:, 0]]
-        for i in range(1, n):
-            scratch *= tables[i][index[:, i]]
+        table = hermite_upto(k, points[start : start + block].T).reshape(n * (k + 1), -1)
+        scratch = np.take(table, axis_rows[0], axis=0)
+        for rows_i in axis_rows[1:]:
+            scratch *= np.take(table, rows_i, axis=0)
         out[start : start + block] = scratch.T
     return out
 

@@ -99,18 +99,19 @@ class _Moments:
     vmin: float = math.inf
     vmax: float = -math.inf
 
-    def add(self, values: np.ndarray) -> None:
-        # Welford-style merge of one chunk
+    def add(self, values: np.ndarray, vmin: float, vmax: float) -> None:
+        # Welford-style merge of one chunk whose range is [vmin, vmax]
         count = values.size
         c_mean = float(values.mean())
-        c_m2 = float(((values - c_mean) ** 2).sum())
+        deviations = values - c_mean
+        c_m2 = float(np.square(deviations, out=deviations).sum())
         delta = c_mean - self.mean
         total = self.n + count
         self.mean += delta * count / total
         self.m2 += c_m2 + delta * delta * self.n * count / total
         self.n = total
-        self.vmin = min(self.vmin, float(values.min()))
-        self.vmax = max(self.vmax, float(values.max()))
+        self.vmin = min(self.vmin, vmin)
+        self.vmax = max(self.vmax, vmax)
 
     def estimate(self, seed: int, note: str | None) -> EstimateWithError:
         if self.vmin == self.vmax:
@@ -147,9 +148,11 @@ def mc_means(
                 raise ValidationError(
                     f"sampler returned shape {values.shape}, expected ({count},)"
                 )
-            if not np.all(np.isfinite(values)):
+            # a NaN or an infinity shows in the range
+            vmin, vmax = float(values.min()), float(values.max())
+            if not (math.isfinite(vmin) and math.isfinite(vmax)):
                 raise ValidationError("sampler produced non-finite values")
-            acc.add(values)
+            acc.add(values, vmin, vmax)
     return [acc.estimate(int(seed), note) for acc in moments]
 
 

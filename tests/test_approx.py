@@ -349,6 +349,13 @@ def test_build_degree_never_exceeds_plan():
         assert p.degree_bound <= aplan.degree
 
 
+@pytest.mark.parametrize("degree", [-1, 2.5])
+def test_build_rejects_a_plan_degree_that_is_not_a_non_negative_integer(degree):
+    fhat = halfspace_expansion([0.6, -0.8], 0.4, 15)
+    with pytest.raises(ValidationError, match="degree"):
+        build(fhat, ApproximationPlan(0.5, 1.0, 0.9, degree), complete_through=15)
+
+
 def test_build_requires_known_coverage():
     fhat = expansion(1, {(1,): 0.8})  # degree bound 1
     aplan = ApproximationPlan(0.5, 1.0, 0.9, 5)

@@ -224,6 +224,23 @@ def test_asymptotics_validates_degrees(capsys):
     capsys.readouterr()
 
 
+def test_python_m_gaussl1_matches_console_script():
+    # `python -m gaussl1` runs the entry point the `gaussl1` console script
+    # is generated from (gaussl1.cli:main in pyproject.toml), byte for byte
+    src = Path(sign_series.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["plan", "--epsilon", "0.5", "--gamma", "0.3989422804014327"]
+    script = "import sys\nfrom gaussl1.cli import main\nsys.exit(main())\n"
+    runs = [
+        subprocess.run(prefix + argv, env=env, capture_output=True, timeout=120)
+        for prefix in ([sys.executable, "-m", "gaussl1"], [sys.executable, "-c", script])
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr == b""
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

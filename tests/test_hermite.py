@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -231,6 +232,69 @@ def test_expansion_eval_batch_matches_term_by_term():
         assert np.array_equal(got, expansion_eval_batch(p, points.copy()))
 
 
+def _per_axis_eval_batch(p, points):
+    # the kernel before the stacked table: one recurrence per axis on a
+    # strided column, and products over the prefix rows of non-zero degree
+    values = np.zeros(points.shape[0])
+    n = p.dimension
+    dmax = [max(alpha[i] for alpha in p.terms) for i in range(n)]
+    rows = {}
+    for alpha in p.terms:
+        rows.setdefault(alpha[:-1], len(rows))
+    coef = np.zeros((len(rows), dmax[-1] + 1))
+    for alpha, c in p.terms.items():
+        coef[rows[alpha[:-1]], alpha[-1]] = c
+    prefixes = np.array(list(rows), dtype=np.intp).reshape(len(rows), n - 1)
+    table_rows = sum(d + 1 for d in dmax)
+    chunk = min(len(rows), table_rows)
+    chunks = []
+    for lo in range(0, len(rows), chunk):
+        part = prefixes[lo : lo + chunk]
+        factors = []
+        for i in range(n - 1):
+            nonzero = np.flatnonzero(part[:, i])
+            if nonzero.size:
+                factors.append((i, nonzero, part[nonzero, i]))
+        chunks.append((coef[lo : lo + chunk], factors))
+    block = _block_length(table_rows + chunk)
+    for start in range(0, points.shape[0], block):
+        x = points[start : start + block]
+        tables = [hermite_upto(dmax[i], x[:, i]) for i in range(n)]
+        out = values[start : start + block]
+        for chunk_coef, factors in chunks:
+            partial = chunk_coef @ tables[-1]
+            for i, nonzero, degrees in factors:
+                partial[nonzero] *= tables[i][degrees]
+            out += partial.sum(axis=0)
+    return values
+
+
+@pytest.mark.parametrize(
+    "dimension, degree, size",
+    [(2, 15, (1 << 17) + 5), (3, 6, 50000), (4, 4, 40000), (1, 30, 20000)],
+)
+def test_expansion_eval_batch_bit_identical_to_per_axis_kernel(dimension, degree, size):
+    # every axis reaches the same degree, so the stacked table holds the same
+    # rows and the blocks split where the per-axis kernel's did
+    rng = np.random.default_rng(16 + dimension)
+    p = _random_expansion(rng, _indices(dimension, degree), dimension)
+    points = rng.standard_normal((size, dimension))
+    assert np.array_equal(expansion_eval_batch(p, points), _per_axis_eval_batch(p, points))
+
+
+def test_lopsided_expansion_pays_the_stacked_rows_and_stays_in_tolerance():
+    # per-axis degrees (12, 0, 3): the stacked table holds 3 x 13 rows
+    rng = np.random.default_rng(17)
+    alphas = [(a, 0, c) for a in range(13) for c in range(4)]
+    p = _random_expansion(rng, alphas, 3)
+    assert [max(alpha[i] for alpha in p.terms) for i in range(3)] == [12, 0, 3]
+    points = rng.standard_normal((_block_length(3 * 13 + 13) * 2 + 7, 3))
+    got = expansion_eval_batch(p, points)
+    want, scale = _term_by_term(p, points)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.array_equal(basis_matrix(points, alphas), _column_products(points, alphas))
+
+
 def test_basis_matrix_bit_identical_to_column_products():
     rng = np.random.default_rng(12)
     for dimension, degree, size in ((4, 4, 1 << 15), (1, 30, 20000)):
@@ -368,6 +432,38 @@ def test_expansion_validation():
         HermiteExpansion(1, {(0,): math.inf})
     with pytest.raises(ValidationError):
         HermiteExpansion(0, {})
+
+
+@pytest.mark.parametrize(
+    "dimension, items, error, message",
+    [
+        (2, [((1,), 1.0)], DimensionMismatchError, "term (1,) has length 1, expected 2"),
+        (0, [], ValidationError, "dimension must be >= 1, got 0"),
+        (1, [((1.5,), 1.0)], ValidationError, "multi-index entries must be integers"),
+        (1, [((-1,), 1.0)], ValidationError, "multi-index entries must be >= 0"),
+        (1, [((1,), math.nan)], ValidationError, "non-finite coefficient at (1,)"),
+        # two finite terms whose sum overflows
+        (1, [((1,), 1e308), ((1,), 1e308)], ValidationError, "non-finite coefficient at (1,)"),
+        # every entry is checked before the lengths are
+        (2, [((1,), 1.0), ((0, -1), 1.0)], ValidationError, "multi-index entries must be >= 0"),
+        (2, [((1, 0), 1.0), ((1,), 1.0)], DimensionMismatchError, "term (1,) has length 1"),
+    ],
+)
+def test_expansion_errors_name_the_bad_term(
+    dimension, items, error, message
+):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        expansion(dimension, items)
+    assert type(info.value) is error
+
+
+def test_expansion_is_the_constructed_expansion():
+    p = expansion(2, [((1, 0), 2.0), ((0, 3), -1.0), ((1, 0), 0.5), (np.array([2, 2]), 0.0)])
+    q = HermiteExpansion(2, {(1, 0): 2.5, (0, 3): -1.0})
+    assert p == q and list(p.terms) == list(q.terms)
+    assert all(type(a) is int for alpha in p.terms for a in alpha)
+    with pytest.raises(AttributeError):
+        p.dimension = 3  # frozen like a constructed one
 
 
 def test_expansion_constructor_drops_zeros():
