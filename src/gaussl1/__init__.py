@@ -49,6 +49,7 @@ from .concepts import (
     ptf,
     gns_mc,
     gns_halfspace_closed_form,
+    gns_ball_closed_form,
     gsa_mc,
     noise_distance_check,
     gns_gsa_bound_check,

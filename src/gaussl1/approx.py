@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, NodeBudgetError, ValidationError
 from .concepts import Concept, gns_mc
 from .hermite import (
     GAUSS_CUTOFF,
@@ -42,9 +42,14 @@ from .hermite import (
     multi_indices_upto,
     truncate,
 )
-from .mc import EstimateWithError, chunk_rngs, derive_seed, mc_means, check_seed
+from .mc import CHUNK_SIZE, EstimateWithError, chunk_rngs, derive_seed, mc_means, check_seed
 from .noise import apply_to_expansion, validate_noise_level
 from .quadrature1d import integrate_adaptive
+
+
+# cells of the (chunk x coefficients) float64 buffer one Monte-Carlo
+# coefficient chunk may hold: 2^27 cells, 1 GiB
+MC_CHUNK_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,9 @@ def estimate_coefficients(
     rejected -- the tensor grid would be astronomically large; a rule past
     ``NODE_BUDGET`` raises :class:`NodeBudgetError`).
     ``method="monte_carlo"`` averages ``f(X) H_alpha(X)`` over ``budget``
-    common samples (default 10^6) and records per-coefficient stderr.
+    common samples (default 10^6) and records per-coefficient stderr; a
+    chunk buffer of more than ``MC_CHUNK_CELLS`` cells (chunk samples x
+    coefficients) raises :class:`NodeBudgetError` before it is allocated.
     """
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
@@ -198,6 +205,12 @@ def _coefficients_mc(
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     alphas = multi_indices_upto(c.dimension, degree)
+    cells = min(samples, CHUNK_SIZE) * len(alphas)
+    if cells > MC_CHUNK_CELLS:
+        raise NodeBudgetError(
+            f"one Monte-Carlo chunk of {min(samples, CHUNK_SIZE)} samples x {len(alphas)} "
+            f"coefficients needs {cells} cells, more than the budget of {MC_CHUNK_CELLS}"
+        )
     count = 0
     mean = np.zeros(len(alphas))
     m2 = np.zeros(len(alphas))
@@ -447,7 +460,7 @@ def bound_check(
     dimension 1 (stderr then reflects the quadrature tolerance) and by Monte
     Carlo otherwise, where one pass gives both the L1 and the L2 error.  GNS
     uses a supplied trusted value, the concept's closed form when present
-    (every halfspace has one), or a Monte-Carlo estimate.
+    (every halfspace and ball has one), or a Monte-Carlo estimate.
     """
     check_seed(seed)
     validate_noise_level(aplan.rho)

@@ -175,15 +175,16 @@ def _cmd_asymptotics(args, argv) -> int:
 
 def _cmd_gns(args, argv) -> int:
     concept = concepts.load_concept(args.concept)
+    # the closed form first: a delta its series cannot reach fails before sampling
+    closed = None if concept.gns_closed_form is None else concept.gns_closed_form(args.delta)
     est = concepts.gns_mc(concept, args.delta, args.samples, args.seed)
     payload = {
         "meta": _meta(argv, args.seed),
         "delta": args.delta,
         "estimate": est.to_dict(),
     }
-    closed = concept.gns_closed_form
     if closed is not None:
-        payload["closed_form"] = closed(args.delta)
+        payload["closed_form"] = closed
     _emit_json(payload, args.output)
     return 0
 

@@ -30,9 +30,10 @@ from .errors import (
     CapabilityError,
     DimensionMismatchError,
     GaussL1Error,
+    NodeBudgetError,
     ValidationError,
 )
-from .hermite import HermiteExpansion, expansion_eval_batch, gauss_density
+from .hermite import NODE_BUDGET, HermiteExpansion, expansion_eval_batch, gauss_density
 from .mc import EstimateWithError, chunk_rngs, mc_fraction, mc_mean, derive_seed, check_seed
 from .noise import validate_noise_level
 from .quadrature1d import fixed_panels
@@ -123,6 +124,9 @@ def ball(radius: float, dimension: int) -> Concept:
     def distance(points: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, _row_norms(points) - radius)
 
+    def gns(delta: float) -> float:
+        return gns_ball_closed_form(delta, radius, int(dimension))
+
     # sphere area x Gaussian density at radius r
     gsa = (
         radius ** (dimension - 1)
@@ -135,6 +139,7 @@ def ball(radius: float, dimension: int) -> Concept:
         evaluator=evaluator,
         kind="ball",
         gsa_closed_form=gsa,
+        gns_closed_form=gns,
         distance_to_set=distance,
         params={"radius": radius, "dimension": int(dimension)},
     )
@@ -350,6 +355,84 @@ def gns_halfspace_closed_form(delta: float, offset: float = 0.0) -> float:
         return np.exp(-c2 / (1.0 + np.cos(t)))
 
     return fixed_panels(integrand, 0.0, top, 20) / math.pi
+
+
+# the radial series stops once rho^(2J) <= this; since sum_j a_j^2 <= 1 it
+# also bounds every term left out
+_BALL_SERIES_TAIL = 1e-17
+
+
+def gns_ball_closed_form(delta: float, radius: float, dimension: int) -> float:
+    """Noise sensitivity of the ball ``|x| <= radius`` in ``R^dimension``.
+
+    With ``s = |x|^2 / 2 ~ Gamma(beta)``, ``beta = dimension / 2``, the ball
+    is ``2 1[s <= s0] - 1`` for ``s0 = radius^2 / 2``, and the normalised
+    Laguerre functions ``l_j(s)`` are eigenfunctions of ``T_rho`` with
+    eigenvalue ``rho^(2j)``.  So, with ``rho = 1 - delta``,
+
+        GNS_delta = (1 - a_0^2 - sum_{j >= 1} rho^(2j) a_j^2) / 2,
+
+    where ``a_0 = 2 P(beta, s0) - 1`` (``P`` the regularised lower incomplete
+    gamma) and, by ``d/ds[s^beta e^-s L_{j-1}^(beta)] = j s^(beta-1) e^-s
+    L_j^(beta-1)``,
+
+        a_j = 2 s0^beta e^-s0 L_{j-1}^(beta)(s0) / (j Gamma(beta) sqrt(h_j)),
+        h_j = Gamma(j + beta) / (j! Gamma(beta)).
+
+    ``L^(beta)`` runs by its orthonormal three-term recurrence, started at
+    the Gamma(beta + 1) density factor so that no term overflows.  The sum
+    stops once ``rho^(2J) <= 1e-17``, about ``20 / delta`` terms; more than
+    ``NODE_BUDGET`` terms (``delta`` below about 1e-5) raise
+    :class:`NodeBudgetError` before any is summed.  ``delta = 0`` gives 0 and
+    ``delta = 1`` gives ``2 P (1 - P)``.
+    """
+    delta = _check_delta(delta)
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValidationError(f"radius must be > 0, got {radius}")
+    if int(dimension) != dimension or dimension < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {dimension}")
+    if delta == 0.0:
+        return 0.0
+    rho = 1.0 - delta
+    terms = 0
+    if rho > 0.0:
+        terms = math.ceil(math.log(_BALL_SERIES_TAIL) / (2.0 * math.log(rho)))
+        if terms > NODE_BUDGET:
+            raise NodeBudgetError(
+                f"the ball's GNS series needs {terms} terms at delta = {delta!r}, "
+                f"more than the budget of {NODE_BUDGET}"
+            )
+    beta = dimension / 2.0
+    s0 = 0.5 * radius * radius
+    upper = _gamma_q(beta, s0)
+    total = 4.0 * (1.0 - upper) * upper  # 1 - a_0^2
+    # v_k = K l_k(s0) for the orthonormal Laguerre l_k of parameter beta and
+    # K = 2 s0^beta e^-s0 / Gamma(beta + 1); then a_j^2 = (beta / j) v_{j-1}^2
+    prev = 0.0
+    cur = 2.0 * math.exp(beta * math.log(s0) - s0 - math.lgamma(beta + 1.0))
+    for j in range(1, terms + 1):
+        total -= rho ** (2 * j) * (beta / j) * cur * cur
+        k = j - 1
+        prev, cur = cur, (
+            ((2 * k + 1 + beta - s0) * cur - math.sqrt(k * (k + beta)) * prev)
+            / math.sqrt((k + 1) * (k + 1 + beta))
+        )
+    return 0.5 * total
+
+
+def _gamma_q(beta: float, s: float) -> float:
+    """Regularised upper incomplete gamma ``Q(beta, s)`` for ``beta`` in N/2:
+    ``Q(1, s) = e^-s`` or ``Q(1/2, s) = erfc(sqrt(s))``, raised one by one with
+    ``Q(a + 1, s) = Q(a, s) + s^a e^-s / Gamma(a + 1)``."""
+    if beta == int(beta):
+        a, q = 1.0, math.exp(-s)
+    else:
+        a, q = 0.5, math.erfc(math.sqrt(s))
+    while a < beta:
+        q += math.exp(a * math.log(s) - s - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
 
 
 def gns_mc(c: Concept, delta: float, samples: int, seed: int) -> EstimateWithError:

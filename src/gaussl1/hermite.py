@@ -397,11 +397,13 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     Rows are built in blocks of :data:`BLOCK_CELLS` cells: per block, one
     recurrence pass for the stacked table of every axis up to the largest
     per-axis degree ``k`` (``n (k + 1)`` rows, so unequal per-axis degrees pay
-    for the rows above each axis' own), then all columns at once in a
-    transposed (basis x points) scratch buffer, whose rows are contiguous,
-    copied into the output.  Each entry is the product of its table values
-    in axis order, so the matrix is bit-identical to the column-by-column
-    construction and deterministic for a given input array.
+    for the rows above each axis' own), then the columns in a transposed
+    (basis x points) scratch buffer, whose rows are contiguous, copied into
+    the output.  Each distinct prefix ``alpha[:i + 1]`` is formed once per
+    block, as its parent prefix times ``H_{alpha_i}(x_i)``, and the last axis
+    extends the prefixes to every column.  Each entry is thus the product of
+    its table values in axis order, so the matrix is bit-identical to the
+    column-by-column construction and deterministic for a given input array.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -410,15 +412,32 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     if any(len(a) != n for a in alphas):
         raise DimensionMismatchError("multi-index length does not match points")
     k = max((max(a, default=0) for a in alphas), default=0)
-    # row of H_{alpha_i}(x_i) in the stacked table viewed as (k + 1) n rows
-    axis_rows = np.array(alphas, dtype=np.intp).reshape(len(alphas), n) * n + np.arange(n)
-    axis_rows = axis_rows.T.copy()
+    # H_{alpha_i}(x_i) is row alpha_i n + i of the stacked table viewed as
+    # (k + 1) n rows.  A prefix alpha[:i + 1] has the key (number of
+    # alpha[:i]) (k + 1) + alpha_i; the distinct keys of each leading axis
+    # are numbered in order, and on the last axis every column keeps its own
+    # key.  Each level after the first gathers its parent prefix rows and
+    # multiplies them by its rows of the table.
+    index = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
+    prefix, count = np.zeros(len(alphas), dtype=np.intp), 1
+    levels = []
+    for i in range(n):
+        key = prefix * (k + 1) + index[:, i]
+        if i < n - 1:
+            seen = np.zeros(count * (k + 1), dtype=bool)
+            seen[key] = True
+            prefix = (np.cumsum(seen) - 1)[key]
+            key = np.flatnonzero(seen)
+            count = key.size
+        levels.append((key // (k + 1), key % (k + 1) * n + i))
+    (_, rows_0), *steps = levels
     out = np.empty((points.shape[0], len(alphas)))
     block = _block_length(len(alphas) + n * (k + 1))
     for start in range(0, points.shape[0], block):
         table = hermite_upto(k, points[start : start + block].T).reshape(n * (k + 1), -1)
-        scratch = np.take(table, axis_rows[0], axis=0)
-        for rows_i in axis_rows[1:]:
+        scratch = np.take(table, rows_0, axis=0)
+        for parents, rows_i in steps:
+            scratch = np.take(scratch, parents, axis=0)
             scratch *= np.take(table, rows_i, axis=0)
         out[start : start + block] = scratch.T
     return out

@@ -26,7 +26,7 @@ from gaussl1 import (
     sign_coefficient,
 )
 from gaussl1.approx import l2_error, l2_error_quad_1d
-from gaussl1.concepts import gns_halfspace_closed_form
+from gaussl1.concepts import gns_ball_closed_form, gns_halfspace_closed_form
 from gaussl1.hermite import basis_matrix, expansion, hermite_upto, l2_norm, multi_indices_upto
 from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed
 from gaussl1.quadrature1d import integrate_adaptive
@@ -277,6 +277,19 @@ def test_mc_coefficients_chunk_holds_about_one_basis_matrix():
     assert peak < 1.5 * matrix_bytes
 
 
+def test_mc_coefficients_refuse_an_over_budget_chunk_before_allocating():
+    # a 4-D ball at its epsilon = 0.5 plan degree: 58,905 coefficients x 2^17
+    # samples would be a 57.5 GiB chunk buffer
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeBudgetError):
+            estimate_coefficients(ball(2.2, 4), 32, "monte_carlo", CHUNK_SIZE, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_estimate_coefficients_validation():
     c = halfspace([1.0], 0.0)
     with pytest.raises(ValidationError):
@@ -511,6 +524,21 @@ def test_bound_check_offset_halfspace_gns_is_exact():
     assert report.gns_term == 2.0 * gns_halfspace_closed_form(1.0 - aplan.rho, 0.2)
     assert report.gns_term < 2.0 * math.acos(0.9) / math.pi
     assert report.passed
+
+
+def test_bound_check_ball_gns_is_exact():
+    # every ball carries its closed-form GNS, so none is sampled
+    aplan = ApproximationPlan(epsilon=0.9, gamma=0.3, rho=0.6, degree=2)
+    for c, budget in ((ball(1.4, 2), 40), (ball(2.0, 4), 20_000)):
+        report = bound_check(c, aplan, coeff_budget=budget, error_budget=50_000, seed=SEED)
+        trusted = bound_check(
+            c, aplan, coeff_budget=budget, error_budget=50_000, seed=SEED,
+            gns_value=c.gns_closed_form(1.0 - aplan.rho),
+        )
+        assert report.gns_stderr == 0.0
+        assert report == trusted
+        radius, n = c.params["radius"], c.params["dimension"]
+        assert report.gns_term == 2.0 * gns_ball_closed_form(1.0 - aplan.rho, radius, n)
 
 
 def test_bound_check_constant_concept():

@@ -11,7 +11,12 @@ import pytest
 
 from gaussl1 import sign_series
 from gaussl1.cli import main
-from gaussl1.concepts import concept_to_dict, gns_halfspace_closed_form, halfspace
+from gaussl1.concepts import (
+    concept_to_dict,
+    gns_ball_closed_form,
+    gns_halfspace_closed_form,
+    halfspace,
+)
 
 SEED = 31
 
@@ -132,6 +137,24 @@ def test_gns_off_centre_halfspace_writes_closed_form(tmp_path):
     assert payload["closed_form"] == want
     est = payload["estimate"]
     assert abs(est["mean"] - want) <= 4.0 * est["stderr"]
+
+
+def test_gns_ball_writes_closed_form(tmp_path, capsys):
+    concept = tmp_path / "ball.json"
+    concept.write_text(json.dumps({"kind": "ball", "radius": 2.2, "dimension": 4}))
+    out = tmp_path / "gns.json"
+    code = main(["gns", "--concept", str(concept), "--delta", "0.1",
+                 "--samples", "200000", "--seed", str(SEED), "--output", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["closed_form"] == gns_ball_closed_form(0.1, 2.2, 4)
+    est = payload["estimate"]
+    assert abs(est["mean"] - payload["closed_form"]) <= 4.0 * est["stderr"]
+    # below delta ~ 1e-5 the series needs more than NODE_BUDGET terms
+    code = main(["gns", "--concept", str(concept), "--delta", "1e-7",
+                 "--samples", "1000", "--seed", str(SEED), "--output", str(out)])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_gsa_estimate(tmp_path):
@@ -325,6 +348,7 @@ def test_runtime_imports_no_scipy():
         "assert all(r.passed for r in checks.run_all())\n"
         "sign_series.truncation_integral_envelopes(101, 3.0)\n"
         "hermite.gauss_hermite_rule(400)\n"
+        "gaussl1.concepts.ball(2.2, 4).gns_closed_form(0.1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

@@ -8,9 +8,11 @@ import pytest
 from gaussl1 import (
     CapabilityError,
     DimensionMismatchError,
+    NodeBudgetError,
     ValidationError,
     ball,
     constant_concept,
+    gns_ball_closed_form,
     gns_halfspace_closed_form,
     gns_mc,
     gsa_mc,
@@ -270,6 +272,73 @@ def test_gns_halfspace_offset_matches_mc():
             closed = hs.gns_closed_form(delta)
             assert closed == gns_halfspace_closed_form(delta, offset)
             assert abs(est.mean - closed) <= 4.0 * est.stderr, (offset, delta)
+
+
+def _ball_gns_reference(delta, radius, dimension):
+    # 2 P[|X| <= r, |Y| > r]: given |X| = t, |Y|^2 / sigma^2 is noncentral
+    # chi-square with n degrees of freedom and noncentrality rho^2 t^2 / sigma^2;
+    # the smooth integrand over [0, r] takes a 100-point Gauss-Legendre rule
+    stats = pytest.importorskip("scipy.stats")
+    integrate = pytest.importorskip("scipy.integrate")
+    rho = 1.0 - delta
+    var = 1.0 - rho * rho
+    cut = radius * radius / var
+
+    def integrand(t):
+        if rho == 0.0:
+            return stats.chi.pdf(t, dimension) * stats.chi2.sf(cut, dimension)
+        nc = rho * rho * t * t / var
+        return stats.chi.pdf(t, dimension) * stats.ncx2.sf(cut, dimension, nc)
+
+    value, _ = integrate.fixed_quad(integrand, 0.0, radius, n=100)
+    return 2.0 * value
+
+
+def test_gns_ball_matches_noncentral_chi_square_reference():
+    worst = 0.0
+    for n in (1, 2, 3, 4, 10):
+        for radius in (1.0, 2.2, 3.0):
+            for delta in (0.05, 0.1, 0.3, 0.7, 1.0):
+                got = gns_ball_closed_form(delta, radius, n)
+                worst = max(worst, abs(got - _ball_gns_reference(delta, radius, n)))
+    assert worst <= 1e-13
+
+
+def test_gns_ball_matches_mc():
+    for i, (radius, n, delta) in enumerate(((1.5, 2, 0.1), (2.2, 4, 0.3), (0.8, 3, 0.05))):
+        c = ball(radius, n)
+        closed = c.gns_closed_form(delta)
+        assert closed == gns_ball_closed_form(delta, radius, n)
+        est = gns_mc(c, delta, 400_000, derive_seed(SEED, 40 + i))
+        assert abs(est.mean - closed) <= 4.0 * est.stderr, (radius, n, delta)
+
+
+def test_gns_ball_end_points():
+    # at delta = 1, X and Y are independent: 2 P (1 - P) with P = P[|X| <= r]
+    for radius in (0.4, 1.3, 3.5):
+        p1 = math.erf(radius / math.sqrt(2.0))
+        p2 = -math.expm1(-0.5 * radius * radius)
+        for n, p in ((1, p1), (2, p2)):
+            assert gns_ball_closed_form(0.0, radius, n) == 0.0
+            assert gns_ball_closed_form(1.0, radius, n) == pytest.approx(
+                2.0 * p * (1.0 - p), rel=1e-14, abs=1e-16
+            )
+
+
+def test_gns_ball_strictly_increasing_in_delta():
+    deltas = np.linspace(0.0, 1.0, 41)
+    for radius, n in ((0.9, 1), (2.2, 4), (3.0, 10)):
+        values = [gns_ball_closed_form(d, radius, n) for d in deltas]
+        assert all(b > a for a, b in zip(values, values[1:])), (radius, n)
+
+
+def test_gns_ball_refuses_a_series_past_the_budget():
+    with pytest.raises(NodeBudgetError):
+        gns_ball_closed_form(1e-7, 2.2, 4)
+    with pytest.raises(ValidationError):
+        gns_ball_closed_form(0.1, 0.0, 2)
+    with pytest.raises(ValidationError):
+        gns_ball_closed_form(0.1, 1.0, 0)
 
 
 def test_gns_mc_delta_zero_exact():
