@@ -60,6 +60,7 @@ from .approx import (
     plan,
     estimate_coefficients,
     halfspace_expansion,
+    profile_coefficients,
     build,
     l1_error,
     l1_error_quad_1d,

@@ -13,9 +13,9 @@ smoothed concept, ``p = (T_rho f)_{<= d}``.  Its Gaussian L1 error obeys
 
 which with the surface-area bound on GNS yields error <= epsilon whenever
 ``GSA(f) <= gamma``.  The module provides the plan, several coefficient
-estimators (exact closed forms for halfspaces, tensor quadrature, Monte
-Carlo), the construction itself, L1/L2 error measurement, and a bound check
-that ties everything together.
+estimators (exact closed forms for 1-D piecewise-constant profiles and for
+halfspaces, tensor quadrature, Monte Carlo), the construction itself, L1/L2
+error measurement, and a bound check that ties everything together.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, NodeBudgetError, ValidationError
+from .errors import CapabilityError, NodeBudgetError, ToleranceError, ValidationError
 from .concepts import Concept, gns_mc
 from .hermite import (
     GAUSS_CUTOFF,
@@ -37,7 +37,7 @@ from .hermite import (
     expansion_eval_batch,
     gauss_density,
     gauss_hermite_nodes,
-    gauss_hermite_rule,
+    gauss_hermite_products,
     hermite_upto,
     multi_indices_upto,
     truncate,
@@ -90,13 +90,39 @@ def plan(epsilon: float, gamma: float) -> ApproximationPlan:
 # coefficient estimation
 
 
+def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
+    """Exact ``<g, H_k>`` for ``k <= degree`` of a piecewise-constant profile.
+
+    ``g`` equals ``values[i]`` between ``breakpoints[i - 1]`` and
+    ``breakpoints[i]``, the outer pieces running to -inf and +inf.  With the
+    jump ``J_j = values[j + 1] - values[j]`` at ``t_j``, integrating by parts
+    against ``H_k phi = -(H_{k-1} phi)' / sqrt(k)`` gives
+    ``<g, H_k> = sum_j J_j H_{k-1}(t_j) phi(t_j) / sqrt(k)`` for ``k >= 1``, and
+    ``<g, H_0> = (values[0] + values[-1]) / 2 - sum_j J_j erf(t_j / sqrt 2) / 2``.
+    """
+    t = [float(b) for b in breakpoints]
+    v = [float(a) for a in values]
+    if degree < 0:
+        raise ValidationError(f"degree must be >= 0, got {degree}")
+    if len(v) != len(t) + 1 or not all(map(math.isfinite, t + v)) or sorted(set(t)) != t:
+        raise ValidationError(f"need finite increasing breakpoints and one value more: {t}, {v}")
+    jumps = [b - a for a, b in zip(v, v[1:])]
+    g = np.zeros(degree + 1)
+    steps = sum(J * math.erf(a / math.sqrt(2.0)) / 2.0 for J, a in zip(jumps, t))
+    g[0] = (v[0] + v[-1]) / 2.0 - steps
+    if degree and t:
+        terms = np.array(jumps) * hermite_upto(degree - 1, np.array(t))
+        terms *= [gauss_density(a) for a in t]
+        g[1:] = (terms / np.sqrt(np.arange(1.0, degree + 1))[:, None]).sum(axis=1)
+    return g
+
+
 def halfspace_expansion(w, c: float, degree: int) -> HermiteExpansion:
     """Exact Hermite coefficients of ``sign(c - <w, x>)`` up to ``degree``.
 
-    The one-dimensional profile ``g(u) = sign(c - u)`` has
-    ``<g, H_0> = erf(c / sqrt(2))`` and
-    ``<g, H_k> = -2 H_{k-1}(c) phi(c) / sqrt(k)`` for ``k >= 1``; for a unit
-    normal the multivariate coefficients follow from
+    The one-dimensional profile ``g(u) = sign(c - u)`` has the coefficients
+    :func:`profile_coefficients` gives; for a unit normal the multivariate
+    coefficients follow from
     ``H_k(<w, x>) = sum_{|alpha| = k} sqrt(k! / alpha!) w^alpha H_alpha(x)``.
     """
     w = np.asarray(w, dtype=np.float64)
@@ -104,30 +130,14 @@ def halfspace_expansion(w, c: float, degree: int) -> HermiteExpansion:
         raise ValidationError("w must be a non-empty vector")
     if abs(float(np.linalg.norm(w)) - 1.0) > 1e-12:
         raise ValidationError("w must be a unit vector")
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
-    c = float(c)
-    n = w.size
-    density = gauss_density(c)
-    hc = hermite_upto(max(degree - 1, 0), c)
-    g = np.empty(degree + 1)
-    g[0] = math.erf(c / math.sqrt(2.0))
-    for k in range(1, degree + 1):
-        g[k] = -2.0 * float(hc[k - 1]) * density / math.sqrt(k)
-    terms: dict[MultiIndex, float] = {}
+    g = profile_coefficients([c], [1.0, -1.0], degree)
     lg = [math.lgamma(a + 1) for a in range(degree + 1)]
-    for alpha in multi_indices_upto(n, degree):
+    terms: dict[MultiIndex, float] = {}
+    for alpha in multi_indices_upto(w.size, degree):
         k = sum(alpha)
-        if g[k] == 0.0:
-            continue
-        wpow = 1.0
-        for wi, ai in zip(w, alpha):
-            wpow *= wi**ai
-        if wpow == 0.0:
-            continue
         ratio = math.exp(0.5 * (math.lgamma(k + 1) - sum(lg[a] for a in alpha)))
-        terms[alpha] = g[k] * ratio * wpow
-    return expansion(n, terms)
+        terms[alpha] = g[k] * ratio * math.prod(wi**ai for wi, ai in zip(w, alpha))
+    return expansion(w.size, terms)
 
 
 @dataclass(frozen=True)
@@ -137,7 +147,8 @@ class CoefficientEstimate:
     ``stderr`` is the per-coefficient standard error sidecar for the
     Monte-Carlo method and ``None`` for deterministic methods.  The estimate
     is complete through ``degree``: absent terms are genuine (within-method)
-    zeros, not unexplored coordinates.
+    zeros, not unexplored coordinates.  A deterministic estimate whose
+    squared coefficients sum past ``1 + 1e-9`` raises :class:`ToleranceError`.
     """
 
     expansion: HermiteExpansion
@@ -146,6 +157,17 @@ class CoefficientEstimate:
     budget: int
     seed: int | None = None
     stderr: dict[MultiIndex, float] | None = None
+
+    def __post_init__(self):
+        # Parseval: every concept is +-1, so E f^2 = 1 bounds the coefficient
+        # mass.  Monte-Carlo means are exempt: their mass is biased up by
+        # sum stderr^2.
+        if self.stderr is None:
+            mass = math.fsum(v * v for v in self.expansion.terms.values())
+            if mass > 1.0 + 1e-9:
+                raise ToleranceError(
+                    f"{self.method} coefficients have mass {mass:.6g} > 1 = E f^2 (Parseval)"
+                )
 
 
 def estimate_coefficients(
@@ -189,9 +211,8 @@ def estimate_coefficients(
 
 def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEstimate:
     n = c.dimension
-    # fold the weights into per-axis contraction matrices B[k, i] = w_i H_k(x_i)
-    line = gauss_hermite_rule(m)
-    B = hermite_upto(degree, line.nodes[:, 0]) * line.weights[None, :]
+    # per-axis contraction matrices B[k, i] = w_i H_k(x_i)
+    B = gauss_hermite_products(m, degree)
     tensor = np.asarray(c.batch(gauss_hermite_nodes(m, n)), dtype=np.float64).reshape((m,) * n)
     for _ in range(n):
         tensor = np.tensordot(tensor, B, axes=([0], [1]))
@@ -454,28 +475,19 @@ def bound_check(
 ) -> ApproxReport:
     """Build ``p = (T_rho f)_{<=d}`` and test its L1 error against the bound.
 
-    Coefficients come from the exact halfspace closed form when available,
-    tensor quadrature up to dimension 3, and Monte Carlo beyond (adding the
-    coefficient-noise slack).  The error is measured by dense quadrature in
-    dimension 1 (stderr then reflects the quadrature tolerance) and by Monte
-    Carlo otherwise, where one pass gives both the L1 and the L2 error.  GNS
-    uses a supplied trusted value, the concept's closed form when present
-    (every halfspace and ball has one), or a Monte-Carlo estimate.
+    A 1-D concept with known breakpoints is a piecewise-constant profile: its
+    coefficients are exact (:func:`profile_coefficients`) and its error is
+    measured by dense quadrature (stderr then reflects the quadrature
+    tolerance).  Otherwise the coefficients come from the exact halfspace
+    closed form, tensor quadrature up to dimension 3, or Monte Carlo beyond
+    (adding the coefficient-noise slack), and one Monte-Carlo pass gives both
+    the L1 and the L2 error.  GNS uses a supplied trusted value, the concept's
+    closed form when present (every halfspace and ball has one), or a
+    Monte-Carlo estimate.
     """
     check_seed(seed)
     validate_noise_level(aplan.rho)
     delta = 1.0 - aplan.rho
-
-    if c.kind == "halfspace":
-        fhat = halfspace_expansion(c.params["w"], c.params["c"], aplan.degree)
-        est = CoefficientEstimate(fhat, aplan.degree, "exact", 0)
-    elif c.dimension <= 3:
-        est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
-    else:
-        est = estimate_coefficients(
-            c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
-        )
-    p = build(est.expansion, aplan, complete_through=est.degree)
 
     if gns_value is not None:
         gns, gns_stderr = float(gns_value), 0.0
@@ -485,8 +497,17 @@ def bound_check(
         g = gns_mc(c, delta, error_budget, derive_seed(seed, 2))
         gns, gns_stderr = g.mean, g.stderr
 
-    quad_tol = 1e-6
-    if c.dimension == 1 and _known_breakpoints(c) is not None:
+    breakpoints = _known_breakpoints(c)
+    if breakpoints is not None:
+        # a 1-D profile: exact coefficients and the dense-quadrature error
+        t = sorted(set(breakpoints))
+        ends = np.array([min(t, default=0.0) - 1.0, *t, max(t, default=0.0) + 1.0])
+        values = c.batch((ends[:-1, None] + ends[1:, None]) / 2.0)  # one point a piece
+        g = profile_coefficients(t, values, aplan.degree)
+        fhat = expansion(1, {(k,): v for k, v in enumerate(g)})
+        est = CoefficientEstimate(fhat, aplan.degree, "exact", 0)
+        p = build(est.expansion, aplan, complete_through=est.degree)
+        quad_tol = 1e-6
         value = l1_error_quad_1d(c, p, abs_tol=quad_tol)
         measured_l1 = EstimateWithError(value, quad_tol, 0, check_seed(seed), note="quadrature")
         measured_l2 = EstimateWithError(
@@ -494,6 +515,16 @@ def bound_check(
         )
         error_method = "quadrature"
     else:
+        if c.kind == "halfspace":
+            fhat = halfspace_expansion(c.params["w"], c.params["c"], aplan.degree)
+            est = CoefficientEstimate(fhat, aplan.degree, "exact", 0)
+        elif c.dimension <= 3:
+            est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
+        else:
+            est = estimate_coefficients(
+                c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
+            )
+        p = build(est.expansion, aplan, complete_through=est.degree)
         measured_l1, measured_l2 = _mc_errors(c, p, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 

@@ -115,8 +115,9 @@ def ball(radius: float, dimension: int) -> Concept:
     radius = float(radius)
     if radius <= 0:
         raise ValidationError(f"radius must be > 0, got {radius}")
-    if dimension < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dimension}")
+    if int(dimension) != dimension or dimension < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {dimension}")
+    dimension = int(dimension)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         return np.where(_row_norms(points) <= radius, 1.0, -1.0)
@@ -125,7 +126,7 @@ def ball(radius: float, dimension: int) -> Concept:
         return np.maximum(0.0, _row_norms(points) - radius)
 
     def gns(delta: float) -> float:
-        return gns_ball_closed_form(delta, radius, int(dimension))
+        return gns_ball_closed_form(delta, radius, dimension)
 
     # sphere area x Gaussian density at radius r
     gsa = (
@@ -135,13 +136,13 @@ def ball(radius: float, dimension: int) -> Concept:
         / math.gamma(dimension / 2.0)
     )
     return Concept(
-        dimension=int(dimension),
+        dimension=dimension,
         evaluator=evaluator,
         kind="ball",
         gsa_closed_form=gsa,
         gns_closed_form=gns,
         distance_to_set=distance,
-        params={"radius": radius, "dimension": int(dimension)},
+        params={"radius": radius, "dimension": dimension},
     )
 
 

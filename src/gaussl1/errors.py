@@ -26,7 +26,8 @@ class EvaluationError(GaussL1Error):
 
 
 class ToleranceError(GaussL1Error):
-    """Adaptive integration could not reach the requested tolerance."""
+    """A numerical result missed its tolerance: adaptive integration, or
+    deterministic Hermite coefficients whose mass breaks Parseval's bound."""
 
 
 class CapabilityError(GaussL1Error):

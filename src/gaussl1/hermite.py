@@ -187,10 +187,7 @@ def hermite_multi_eval(alpha, x) -> float:
         raise DimensionMismatchError(
             f"point of dimension {x.shape} does not match multi-index of length {len(alpha)}"
         )
-    value = 1.0
-    for a, xi in zip(alpha, x):
-        value *= hermite_eval(a, float(xi))
-    return value
+    return float(basis_matrix(x[None, :], [alpha])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +299,6 @@ def expansion(dimension: int, terms: Mapping | Iterable) -> HermiteExpansion:
     return HermiteExpansion(dimension, canon)
 
 
-def _axis_tables(p: HermiteExpansion, x: np.ndarray) -> list[np.ndarray]:
-    # One recurrence pass per axis up to the largest per-axis degree used.
-    tables = []
-    for i in range(p.dimension):
-        dmax = max((alpha[i] for alpha in p.terms), default=0)
-        tables.append(hermite_upto(dmax, x[..., i]))
-    return tables
-
-
 def expansion_eval(p: HermiteExpansion, x) -> float:
     """Evaluate ``p`` at a single point ``x`` (length ``p.dimension``)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -318,14 +306,7 @@ def expansion_eval(p: HermiteExpansion, x) -> float:
         raise DimensionMismatchError(
             f"point shape {x.shape} does not match dimension {p.dimension}"
         )
-    tables = _axis_tables(p, x)
-    value = 0.0
-    for alpha, c in p.terms.items():
-        term = c
-        for i, a in enumerate(alpha):
-            term *= tables[i][a]
-        value += term
-    return float(value)
+    return float(expansion_eval_batch(p, x[None, :])[0])
 
 
 def _block_length(cells_per_point: int) -> int:
@@ -493,6 +474,41 @@ def _gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+@lru_cache(maxsize=8)
+def _christoffel_ratio(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # The weight of node x is 1 / sum_{j<m} H_j(x)^2 (Christoffel).  With the
+    # damped g_j = e^{-x^2/4} H_j(x) of the recurrence, w H_k = g_k r for the
+    # ratio r = e^{-x^2/4} / sum_{j<m} g_j^2: every factor is accurate in
+    # relative terms, where the Golub-Welsch weights are so only in absolute
+    # terms.  Where the damping underflows (m >= 1000) r is 0, which is w H_k
+    # to double precision there.
+    x = _gauss_hermite_1d(m)[0]
+    damp = np.exp(-0.25 * x * x)
+    g = _recurrence(m - 1, x, start=damp, table=True)
+    total = np.einsum("ji,ji->i", g, g)
+    ratio = np.divide(damp, total, out=np.zeros(m), where=total > 0.0)
+    damp.setflags(write=False)
+    ratio.setflags(write=False)
+    return damp, ratio
+
+
+def gauss_hermite_products(points_per_axis: int, degree: int) -> np.ndarray:
+    """``B[k, i] = w_i H_k(x_i)`` for ``k <= degree`` over the nodes and
+    weights of the 1-D :func:`gauss_hermite_rule`, the matrix that contracts
+    node values into Hermite coefficients.
+
+    It is formed from the damped recurrence and the Christoffel numbers, so
+    that ``B H^T = I`` holds to rounding for ``degree < points_per_axis``;
+    the product of the weights with ``H_k`` would multiply their absolute
+    rounding error by ``|H_k(x_i)|``, past 1e100 at the outer nodes.
+    """
+    gauss_hermite_nodes(points_per_axis)  # validates first
+    degree = _check_degree(degree)
+    damp, ratio = _christoffel_ratio(points_per_axis)
+    x = _gauss_hermite_1d(points_per_axis)[0]
+    return _recurrence(degree, x, start=damp, table=True) * ratio
 
 
 def gauss_hermite_nodes(points_per_axis: int, dimension: int = 1) -> np.ndarray:

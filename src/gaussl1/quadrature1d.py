@@ -119,14 +119,11 @@ def fixed_panels(
     points: int,
     panels: int = 1,
 ) -> float:
-    """Composite Gauss-Legendre rule with ``panels`` panels of ``points`` nodes."""
+    """Composite Gauss-Legendre rule with ``panels`` panels of ``points`` nodes.
+
+    A non-finite integrand value raises :class:`EvaluationError`.
+    """
     if points < 1 or panels < 1:
         raise ValidationError("points and panels must be >= 1")
-    x, w = _panel(points)
     edges = np.linspace(float(a), float(b), panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    values = np.asarray(f(nodes.reshape(-1)), dtype=np.float64).reshape(nodes.shape)
-    return float(((values @ w) * half).sum())
+    return float(_batch_estimates(f, edges[:-1], edges[1:], points).sum())

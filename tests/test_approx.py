@@ -11,6 +11,7 @@ from gaussl1 import (
     ApproximationPlan,
     CapabilityError,
     NodeBudgetError,
+    ToleranceError,
     ValidationError,
     ball,
     bound_check,
@@ -19,15 +20,26 @@ from gaussl1 import (
     estimate_coefficients,
     halfspace,
     halfspace_expansion,
+    intersection,
     l1_error,
     l1_error_quad_1d,
     plan,
+    profile_coefficients,
     ptf,
     sign_coefficient,
 )
+from gaussl1 import approx
 from gaussl1.approx import l2_error, l2_error_quad_1d
 from gaussl1.concepts import gns_ball_closed_form, gns_halfspace_closed_form
-from gaussl1.hermite import basis_matrix, expansion, hermite_upto, l2_norm, multi_indices_upto
+from gaussl1.hermite import (
+    basis_matrix,
+    expansion,
+    gauss_density,
+    gauss_hermite_rule,
+    hermite_upto,
+    l2_norm,
+    multi_indices_upto,
+)
 from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed
 from gaussl1.quadrature1d import integrate_adaptive
 
@@ -176,6 +188,103 @@ def test_halfspace_expansion_past_index_budget_fails_fast():
     with pytest.raises(ValidationError):
         halfspace_expansion(np.full(10, 1.0 / math.sqrt(10.0)), 0.0, 15)
     assert time.perf_counter() - start < 1.0
+
+
+def _per_degree_halfspace_expansion(w, c, degree):
+    # the closed form as one loop over the degrees, lifted term by term
+    w = np.asarray(w, dtype=np.float64)
+    n = w.size
+    density = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    hc = hermite_upto(max(degree - 1, 0), c)
+    g = np.empty(degree + 1)
+    g[0] = math.erf(c / math.sqrt(2.0))
+    for k in range(1, degree + 1):
+        g[k] = -2.0 * float(hc[k - 1]) * density / math.sqrt(k)
+    terms = {}
+    lg = [math.lgamma(a + 1) for a in range(degree + 1)]
+    for alpha in multi_indices_upto(n, degree):
+        k = sum(alpha)
+        if g[k] == 0.0:
+            continue
+        wpow = 1.0
+        for wi, ai in zip(w, alpha):
+            wpow *= wi**ai
+        if wpow == 0.0:
+            continue
+        ratio = math.exp(0.5 * (math.lgamma(k + 1) - sum(lg[a] for a in alpha)))
+        terms[alpha] = g[k] * ratio * wpow
+    return expansion(n, terms)
+
+
+def test_halfspace_expansion_bit_identical_to_the_per_degree_loop():
+    rng = np.random.default_rng(SEED)
+    for trial in range(120):
+        n = 1 + trial % 3
+        if n == 1:
+            w = [float(rng.choice([-1.0, 1.0]))]
+        else:
+            v = rng.standard_normal(n)
+            w = list(v / np.linalg.norm(v))
+        c = 0.0 if trial % 10 == 0 else float(rng.normal(0.0, 1.5))
+        degree = int(rng.integers(0, 66 if n == 1 else 13))
+        got = halfspace_expansion(w, c, degree)
+        want = _per_degree_halfspace_expansion(w, c, degree)
+        assert list(got.terms) == list(want.terms)
+        assert np.array_equal(list(got.terms.values()), list(want.terms.values()))
+
+
+# ---------------------------------------------------------------------------
+# exact piecewise-constant profiles
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values",
+    [([-0.7, 1.2], [-1.0, 1.0, -1.0]), ([-2.0, 0.3, 0.9], [0.5, -2.0, 3.0, 1.0])],
+)
+def test_profile_coefficients_match_adaptive_oracle_through_degree_65(breakpoints, values):
+    # integrate g H_k phi directly, cut at the jumps, out to |x| = 20 where
+    # H_65 phi is below 1e-40
+    got = profile_coefficients(breakpoints, values, 65)
+    assert got.shape == (66,)
+
+    def profile(x):
+        return np.asarray(values)[np.searchsorted(breakpoints, x)]
+
+    for k in range(66):
+
+        def integrand(x, k=k):
+            return profile(x) * hermite_upto(k, x)[k] * gauss_density(x)
+
+        want = integrate_adaptive(
+            integrand, -20.0, 20.0, abs_tol=1e-13, breakpoints=breakpoints, initial_intervals=32
+        )
+        assert got[k] == pytest.approx(want, abs=1e-12), k
+
+
+def test_profile_coefficients_of_a_constant_and_of_a_halfspace():
+    assert np.array_equal(profile_coefficients([], [-1.0], 4), [-1.0, 0.0, 0.0, 0.0, 0.0])
+    # sign(c - u) is the halfspace profile, bit for bit
+    g = profile_coefficients([0.4], [1.0, -1.0], 30)
+    want = halfspace_expansion([1.0], 0.4, 30)
+    assert np.array_equal(g, [want.coefficient((k,)) for k in range(31)])
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values, degree",
+    [
+        ([0.0], [1.0], 3),  # one value short
+        ([0.0], [1.0, -1.0, 1.0], 3),  # one value too many
+        ([0.5, 0.5], [1.0, -1.0, 1.0], 3),  # not strictly increasing
+        ([0.5, -0.5], [1.0, -1.0, 1.0], 3),  # decreasing
+        ([math.inf], [1.0, -1.0], 3),
+        ([math.nan], [1.0, -1.0], 3),
+        ([0.0], [1.0, math.nan], 3),
+        ([0.0], [1.0, -1.0], -1),
+    ],
+)
+def test_profile_coefficients_validation(breakpoints, values, degree):
+    with pytest.raises(ValidationError):
+        profile_coefficients(breakpoints, values, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +690,63 @@ def test_bound_check_mc_coefficient_slack():
     assert report.coeff_method == "monte_carlo"
     assert report.slack > 0.0
     assert report.passed
+
+
+def test_bound_check_1d_profiles_are_exact():
+    # a 1-D ball, constant and intersection leave the tensor quadrature: their
+    # coefficients are the exact profile series, whatever the coefficient budget
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=12)
+    interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])
+    for c in (ball(1.0, 1), constant_concept(1, -1), interval):
+        report = bound_check(c, aplan, coeff_budget=20, error_budget=20_000, seed=SEED)
+        assert report.coeff_method == "exact"
+        assert report.error_method == "quadrature"
+        assert report.slack == 0.0
+        assert report.passed
+    # ball(1, 1) and the interval [-0.3, 0.5]: E|f - p| of the series itself
+    for c, t in ((ball(1.0, 1), [-1.0, 1.0]), (interval, [-0.3, 0.5])):
+        g = profile_coefficients(t, [-1.0, 1.0, -1.0], aplan.degree)
+        p = build(expansion(1, {(k,): v for k, v in enumerate(g)}), aplan)
+        report = bound_check(c, aplan, error_budget=20_000, seed=SEED)
+        assert report.measured_l1.mean == l1_error_quad_1d(c, p, abs_tol=1e-6)
+    # a repeated breakpoint, and one with no jump, give the halfspace series
+    # (the error quadrature is cut at 1.0 too, so it agrees to its tolerance)
+    same = intersection([halfspace([1.0], 0.5), halfspace([1.0], 0.5), halfspace([1.0], 1.0)])
+    got = bound_check(same, aplan, error_budget=20_000, seed=SEED).measured_l1.mean
+    want = bound_check(halfspace([1.0], 0.5), aplan, seed=SEED).measured_l1.mean
+    assert got == pytest.approx(want, abs=2e-6)
+
+
+def test_parseval_guard_rejects_the_weight_times_hermite_products(monkeypatch):
+    # the Golub-Welsch weights times H_k: at the plan degree 66 of a 2-D ball
+    # their rounding error, multiplied by |H_k| at the outer nodes, makes
+    # coefficients of mass ~1e27
+    def unstable(m, degree):
+        rule = gauss_hermite_rule(m)
+        return hermite_upto(degree, rule.nodes[:, 0]) * rule.weights[None, :]
+
+    c = ball(1.5, 2)
+    aplan = plan(0.5, c.gsa_closed_form)
+    assert aplan.degree == 66
+    monkeypatch.setattr(approx, "gauss_hermite_products", unstable)
+    with pytest.raises(ToleranceError, match="Parseval"):
+        bound_check(c, aplan, seed=SEED)
+    with pytest.raises(ToleranceError):
+        estimate_coefficients(c, 66, "quadrature")
+
+
+def test_parseval_guard_exempts_monte_carlo():
+    # 100 samples for 70 coefficients: the mass is biased up by sum stderr^2
+    est = estimate_coefficients(ball(1.0, 4), 4, "monte_carlo", budget=100, seed=SEED)
+    assert l2_norm(est.expansion) > 1.0
+
+
+def test_quadrature_coefficients_at_the_plan_degree_keep_parseval():
+    # the 2-D ball at its plan degree 66 with the default 400-point rule
+    est = estimate_coefficients(ball(1.5, 2), 66, "quadrature")
+    assert l2_norm(est.expansion) ** 2 <= 1.0 + 1e-12
+    mean = 2.0 * (1.0 - math.exp(-1.125)) - 1.0  # 2 P(|X| <= 1.5) - 1
+    assert est.expansion.coefficient((0, 0)) == pytest.approx(mean, abs=1e-2)
 
 
 def test_bound_check_report_serialization():

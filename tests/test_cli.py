@@ -157,6 +157,15 @@ def test_gns_ball_writes_closed_form(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_gns_ball_with_a_non_integer_dimension_exit_2(tmp_path, capsys):
+    concept = tmp_path / "ball.json"
+    concept.write_text(json.dumps({"kind": "ball", "radius": 1.0, "dimension": 2.5}))
+    code = main(["gns", "--concept", str(concept), "--delta", "0.1",
+                 "--samples", "1000", "--seed", str(SEED), "--output", str(tmp_path / "g.json")])
+    assert code == 2
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_gsa_estimate(tmp_path):
     concept = _write_halfspace(tmp_path)
     out = tmp_path / "gsa.json"
@@ -192,6 +201,38 @@ def test_approx_json_and_csv(tmp_path):
     # floats round-trip through repr
     assert float(rows[0][2]) == payload["report"]["plan"]["rho"]
     assert float(rows[0][4]) == payload["report"]["measured_l1"]["mean"]
+
+
+def _approx_ball(tmp_path, radius, dimension, gamma):
+    concept = tmp_path / "ball.json"
+    concept.write_text(json.dumps({"kind": "ball", "radius": radius, "dimension": dimension}))
+    out = tmp_path / "ball-report.json"
+    code = main(["approx", "--concept", str(concept), "--epsilon", "0.5",
+                 "--gamma", repr(gamma), "--seed", "1", "--output", str(out)])
+    return code, json.loads(out.read_text())["report"] if code == 0 else None
+
+
+def test_approx_1d_ball_at_the_plan_degree_is_exact(tmp_path):
+    # degree 65: the tensor-quadrature coefficients made the error quadrature
+    # exceed its interval budget; the exact profile series passes
+    code, report = _approx_ball(tmp_path, 1.0, 1, 0.4839414490382868)
+    assert code == 0
+    assert report["plan"]["degree"] == 65
+    assert report["coeff_method"] == "exact"
+    assert report["measured_l1"]["mean"] == pytest.approx(0.16931, abs=1e-5)
+    assert report["bound"] == pytest.approx(0.40166, abs=1e-5)
+    assert report["pass"] is True
+
+
+def test_approx_2d_ball_at_the_plan_degree(tmp_path):
+    # degree 66 with the default 400-point rule: the weights times H_k gave a
+    # measured L1 of 3.9e12; with the Christoffel products it is about 0.1685
+    code, report = _approx_ball(tmp_path, 1.5, 2, 1.5 * math.exp(-1.125))
+    assert code == 0
+    assert report["plan"]["degree"] == 66
+    assert report["coeff_method"] == "quadrature"
+    assert report["measured_l1"]["mean"] == pytest.approx(0.1685, abs=1e-3)
+    assert report["pass"] is True
 
 
 def test_learn_json_and_csv(tmp_path):

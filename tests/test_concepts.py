@@ -117,6 +117,16 @@ def test_batch_shape_validation():
         hs.batch(np.zeros(4))
 
 
+def test_ball_rejects_a_non_integer_dimension():
+    # a 2.5-D ball would be built in 2-D with the surface area of a 2.5-D sphere
+    for dimension in (2.5, 0, -1, 0.5):
+        with pytest.raises(ValidationError, match="dimension"):
+            ball(1.0, dimension)
+    c = ball(1.0, 2.0)
+    assert c.dimension == 2 and c.params["dimension"] == 2
+    assert c.gsa_closed_form == ball(1.0, 2).gsa_closed_form == math.exp(-0.5)
+
+
 def test_ball_evaluator_matches_norm():
     # the column-wise row norm equals np.linalg.norm bit for bit up to 7
     # columns; points exactly on the sphere (and their sign flips) are +1

@@ -35,6 +35,7 @@ from gaussl1.hermite import (
     expansion,
     expansion_eval_batch,
     gauss_hermite_nodes,
+    gauss_hermite_products,
     hermite_zeros_upto,
     sqrt_factorial,
 )
@@ -636,6 +637,37 @@ def test_gauss_hermite_1d_matches_scipy_golub_welsch():
             want_weights = want_weights / want_weights.sum()
         np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [50, 100, 200, 400])
+def test_gauss_hermite_products_satisfy_the_gram_identity(m):
+    # B H^T = I for every degree below m: the rule is exact through 2m - 1.
+    # The Golub-Welsch weights times H_k miss it by 2e-3 at m = 50 and by
+    # 1e180 at m = 400.
+    x = gauss_hermite_rule(m).nodes[:, 0]
+    B = gauss_hermite_products(m, m - 1)
+    assert B.shape == (m, m)
+    gram = B @ hermite_upto(m - 1, x).T
+    assert np.abs(gram - np.eye(m)).max() <= 1e-13
+    # a lower degree reads the leading rows of the same matrix
+    assert np.array_equal(gauss_hermite_products(m, 7), B[:8])
+
+
+def test_gauss_hermite_products_at_the_1d_budget_edge():
+    # m = 1414 is the largest 1-D rule (m^2 <= NODE_BUDGET); the damping
+    # e^{-x^2/4} underflows at its outer nodes, where B is 0
+    m = 1414
+    x = gauss_hermite_rule(m).nodes[:, 0]
+    B = gauss_hermite_products(m, 200)
+    assert np.all(np.isfinite(B))
+    assert np.any(B[:, 0] == 0.0)
+    gram = B @ hermite_upto(200, x).T
+    assert np.abs(gram - np.eye(201)).max() <= 1e-13
+    assert gauss_hermite_products(1, 0).tolist() == [[1.0]]
+    with pytest.raises(NodeBudgetError):
+        gauss_hermite_products(1415, 3)
+    with pytest.raises(ValidationError):
+        gauss_hermite_products(10, -1)
 
 
 def test_expectation_error_carries_node():

@@ -86,6 +86,14 @@ def test_fixed_panels():
         fixed_panels(np.exp, 0.0, 1.0, 0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fixed_panels_non_finite_integrand():
+    # the same panel builder as integrate_adaptive, so the same error
+    with pytest.raises(EvaluationError) as err:
+        fixed_panels(lambda t: np.log(t - 0.3), 0.0, 1.0, 20, 4)  # nan below 0.3
+    assert 0.0 < err.value.point < 0.3
+
+
 def test_fixed_panels_equals_fresh_legendre_rule():
     def f(t):
         return np.cos(3.0 * t) * np.exp(-t)
