@@ -42,6 +42,7 @@ from .hermite import (
 from .noise import apply_to_expansion, apply_pointwise_mc, eigen_check, tail_bound_check
 from .concepts import (
     Concept,
+    Profile,
     halfspace,
     ball,
     intersection,
@@ -49,6 +50,7 @@ from .concepts import (
     ptf,
     gns_mc,
     gns_halfspace_closed_form,
+    gns_profile_closed_form,
     gns_ball_closed_form,
     gsa_mc,
     noise_distance_check,
@@ -61,6 +63,7 @@ from .approx import (
     estimate_coefficients,
     halfspace_expansion,
     profile_coefficients,
+    profile_expansion,
     build,
     l1_error,
     l1_error_quad_1d,

@@ -13,8 +13,8 @@ smoothed concept, ``p = (T_rho f)_{<= d}``.  Its Gaussian L1 error obeys
 
 which with the surface-area bound on GNS yields error <= epsilon whenever
 ``GSA(f) <= gamma``.  The module provides the plan, several coefficient
-estimators (exact closed forms for 1-D piecewise-constant profiles and for
-halfspaces, tensor quadrature, Monte Carlo), the construction itself, L1/L2
+estimators (exact for ridge concepts with a piecewise-constant profile,
+tensor quadrature, Monte Carlo), the construction itself, L1/L2
 error measurement, and a bound check that ties everything together.
 """
 
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, NodeBudgetError, ToleranceError, ValidationError
-from .concepts import Concept, gns_mc
+from .concepts import Concept, Profile, gns_mc, halfspace
 from .hermite import (
     GAUSS_CUTOFF,
     HermiteExpansion,
@@ -117,27 +117,27 @@ def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
     return g
 
 
-def halfspace_expansion(w, c: float, degree: int) -> HermiteExpansion:
-    """Exact Hermite coefficients of ``sign(c - <w, x>)`` up to ``degree``.
+def profile_expansion(profile: Profile, degree: int) -> HermiteExpansion:
+    """Exact Hermite coefficients of the ridge ``g(<w, x>)`` up to ``degree``.
 
-    The one-dimensional profile ``g(u) = sign(c - u)`` has the coefficients
-    :func:`profile_coefficients` gives; for a unit normal the multivariate
-    coefficients follow from
+    The profile ``g`` has the coefficients :func:`profile_coefficients`
+    gives; for a unit ``w`` the multivariate coefficients follow from
     ``H_k(<w, x>) = sum_{|alpha| = k} sqrt(k! / alpha!) w^alpha H_alpha(x)``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise ValidationError("w must be a non-empty vector")
-    if abs(float(np.linalg.norm(w)) - 1.0) > 1e-12:
-        raise ValidationError("w must be a unit vector")
-    g = profile_coefficients([c], [1.0, -1.0], degree)
+    g = profile_coefficients(profile.breakpoints, profile.values, degree)
     lg = [math.lgamma(a + 1) for a in range(degree + 1)]
     terms: dict[MultiIndex, float] = {}
-    for alpha in multi_indices_upto(w.size, degree):
+    for alpha in multi_indices_upto(len(profile.w), degree):
         k = sum(alpha)
         ratio = math.exp(0.5 * (math.lgamma(k + 1) - sum(lg[a] for a in alpha)))
-        terms[alpha] = g[k] * ratio * math.prod(wi**ai for wi, ai in zip(w, alpha))
-    return expansion(w.size, terms)
+        terms[alpha] = g[k] * ratio * math.prod(wi**ai for wi, ai in zip(profile.w, alpha))
+    return expansion(len(profile.w), terms)
+
+
+def halfspace_expansion(w, c: float, degree: int) -> HermiteExpansion:
+    """Exact Hermite coefficients of ``sign(c - <w, x>)`` up to ``degree``:
+    the one-jump profile ``sign(c - u)`` lifted along the unit normal ``w``."""
+    return profile_expansion(halfspace(w, c).profile, degree)
 
 
 @dataclass(frozen=True)
@@ -323,20 +323,6 @@ def _check_same_dimension(c: Concept, p: HermiteExpansion) -> None:
         )
 
 
-def _known_breakpoints(c: Concept) -> list[float] | None:
-    if c.dimension != 1:
-        return None
-    if c.kind == "halfspace":
-        return [c.params["c"] / c.params["w"][0]]
-    if c.kind == "ball":
-        return [-c.params["radius"], c.params["radius"]]
-    if c.kind == "constant":
-        return []
-    if c.kind == "intersection":
-        return [h["c"] / h["w"][0] for h in c.params["halfspaces"]]
-    return None
-
-
 def l1_error_quad_1d(
     c: Concept,
     p: HermiteExpansion,
@@ -345,8 +331,8 @@ def l1_error_quad_1d(
 ) -> float:
     """Dense-quadrature Gaussian L1 error for one-dimensional concepts.
 
-    The integral straddles the concept's discontinuities (known for
-    halfspaces/balls/constants, otherwise supplied by the caller) and is cut
+    The integral straddles the concept's discontinuities (its profile's, or
+    else ``breakpoints`` supplied by the caller) and is cut
     at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
     return _quad_error_1d(c, p, breakpoints, abs_tol, np.abs)
@@ -374,11 +360,9 @@ def _quad_error_1d(
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
     if breakpoints is None:
-        breakpoints = _known_breakpoints(c)
-        if breakpoints is None:
-            raise CapabilityError(
-                f"no known discontinuities for kind {c.kind!r}; pass breakpoints"
-            )
+        if c.profile is None:
+            raise CapabilityError("no profile gives the discontinuities; pass breakpoints")
+        breakpoints = [c.profile.w[0] * t for t in c.profile.breakpoints]
 
     def integrand(x: np.ndarray) -> np.ndarray:
         f = c.batch(x[:, None])
@@ -475,15 +459,15 @@ def bound_check(
 ) -> ApproxReport:
     """Build ``p = (T_rho f)_{<=d}`` and test its L1 error against the bound.
 
-    A 1-D concept with known breakpoints is a piecewise-constant profile: its
-    coefficients are exact (:func:`profile_coefficients`) and its error is
-    measured by dense quadrature (stderr then reflects the quadrature
-    tolerance).  Otherwise the coefficients come from the exact halfspace
-    closed form, tensor quadrature up to dimension 3, or Monte Carlo beyond
-    (adding the coefficient-noise slack), and one Monte-Carlo pass gives both
-    the L1 and the L2 error.  GNS uses a supplied trusted value, the concept's
-    closed form when present (every halfspace and ball has one), or a
-    Monte-Carlo estimate.
+    A concept with a ridge profile has exact coefficients
+    (:func:`profile_expansion`); other concepts take tensor quadrature up to
+    dimension 3 and Monte Carlo beyond (adding the coefficient-noise slack).
+    A 1-D concept with a profile has its error measured by dense quadrature
+    (stderr then reflects the quadrature tolerance); otherwise one Monte-Carlo
+    pass gives both the L1 and the L2 error.  GNS uses a supplied trusted
+    value (outside ``[0, 1/2]`` it raises :class:`ValidationError`), the
+    concept's closed form when present (every halfspace, ball and 1-D
+    intersection has one), or a Monte-Carlo estimate.
     """
     check_seed(seed)
     validate_noise_level(aplan.rho)
@@ -491,22 +475,25 @@ def bound_check(
 
     if gns_value is not None:
         gns, gns_stderr = float(gns_value), 0.0
+        if not 0.0 <= gns <= 0.5:  # GNS at delta <= 1 lies in [0, 1/2]; NaN fails too
+            raise ValidationError(f"gns_value must lie in [0, 1/2], got {gns_value!r}")
     elif c.gns_closed_form is not None:
         gns, gns_stderr = c.gns_closed_form(delta), 0.0
     else:
         g = gns_mc(c, delta, error_budget, derive_seed(seed, 2))
         gns, gns_stderr = g.mean, g.stderr
 
-    breakpoints = _known_breakpoints(c)
-    if breakpoints is not None:
-        # a 1-D profile: exact coefficients and the dense-quadrature error
-        t = sorted(set(breakpoints))
-        ends = np.array([min(t, default=0.0) - 1.0, *t, max(t, default=0.0) + 1.0])
-        values = c.batch((ends[:-1, None] + ends[1:, None]) / 2.0)  # one point a piece
-        g = profile_coefficients(t, values, aplan.degree)
-        fhat = expansion(1, {(k,): v for k, v in enumerate(g)})
+    if c.profile is not None:
+        fhat = profile_expansion(c.profile, aplan.degree)
         est = CoefficientEstimate(fhat, aplan.degree, "exact", 0)
-        p = build(est.expansion, aplan, complete_through=est.degree)
+    elif c.dimension <= 3:
+        est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
+    else:
+        est = estimate_coefficients(
+            c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
+        )
+    p = build(est.expansion, aplan, complete_through=est.degree)
+    if c.dimension == 1 and c.profile is not None:
         quad_tol = 1e-6
         value = l1_error_quad_1d(c, p, abs_tol=quad_tol)
         measured_l1 = EstimateWithError(value, quad_tol, 0, check_seed(seed), note="quadrature")
@@ -515,16 +502,6 @@ def bound_check(
         )
         error_method = "quadrature"
     else:
-        if c.kind == "halfspace":
-            fhat = halfspace_expansion(c.params["w"], c.params["c"], aplan.degree)
-            est = CoefficientEstimate(fhat, aplan.degree, "exact", 0)
-        elif c.dimension <= 3:
-            est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
-        else:
-            est = estimate_coefficients(
-                c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
-            )
-        p = build(est.expansion, aplan, complete_through=est.degree)
         measured_l1, measured_l2 = _mc_errors(c, p, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 

@@ -36,7 +36,19 @@ from .errors import (
 from .hermite import NODE_BUDGET, HermiteExpansion, expansion_eval_batch, gauss_density
 from .mc import EstimateWithError, chunk_rngs, mc_fraction, mc_mean, derive_seed, check_seed
 from .noise import validate_noise_level
-from .quadrature1d import fixed_panels
+from .quadrature1d import fixed_panels, integrate_adaptive
+
+
+@dataclass(frozen=True)
+class Profile:
+    """A ridge ``f(x) = g(<w, x>)`` with a piecewise-constant profile ``g``:
+    ``values[i]`` between ``breakpoints[i - 1]`` and ``breakpoints[i]``, the
+    outer pieces running to -inf and +inf."""
+
+    w: tuple[float, ...]
+    breakpoints: tuple[float, ...]
+    values: tuple[float, ...]
+
 
 @dataclass(frozen=True, eq=False)
 class Concept:
@@ -44,7 +56,8 @@ class Concept:
 
     ``evaluator`` maps an ``(N, dimension)`` array to an ``(N,)`` array of
     +/-1 values.  ``distance_to_set`` (when present) maps the same input to
-    Euclidean distances to ``K = {f = +1}`` (0 inside).
+    Euclidean distances to ``K = {f = +1}`` (0 inside).  A ridge concept
+    carries its :class:`Profile`, which makes its Hermite coefficients exact.
     """
 
     dimension: int
@@ -54,6 +67,7 @@ class Concept:
     gns_closed_form: Callable[[float], float] | None = None
     distance_to_set: Callable[[np.ndarray], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
+    profile: Profile | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -107,6 +121,7 @@ def halfspace(w, c: float) -> Concept:
         gns_closed_form=gns,
         distance_to_set=distance,
         params={"w": [float(v) for v in w], "c": offset},
+        profile=Profile(tuple(float(v) for v in w), (offset,), (1.0, -1.0)),
     )
 
 
@@ -143,6 +158,7 @@ def ball(radius: float, dimension: int) -> Concept:
         gns_closed_form=gns,
         distance_to_set=distance,
         params={"radius": radius, "dimension": dimension},
+        profile=Profile((1.0,), (-radius, radius), (-1.0, 1.0, -1.0)) if dimension == 1 else None,
     )
 
 
@@ -165,7 +181,8 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
     """Intersection of halfspaces: +1 iff every component is +1.
 
     An exact distance oracle (projection onto the polyhedron by active-set
-    enumeration) is attached for up to 10 faces.
+    enumeration) is attached for up to 10 faces.  In one dimension the
+    intersection is a ridge: it carries its profile and closed-form GNS.
     """
     if not halfspaces:
         raise ValidationError("intersection needs at least one halfspace")
@@ -194,12 +211,24 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
         def distance(points: np.ndarray) -> np.ndarray:
             return _polyhedron_distance(W, cvec, points)
 
+    profile = gns = None
+    if n == 1:  # an interval, a half-line or empty: read one point a piece
+        t = sorted(set(float(v) for v in cvec / W[:, 0]))
+        ends = np.array([t[0] - 1.0, *t, t[-1] + 1.0])
+        values = evaluator((ends[:-1, None] + ends[1:, None]) / 2.0)
+        profile = Profile((1.0,), tuple(t), tuple(float(v) for v in values))
+
+        def gns(delta: float) -> float:
+            return gns_profile_closed_form(delta, profile.breakpoints, profile.values)
+
     return Concept(
         dimension=n,
         evaluator=evaluator,
         kind="intersection",
+        gns_closed_form=gns,
         distance_to_set=distance,
         params={"halfspaces": [{"w": h.params["w"], "c": h.params["c"]} for h in halfspaces]},
+        profile=profile,
     )
 
 
@@ -261,6 +290,7 @@ def constant_concept(dimension: int, value: int) -> Concept:
         gns_closed_form=lambda delta: 0.0,
         distance_to_set=distance,
         params={"value": int(value), "dimension": int(dimension)},
+        profile=Profile((1.0,) + (0.0,) * (int(dimension) - 1), (), (float(value),)),
     )
 
 
@@ -337,25 +367,59 @@ def _check_delta(delta: float) -> float:
 
 def gns_halfspace_closed_form(delta: float, offset: float = 0.0) -> float:
     """Noise sensitivity of the halfspace ``sign(c - <w, x>)`` with ``c = offset``:
+    the one-jump case of :func:`gns_profile_closed_form`,
 
         GNS_delta = (1 / pi) int_0^{arccos(1 - delta)} exp(-c^2 / (1 + cos t)) dt.
 
-    Through the origin this is ``arccos(1 - delta) / pi``, returned as such;
-    otherwise one 20-point Gauss-Legendre panel evaluates the smooth
-    integrand (within a few 1e-15 relative of a 200-point rule for
-    ``|c| <= 8``).  At ``delta = 1`` the value is ``2 Phi(c) Phi(-c)``.
+    At ``delta = 1`` the value is ``2 Phi(c) Phi(-c)``.
+    """
+    return gns_profile_closed_form(delta, (offset,), (1.0, -1.0))
+
+
+def gns_profile_closed_form(delta: float, breakpoints, values) -> float:
+    """Noise sensitivity of a ridge ``g(<w, x>)`` with a +-1 profile ``g``.
+
+    With the half-jumps ``h_j = (values[j + 1] - values[j]) / 2`` at the
+    breakpoints ``t_j``, differentiating ``E g(U) g(V)`` in the correlation
+    ``cos t`` of ``(U, V)`` gives the bivariate-normal density at the jumps:
+
+        GNS_delta = (1 / pi) int_0^{arccos(1 - delta)} sum_{j, l} h_j h_l
+                    exp(-(t_j^2 - 2 t_j t_l cos t + t_l^2) / (2 sin^2 t)) dt.
+
+    A diagonal term ``exp(-t_j^2 / (1 + cos t))`` is smooth: one 20-point
+    Gauss-Legendre panel evaluates it (within a few 1e-15 relative of a
+    200-point rule for ``|t_j| <= 8``).  A cross term vanishes to all orders
+    at ``t = 0`` and turns on near ``t ~ |t_j - t_l|``, so it is integrated
+    adaptively, its exponent written with ``u = sin^2(t / 2)`` as
+    ``((t_j - t_l)^2 + 4 t_j t_l u) / (8 u (1 - u))`` to keep its digits.  A
+    single jump at the origin gives ``arccos(1 - delta) / pi``.
     """
     delta = _check_delta(delta)
+    t = [float(b) for b in breakpoints]
+    v = [float(a) for a in values]
+    if len(v) != len(t) + 1 or any(abs(a) != 1.0 for a in v) or sorted(set(t)) != t:
+        raise ValidationError(f"need increasing breakpoints and one +-1 value more: {t}, {v}")
+    jumps = [(a, (y - x) / 2.0) for a, x, y in zip(t, v, v[1:]) if x != y]
+    if not jumps:
+        return 0.0
     top = math.acos(1.0 - delta)
-    offset = float(offset)
-    if offset == 0.0:
+    if len(jumps) == 1 and jumps[0][0] == 0.0:
         return top / math.pi
-    c2 = offset * offset
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-c2 / (1.0 + np.cos(t)))
+    def diagonal(s: np.ndarray) -> np.ndarray:
+        return sum(h * h * np.exp(-a * a / (1.0 + np.cos(s))) for a, h in jumps)
 
-    return fixed_panels(integrand, 0.0, top, 20) / math.pi
+    def cross(s: np.ndarray) -> np.ndarray:
+        u = np.sin(s / 2.0) ** 2
+        return sum(
+            2.0 * h * k * np.exp(-((a - b) ** 2 + 4.0 * a * b * u) / (8.0 * u * (1.0 - u)))
+            for (a, h), (b, k) in itertools.combinations(jumps, 2)
+        )
+
+    total = fixed_panels(diagonal, 0.0, top, 20)
+    if len(jumps) > 1 and top > 0.0:
+        total += integrate_adaptive(cross, 0.0, top, abs_tol=1e-13)
+    return total / math.pi
 
 
 # the radial series stops once rho^(2J) <= this; since sum_j a_j^2 <= 1 it

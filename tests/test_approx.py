@@ -30,7 +30,7 @@ from gaussl1 import (
 )
 from gaussl1 import approx
 from gaussl1.approx import l2_error, l2_error_quad_1d
-from gaussl1.concepts import gns_ball_closed_form, gns_halfspace_closed_form
+from gaussl1.concepts import Concept, gns_ball_closed_form, gns_halfspace_closed_form
 from gaussl1.hermite import (
     basis_matrix,
     expansion,
@@ -609,6 +609,16 @@ def test_bound_check_2d_matches_1d():
     assert r2.passed
 
 
+def test_quad_error_cuts_at_the_profile_breakpoints_in_x():
+    # a profile's cuts are in u = <w, x>: for w = (-1,) the cut moves to -c
+    p = expansion(1, {(1,): -0.6, (3,): 0.2, (0,): 0.1})
+    interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])
+    cases = ((halfspace([-1.0], 0.3), [-0.3]), (ball(1.2, 1), [-1.2, 1.2]), (interval, [-0.3, 0.5]))
+    for c, cuts in cases:
+        assert l1_error_quad_1d(c, p) == l1_error_quad_1d(c, p, breakpoints=cuts)
+        assert l2_error_quad_1d(c, p) == l2_error_quad_1d(c, p, breakpoints=cuts)
+
+
 def test_bound_check_one_pass_l2_matches_l2_error():
     # the Monte-Carlo branch takes L1 and L2 from one pass over the
     # derive_seed(seed, 3) stream: each equals its own estimator on it
@@ -715,6 +725,73 @@ def test_bound_check_1d_profiles_are_exact():
     got = bound_check(same, aplan, error_budget=20_000, seed=SEED).measured_l1.mean
     want = bound_check(halfspace([1.0], 0.5), aplan, seed=SEED).measured_l1.mean
     assert got == pytest.approx(want, abs=2e-6)
+
+
+def test_bound_check_rejects_a_gns_value_outside_its_range():
+    # GNS at delta <= 1 lies in [0, 1/2]: a larger value would inflate the bound
+    c = ball(1.4, 2)
+    aplan = ApproximationPlan(epsilon=0.9, gamma=0.3, rho=0.6, degree=2)
+    for bad in (10.0, 0.5000001, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="gns_value"):
+            bound_check(c, aplan, coeff_budget=40, error_budget=1000, seed=SEED, gns_value=bad)
+    for ok in (0.0, 0.5):
+        report = bound_check(c, aplan, coeff_budget=40, error_budget=1000, seed=SEED, gns_value=ok)
+        assert report.gns_term == 2.0 * ok
+
+
+def test_bound_check_routes_on_the_profile_not_the_kind():
+    # a custom concept that carries a ridge profile takes the exact route,
+    # and reports what the halfspace with the same profile reports
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=10)
+    for w in ([1.0], [0.6, -0.8]):
+        hs = halfspace(w, 0.3)
+        custom = Concept(
+            len(w), hs.evaluator, gns_closed_form=hs.gns_closed_form, profile=hs.profile
+        )
+        got = bound_check(custom, aplan, error_budget=20_000, seed=SEED)
+        want = bound_check(hs, aplan, error_budget=20_000, seed=SEED)
+        assert got.coeff_method == "exact"
+        assert got.error_method == ("quadrature" if len(w) == 1 else "monte_carlo")
+        assert got == want
+        p = build(halfspace_expansion(w, 0.3, 10), aplan)
+        if len(w) == 1:
+            assert l1_error_quad_1d(custom, p, abs_tol=1e-6) == got.measured_l1.mean
+
+
+def test_bound_check_constant_in_four_dimensions_is_exact():
+    # the tensor and Monte-Carlo routes cannot reach degree 20 in 4-D
+    c = constant_concept(4, -1)
+    aplan = ApproximationPlan(epsilon=0.5, gamma=0.1, rho=0.9, degree=20)
+    with pytest.raises(NodeBudgetError):
+        estimate_coefficients(c, 20, "monte_carlo", seed=SEED)
+    report = bound_check(c, aplan, error_budget=20_000, seed=SEED)
+    assert report.coeff_method == "exact"
+    assert report.measured_l1.mean == 0.0
+    assert report.slack == 0.0
+    assert report.gns_term == 0.0
+    assert report.passed
+
+
+def test_flipped_1d_halfspace_coefficients_equal_the_midpoint_profile_route():
+    # the 1-D route before profiles: cut at c / w, values read between cuts
+    for c, degree in ((0.3, 15), (-0.45, 44), (0.0, 65)):
+        f = halfspace([-1.0], c)
+        t = [c / -1.0]
+        values = f.batch(np.array([[t[0] - 0.5], [t[0] + 0.5]]))
+        want = profile_coefficients(t, values, degree)
+        got = approx.profile_expansion(f.profile, degree)
+        assert np.array_equal([got.coefficient((k,)) for k in range(degree + 1)], want)
+        assert got == halfspace_expansion([-1.0], c, degree)
+
+
+def test_bound_check_1d_interval_gns_is_exact():
+    interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])
+    aplan = plan(0.5, gauss_density(0.5) + gauss_density(0.3))  # its surface area
+    report = bound_check(interval, aplan, seed=SEED)
+    assert report.gns_stderr == 0.0
+    assert report.gns_term == 2.0 * interval.gns_closed_form(1.0 - aplan.rho)
+    assert report.coeff_method == "exact"
+    assert report.passed
 
 
 def test_parseval_guard_rejects_the_weight_times_hermite_products(monkeypatch):

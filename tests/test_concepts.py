@@ -15,6 +15,7 @@ from gaussl1 import (
     gns_ball_closed_form,
     gns_halfspace_closed_form,
     gns_mc,
+    gns_profile_closed_form,
     gsa_mc,
     halfspace,
     intersection,
@@ -25,6 +26,7 @@ from gaussl1 import (
 )
 from gaussl1.concepts import (
     Concept,
+    Profile,
     concept_from_dict,
     concept_to_dict,
     eval_concept,
@@ -32,6 +34,7 @@ from gaussl1.concepts import (
 )
 from gaussl1.hermite import expansion
 from gaussl1.mc import derive_seed
+from gaussl1.quadrature1d import fixed_panels
 
 SEED = 20240229
 
@@ -228,6 +231,53 @@ def test_intersection_distance_zero_inside():
     assert poly.distance_to_set(np.array([[0.0, 0.0]]))[0] == 0.0
 
 
+# -- ridge profiles --------------------------------------------------------------
+
+
+_RIDGES = {
+    "hs1": halfspace([1.0], 0.3),
+    "hs1-flipped": halfspace([-1.0], -0.2),
+    "hs3": halfspace([0.48, 0.6, -0.64], 0.4),
+    "ball1": ball(1.2, 1),
+    "interval": intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)]),
+    "empty": intersection([halfspace([1.0], -0.5), halfspace([-1.0], -0.5)]),
+    "repeated": intersection(
+        [halfspace([1.0], 0.5), halfspace([1.0], 0.5), halfspace([1.0], 1.0)]
+    ),
+    "right": intersection([halfspace([-1.0], 0.7), halfspace([-1.0], -0.1)]),
+    **{f"const{n}{v:+d}": constant_concept(n, v) for n in (1, 2, 3, 4) for v in (1, -1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RIDGES))
+def test_profile_read_at_w_x_is_the_concept(name):
+    c = _RIDGES[name]
+    prof = c.profile
+    assert len(prof.w) == c.dimension
+    assert list(prof.breakpoints) == sorted(set(prof.breakpoints))
+    assert len(prof.values) == len(prof.breakpoints) + 1
+    x = np.random.default_rng(SEED).standard_normal((20_000, c.dimension))
+    u = x @ np.asarray(prof.w)
+    g = np.asarray(prof.values)[np.searchsorted(prof.breakpoints, u)]
+    assert np.array_equal(g, c.batch(x))
+
+
+def test_profiles_of_the_constructors():
+    assert halfspace([0.6, 0.8], 0.2).profile == Profile((0.6, 0.8), (0.2,), (1.0, -1.0))
+    assert ball(1.2, 1).profile == Profile((1.0,), (-1.2, 1.2), (-1.0, 1.0, -1.0))
+    assert constant_concept(3, -1).profile == Profile((1.0, 0.0, 0.0), (), (-1.0,))
+    assert _RIDGES["interval"].profile == Profile((1.0,), (-0.3, 0.5), (-1.0, 1.0, -1.0))
+    assert _RIDGES["empty"].profile.values == (-1.0, -1.0, -1.0)
+    assert _RIDGES["repeated"].profile == Profile((1.0,), (0.5, 1.0), (1.0, -1.0, -1.0))
+
+
+def test_only_ridges_carry_a_profile():
+    poly = intersection([halfspace([1.0, 0.0], 1.0), halfspace([0.0, 1.0], 1.0)])
+    square = ptf(expansion(1, {(2,): 1.0, (0,): -0.5}))
+    for c in (ball(1.0, 2), ball(2.0, 4), poly, square, Concept(1, lambda p: p[:, 0])):
+        assert c.profile is None
+
+
 # -- noise sensitivity -----------------------------------------------------------
 
 
@@ -349,6 +399,73 @@ def test_gns_ball_refuses_a_series_past_the_budget():
         gns_ball_closed_form(0.1, 0.0, 2)
     with pytest.raises(ValidationError):
         gns_ball_closed_form(0.1, 1.0, 0)
+
+
+def _interval_gns_reference(lo, hi, delta):
+    # GNS of 1[lo <= u <= hi] is 2 (P[U in I] - P[U in I, V in I]) for
+    # (1 - delta)-correlated standard normals (U, V)
+    stats = pytest.importorskip("scipy.stats")
+    rho = 1.0 - delta
+    both = stats.multivariate_normal.cdf(
+        [hi, hi], cov=[[1.0, rho], [rho, 1.0]], lower_limit=[lo, lo],
+        abseps=1e-14, releps=1e-14, maxpts=10**7,
+    )
+    return 2.0 * (stats.norm.cdf(hi) - stats.norm.cdf(lo) - both)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.2, 0.25), (-1e-3, 1e-3), (-0.3, 0.5), (-2.0, 1.5), (-math.inf, 0.4), (0.7, math.inf)],
+)
+def test_gns_profile_matches_the_bivariate_normal_reference(lo, hi):
+    parts = []
+    if math.isfinite(hi):
+        parts.append(halfspace([1.0], hi))
+    if math.isfinite(lo):
+        parts.append(halfspace([-1.0], -lo))
+    c = intersection(parts)
+    for delta in (1e-4, 1e-2, 0.1, 0.5, 1.0):
+        want = _interval_gns_reference(lo, hi, delta)
+        assert c.gns_closed_form(delta) == pytest.approx(want, abs=1e-10), (delta, want)
+
+
+def test_gns_profile_with_one_jump_is_the_one_panel_halfspace_formula():
+    # the halfspace formula before it became the one-jump profile case
+    def one_panel(delta, c):
+        top = math.acos(1.0 - delta)
+        if c == 0.0:
+            return top / math.pi
+        return fixed_panels(lambda t: np.exp(-c * c / (1.0 + np.cos(t))), 0.0, top, 20) / math.pi
+
+    for c in (0.0, -0.3, 0.5, 1.7, -4.0):
+        for delta in (0.0, 1e-4, 0.05, 0.3, 0.77, 1.0):
+            want = one_panel(delta, c)
+            assert gns_halfspace_closed_form(delta, c) == want
+            assert gns_profile_closed_form(delta, (c,), (-1.0, 1.0)) == want
+            assert gns_profile_closed_form(delta, (c, c + 1.0), (1.0, -1.0, -1.0)) == want
+    # the half-line u >= 0.1 (its cut at -0.7 has no jump) is its halfspace, bit for bit
+    right = intersection([halfspace([-1.0], 0.7), halfspace([-1.0], -0.1)])
+    for delta in (1e-4, 0.3, 1.0):
+        assert right.gns_closed_form(delta) == gns_halfspace_closed_form(delta, 0.1)
+
+
+def test_gns_profile_trivial_cases_and_validation():
+    empty = intersection([halfspace([1.0], -0.5), halfspace([-1.0], -0.5)])
+    assert empty.gns_closed_form(0.5) == 0.0
+    assert gns_profile_closed_form(0.5, (), (1.0,)) == 0.0
+    assert gns_profile_closed_form(0.0, (-0.3, 0.5), (-1.0, 1.0, -1.0)) == 0.0
+    assert intersection([halfspace([1.0, 0.0], 0.5)]).gns_closed_form is None
+    assert gns_halfspace_closed_form(0.3, math.inf) == 0.0  # a cut at infinity never flips
+    for breakpoints, values in (
+        ((0.1,), (1.0, 0.5)),  # not +-1
+        ((0.1,), (1.0,)),  # one value short
+        ((0.5, 0.1), (1.0, -1.0, 1.0)),  # decreasing
+        ((0.1, 0.1), (1.0, -1.0, 1.0)),  # repeated
+    ):
+        with pytest.raises(ValidationError):
+            gns_profile_closed_form(0.5, breakpoints, values)
+    with pytest.raises(ValidationError):
+        gns_profile_closed_form(1.5, (0.1,), (1.0, -1.0))
 
 
 def test_gns_mc_delta_zero_exact():
