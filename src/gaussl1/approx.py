@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +43,15 @@ from .hermite import (
     multi_indices_upto,
     truncate,
 )
-from .mc import CHUNK_SIZE, EstimateWithError, chunk_rngs, derive_seed, mc_means, check_seed
+from .mc import (
+    CHUNK_SIZE,
+    EstimateWithError,
+    check_samples,
+    check_seed,
+    chunk_rngs,
+    derive_seed,
+    mc_means,
+)
 from .noise import apply_to_expansion, validate_noise_level
 from .quadrature1d import integrate_adaptive
 
@@ -187,13 +196,15 @@ def estimate_coefficients(
     common samples (default 10^6) and records per-coefficient stderr; a
     chunk buffer of more than ``MC_CHUNK_CELLS`` cells (chunk samples x
     coefficients) raises :class:`NodeBudgetError` before it is allocated.
+    A budget that is not an integer raises :class:`ValidationError`.
     """
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
     if method == "quadrature":
-        m = 400 if budget is None else int(budget)
-        if m < 1:
-            raise ValidationError("quadrature budget must be >= 1")
+        m = 400 if budget is None else budget
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValidationError(f"quadrature budget must be an integer >= 1, got {m!r}")
+        m = int(m)
         if degree >= m:  # H_m vanishes at every node of the m-point rule
             raise ValidationError(f"degree {degree} needs more than {m} quadrature points per axis")
         if c.dimension > 3:
@@ -202,7 +213,7 @@ def estimate_coefficients(
             )
         return _coefficients_quadrature(c, degree, m)
     if method == "monte_carlo":
-        n_samples = 10**6 if budget is None else int(budget)
+        n_samples = 10**6 if budget is None else budget
         if seed is None:
             raise ValidationError("monte_carlo coefficient estimation needs a seed")
         return _coefficients_mc(c, degree, n_samples, seed)
@@ -223,8 +234,7 @@ def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEsti
 def _coefficients_mc(
     c: Concept, degree: int, samples: int, seed: int
 ) -> CoefficientEstimate:
-    if samples < 2:
-        raise ValidationError("samples must be >= 2")
+    samples = check_samples(samples)
     alphas = multi_indices_upto(c.dimension, degree)
     cells = min(samples, CHUNK_SIZE) * len(alphas)
     if cells > MC_CHUNK_CELLS:
@@ -259,7 +269,7 @@ def _coefficients_mc(
         expansion(c.dimension, terms),
         int(degree),
         "monte_carlo",
-        int(samples),
+        samples,
         check_seed(seed),
         stderr,
     )
@@ -291,29 +301,37 @@ def build(
 
 def l1_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``E|f(X) - p(X)|``."""
-    return _mc_errors(c, p, samples, seed)[0]
+    _check_same_dimension(c, p)
+    return _mc_errors(c, partial(expansion_eval_batch, p), samples, seed)[0]
 
 
 def l2_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``E[(f - p)^2]^(1/2)`` (delta-method stderr)."""
-    return _mc_errors(c, p, samples, seed)[1]
+    _check_same_dimension(c, p)
+    return _mc_errors(c, partial(expansion_eval_batch, p), samples, seed)[1]
 
 
 def _mc_errors(
-    c: Concept, p: HermiteExpansion, samples: int, seed: int
+    c: Concept, p_values: Callable[[np.ndarray], np.ndarray], samples: int, seed: int
 ) -> tuple[EstimateWithError, EstimateWithError]:
-    # L1 and L2 error from one pass: each chunk's f - p gives both moments
-    _check_same_dimension(c, p)
+    # L1 and L2 error from one pass: each chunk's f - p gives both moments,
+    # with p's values at the chunk's (m, dimension) points from p_values
 
     def values(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng.standard_normal((m, c.dimension))
-        diff = c.batch(x) - expansion_eval_batch(p, x)
+        diff = c.batch(x) - p_values(x)
         return np.abs(diff), diff**2
 
-    l1, msq = mc_means(values, int(samples), seed)
+    l1, msq = mc_means(values, samples, seed)
     root = math.sqrt(max(0.0, msq.mean))
     stderr = msq.stderr / (2.0 * root) if root > 0 else 0.0
     return l1, EstimateWithError(root, stderr, msq.samples, msq.seed)
+
+
+def _ridge_values(q: HermiteExpansion, w) -> Callable[[np.ndarray], np.ndarray]:
+    # p(x) = q(<w, x>) for a 1-D q: one projection, then the 1-D recurrence
+    w = np.asarray(w, dtype=np.float64)
+    return lambda x: expansion_eval_batch(q, (x @ w)[:, None])
 
 
 def _check_same_dimension(c: Concept, p: HermiteExpansion) -> None:
@@ -335,7 +353,10 @@ def l1_error_quad_1d(
     else ``breakpoints`` supplied by the caller) and is cut
     at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
-    return _quad_error_1d(c, p, breakpoints, abs_tol, np.abs)
+    _check_same_dimension(c, p)
+    return _quad_error_1d(
+        c, partial(expansion_eval_batch, p), p.degree_bound, breakpoints, abs_tol, np.abs
+    )
 
 
 def l2_error_quad_1d(
@@ -345,18 +366,23 @@ def l2_error_quad_1d(
     abs_tol: float = 1e-8,
 ) -> float:
     """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
-    return math.sqrt(max(0.0, _quad_error_1d(c, p, breakpoints, abs_tol, np.square)))
+    _check_same_dimension(c, p)
+    squared = _quad_error_1d(
+        c, partial(expansion_eval_batch, p), p.degree_bound, breakpoints, abs_tol, np.square
+    )
+    return math.sqrt(max(0.0, squared))
 
 
 def _quad_error_1d(
     c: Concept,
-    p: HermiteExpansion,
+    p_values: Callable[[np.ndarray], np.ndarray],
+    degree: int,
     breakpoints: Sequence[float] | None,
     abs_tol: float,
     norm: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF]
-    _check_same_dimension(c, p)
+    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF] for a p of this
+    # degree whose values at (m, 1) points come from p_values
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
     if breakpoints is None:
@@ -366,10 +392,10 @@ def _quad_error_1d(
 
     def integrand(x: np.ndarray) -> np.ndarray:
         f = c.batch(x[:, None])
-        q = expansion_eval_batch(p, x[:, None])
+        q = p_values(x[:, None])
         return norm(f - q) * gauss_density(x)
 
-    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
+    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
     return integrate_adaptive(
         integrand,
         -GAUSS_CUTOFF,
@@ -459,17 +485,24 @@ def bound_check(
 ) -> ApproxReport:
     """Build ``p = (T_rho f)_{<=d}`` and test its L1 error against the bound.
 
-    A concept with a ridge profile has exact coefficients
-    (:func:`profile_expansion`); other concepts take tensor quadrature up to
-    dimension 3 and Monte Carlo beyond (adding the coefficient-noise slack).
-    A 1-D concept with a profile has its error measured by dense quadrature
-    (stderr then reflects the quadrature tolerance); otherwise one Monte-Carlo
-    pass gives both the L1 and the L2 error.  GNS uses a supplied trusted
-    value (outside ``[0, 1/2]`` it raises :class:`ValidationError`), the
-    concept's closed form when present (every halfspace, ball and 1-D
-    intersection has one), or a Monte-Carlo estimate.
+    A concept with a ridge profile ``f = g(<w, x>)`` has exact coefficients:
+    since smoothing and truncation commute with rotations, ``p = q(<w, x>)``
+    where ``q = (T_rho g)_{<=d}`` is built in one dimension from
+    :func:`profile_coefficients`, in any dimension (:func:`profile_expansion`
+    is the n-D export of the same coefficients).  Other concepts take tensor
+    quadrature up to dimension 3 and Monte Carlo beyond (adding the
+    coefficient-noise slack).  A 1-D concept with a profile has its error
+    measured by dense quadrature (stderr then reflects the quadrature
+    tolerance); otherwise one Monte-Carlo pass gives both the L1 and the L2
+    error, evaluating an n-D ridge's ``p`` as ``q(<w, x>)``.  GNS uses a
+    supplied trusted value (outside ``[0, 1/2]`` it raises
+    :class:`ValidationError`), the concept's closed form when present (every
+    halfspace, ball and 1-D intersection has one), or a Monte-Carlo estimate.
+    A non-integral or smaller than 2 ``error_budget`` raises
+    :class:`ValidationError`.
     """
     check_seed(seed)
+    check_samples(error_budget)
     validate_noise_level(aplan.rho)
     delta = 1.0 - aplan.rho
 
@@ -484,8 +517,10 @@ def bound_check(
         gns, gns_stderr = g.mean, g.stderr
 
     if c.profile is not None:
-        fhat = profile_expansion(c.profile, aplan.degree)
-        est = CoefficientEstimate(fhat, aplan.degree, "exact", 0)
+        # the profile's 1-D series: p is built as q and evaluated as q(<w, x>)
+        series = profile_coefficients(c.profile.breakpoints, c.profile.values, aplan.degree)
+        ghat = expansion(1, {(k,): v for k, v in enumerate(series)})
+        est = CoefficientEstimate(ghat, aplan.degree, "exact", 0)
     elif c.dimension <= 3:
         est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
     else:
@@ -493,16 +528,21 @@ def bound_check(
             c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
         )
     p = build(est.expansion, aplan, complete_through=est.degree)
+    if c.profile is None:
+        p_values = partial(expansion_eval_batch, p)
+    else:
+        p_values = _ridge_values(p, c.profile.w)
     if c.dimension == 1 and c.profile is not None:
         quad_tol = 1e-6
-        value = l1_error_quad_1d(c, p, abs_tol=quad_tol)
+        value = _quad_error_1d(c, p_values, p.degree_bound, None, quad_tol, np.abs)
         measured_l1 = EstimateWithError(value, quad_tol, 0, check_seed(seed), note="quadrature")
+        l2_squared = _quad_error_1d(c, p_values, p.degree_bound, None, 1e-8, np.square)
         measured_l2 = EstimateWithError(
-            l2_error_quad_1d(c, p), 0.0, 0, check_seed(seed), note="quadrature"
+            math.sqrt(max(0.0, l2_squared)), 0.0, 0, check_seed(seed), note="quadrature"
         )
         error_method = "quadrature"
     else:
-        measured_l1, measured_l2 = _mc_errors(c, p, error_budget, derive_seed(seed, 3))
+        measured_l1, measured_l2 = _mc_errors(c, p_values, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 
     return ApproxReport(

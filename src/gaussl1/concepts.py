@@ -34,7 +34,15 @@ from .errors import (
     ValidationError,
 )
 from .hermite import NODE_BUDGET, HermiteExpansion, expansion_eval_batch, gauss_density
-from .mc import EstimateWithError, chunk_rngs, mc_fraction, mc_mean, derive_seed, check_seed
+from .mc import (
+    EstimateWithError,
+    check_samples,
+    check_seed,
+    chunk_rngs,
+    derive_seed,
+    mc_fraction,
+    mc_mean,
+)
 from .noise import validate_noise_level
 from .quadrature1d import fixed_panels, integrate_adaptive
 
@@ -541,18 +549,15 @@ def gsa_mc(
     if ds[0] <= 0:
         raise ValidationError("deltas must be positive")
 
+    n = check_samples(samples)
     counts = np.zeros(len(ds), dtype=np.int64)
-    n = 0
 
-    for rng, m in chunk_rngs(seed, int(samples)):
+    for rng, m in chunk_rngs(seed, n):
         x = rng.standard_normal((m, c.dimension))
         dist = np.asarray(c.distance_to_set(x), dtype=np.float64)
         positive = dist > 0.0
         for j, d in enumerate(ds):
             counts[j] += int(np.count_nonzero(positive & (dist <= d)))
-        n += m
-    if n < 2:
-        raise ValidationError("samples must be >= 2")
 
     d1, d2 = ds[0], ds[1]
     p = counts / n
@@ -620,8 +625,8 @@ def noise_distance_check(
         y = rho * x + spread * z
         return np.abs(c.batch(x) - c.batch(y))
 
-    lhs = mc_mean(distance_values, int(samples), derive_seed(seed, 0))
-    g = gns_mc(c, 1.0 - rho, int(samples), derive_seed(seed, 1))
+    lhs = mc_mean(distance_values, samples, derive_seed(seed, 0))
+    g = gns_mc(c, 1.0 - rho, samples, derive_seed(seed, 1))
     rhs = EstimateWithError(2.0 * g.mean, 2.0 * g.stderr, g.samples, g.seed)
     closed = None
     if c.gns_closed_form is not None:
@@ -686,7 +691,7 @@ def gns_gsa_bound_check(
     rows = []
     for i, rho in enumerate(rho_list):
         rho = validate_noise_level(rho)
-        est = gns_mc(c, 1.0 - rho, int(samples), derive_seed(seed, i))
+        est = gns_mc(c, 1.0 - rho, samples, derive_seed(seed, i))
         bound = math.sqrt(math.pi) * math.sqrt(1.0 - rho) * gsa
         rows.append(GnsGsaRow(rho, est, bound))
     return GnsGsaReport(float(gsa), tuple(rows))

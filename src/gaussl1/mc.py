@@ -68,7 +68,7 @@ class EstimateWithError:
         return d
 
 
-def _check_samples(samples: int) -> int:
+def check_samples(samples: int) -> int:
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
     return int(samples)
@@ -132,7 +132,7 @@ def mc_means(
     computed from the same ``m`` draws; each estimate equals what
     :func:`mc_mean` gives for that quantity alone.
     """
-    samples = _check_samples(samples)
+    samples = check_samples(samples)
     moments: list[_Moments] = []
     for rng, count in chunk_rngs(seed, samples):
         batch = sample_values(rng, count)
@@ -167,7 +167,7 @@ def mc_fraction(
     Uses the exact integer hit count, so reruns are bit-identical, and the
     binomial standard error sqrt(p(1-p)/n).
     """
-    samples = _check_samples(samples)
+    samples = check_samples(samples)
     hits = 0
     n = 0
     for rng, count in chunk_rngs(seed, samples):

@@ -28,7 +28,7 @@ from gaussl1 import (
     ptf,
     sign_coefficient,
 )
-from gaussl1 import approx
+from gaussl1 import approx, hermite
 from gaussl1.approx import l2_error, l2_error_quad_1d
 from gaussl1.concepts import Concept, gns_ball_closed_form, gns_halfspace_closed_form
 from gaussl1.hermite import (
@@ -621,17 +621,111 @@ def test_quad_error_cuts_at_the_profile_breakpoints_in_x():
 
 def test_bound_check_one_pass_l2_matches_l2_error():
     # the Monte-Carlo branch takes L1 and L2 from one pass over the
-    # derive_seed(seed, 3) stream: each equals its own estimator on it
-    c = halfspace([0.6, 0.8], 0.2)
+    # derive_seed(seed, 3) stream: each equals its own estimator on it.  A 2-D
+    # ball has no profile, so its pass evaluates the n-D quadrature p
+    c = ball(1.4, 2)
     aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=8)
-    report = bound_check(c, aplan, error_budget=150_000, seed=SEED)
+    report = bound_check(c, aplan, coeff_budget=40, error_budget=150_000, seed=SEED)
     assert report.error_method == "monte_carlo"
-    fhat = halfspace_expansion(c.params["w"], c.params["c"], aplan.degree)
-    p = build(fhat, aplan, complete_through=aplan.degree)
+    est = estimate_coefficients(c, aplan.degree, "quadrature", 40)
+    p = build(est.expansion, aplan, complete_through=aplan.degree)
     stream = derive_seed(SEED, 3)
     assert report.measured_l1 == l1_error(c, p, 150_000, stream)
     assert report.measured_l2 == l2_error(c, p, 150_000, stream)
     assert report.measured_l2.seed == stream
+
+
+@pytest.mark.parametrize("w", [[0.6, 0.8], [2 / 3, -1 / 3, 2 / 3], [0.0, -0.8, 0.6]])
+def test_bound_check_ridge_pass_matches_the_lifted_polynomial(w):
+    # an n-D ridge's pass evaluates p = q(<w, x>); the lifted n-D expansion is
+    # the same polynomial, so over the same stream both give the same
+    # estimates up to rounding
+    c = halfspace(w, 0.2)
+    aplan = plan(0.6, 0.3)
+    report = bound_check(c, aplan, error_budget=150_000, seed=SEED)
+    assert (report.coeff_method, report.error_method) == ("exact", "monte_carlo")
+    lifted = approx.profile_expansion(c.profile, aplan.degree)
+    p = build(lifted, aplan, complete_through=aplan.degree)
+    stream = derive_seed(SEED, 3)
+    for got, want in (
+        (report.measured_l1, l1_error(c, p, 150_000, stream)),
+        (report.measured_l2, l2_error(c, p, 150_000, stream)),
+    ):
+        assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=0.0)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-14, abs=0.0)
+        assert (got.samples, got.seed) == (want.samples, want.seed) == (150_000, stream)
+
+
+def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
+    # q(-x) negates H_k(x) exactly for odd k, so a 1-D halfspace with w = -1
+    # measures what the lifted 1-D expansion measures, bit for bit
+    for offset, aplan in ((0.3, plan(0.6, 0.3)), (-0.45, plan(0.5, gauss_density(0.0)))):
+        f = halfspace([-1.0], offset)
+        report = bound_check(f, aplan, seed=SEED)
+        p = build(halfspace_expansion([-1.0], offset, aplan.degree), aplan,
+                  complete_through=aplan.degree)
+        assert report.measured_l1.mean == l1_error_quad_1d(f, p, abs_tol=1e-6)
+        assert report.measured_l2.mean == l2_error_quad_1d(f, p)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+@pytest.mark.parametrize("epsilon, gamma, offset", [(0.6, 0.3, 0.4), (0.5, None, 0.0)])
+def test_bound_check_high_dimensional_halfspaces(n, epsilon, gamma, offset):
+    # degree 15, and degree 44 at epsilon = 0.5 with Gamma = phi(0): the n-D
+    # lift has more than NODE_BUDGET terms, but q(<w, x>) costs
+    # O(samples (n + d)), and E|f - p| is that of the same profile in 1-D
+    w = np.random.default_rng([SEED, n]).standard_normal(n)
+    c = halfspace(w / np.linalg.norm(w), offset)
+    aplan = plan(epsilon, gauss_density(0.0) if gamma is None else gamma)
+    assert aplan.degree == (15 if gamma else 44)
+    with pytest.raises(NodeBudgetError):
+        approx.profile_expansion(c.profile, aplan.degree)
+    report = bound_check(c, aplan, error_budget=200_000, seed=SEED)
+    assert (report.coeff_method, report.error_method) == ("exact", "monte_carlo")
+    assert report.passed
+    p1 = build(halfspace_expansion([1.0], offset, aplan.degree), aplan,
+               complete_through=aplan.degree)
+    reference = l1_error_quad_1d(halfspace([1.0], offset), p1)
+    assert abs(report.measured_l1.mean - reference) <= 4.0 * report.measured_l1.stderr
+
+
+def test_bound_check_on_a_ridge_enumerates_no_multi_indices(monkeypatch):
+    # a ridge's polynomial is built in one dimension, whatever n is
+    real = hermite.multi_indices_upto
+
+    def one_dimensional(dimension, degree):
+        assert dimension == 1, f"multi-indices enumerated in dimension {dimension}"
+        return real(dimension, degree)
+
+    monkeypatch.setattr(approx, "multi_indices_upto", one_dimensional)
+    monkeypatch.setattr(hermite, "multi_indices_upto", one_dimensional)
+    w = np.full(6, 1.0 / math.sqrt(6.0))
+    report = bound_check(halfspace(w, 0.1), plan(0.6, 0.3), error_budget=20_000, seed=SEED)
+    assert report.coeff_method == "exact"
+    with pytest.raises(AssertionError, match="dimension 6"):
+        halfspace_expansion(w, 0.1, 4)
+
+
+def test_monte_carlo_budgets_must_be_integers():
+    # a budget is checked as given, never truncated first: 2.5 samples or a
+    # 60.7-point rule raise, and numpy integers count as integers
+    hs2 = halfspace([0.6, 0.8], 0.0)
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=4)
+    for c in (hs2, halfspace([1.0], 0.0), ball(2.0, 4)):
+        with pytest.raises(ValidationError, match="integer"):
+            bound_check(c, aplan, coeff_budget=1000, error_budget=2.5, seed=SEED)
+    with pytest.raises(ValidationError, match="integer"):
+        estimate_coefficients(ball(1.0, 2), 4, "quadrature", budget=60.7)
+    with pytest.raises(ValidationError, match="integer"):
+        estimate_coefficients(ball(1.0, 4), 2, "monte_carlo", budget=600.7, seed=SEED)
+    assert estimate_coefficients(ball(1.0, 2), 4, "quadrature", budget=np.int64(60)) == (
+        estimate_coefficients(ball(1.0, 2), 4, "quadrature", budget=60)
+    )
+    got = estimate_coefficients(ball(1.0, 4), 2, "monte_carlo", budget=np.int32(600), seed=SEED)
+    assert got == estimate_coefficients(ball(1.0, 4), 2, "monte_carlo", budget=600, seed=SEED)
+    assert bound_check(hs2, aplan, error_budget=np.int64(2000), seed=SEED) == (
+        bound_check(hs2, aplan, error_budget=2000, seed=SEED)
+    )
 
 
 def test_bound_check_offset_halfspace_gns_is_exact():

@@ -603,6 +603,21 @@ def test_gns_gsa_bound_needs_gsa():
     assert rep.passed  # sign(H_1) is the origin halfspace in disguise
 
 
+def test_sample_counts_must_be_integers():
+    # a count is checked as given, never truncated first; numpy integers pass
+    hs = halfspace([1.0], 0.0)
+    for run in (
+        lambda n: gsa_mc(hs, [0.04, 0.02], n, SEED),
+        lambda n: noise_distance_check(hs, 0.9, n, SEED),
+        lambda n: gns_gsa_bound_check(hs, [0.9], n, SEED),
+    ):
+        with pytest.raises(ValidationError, match="integer"):
+            run(1000.5)
+        with pytest.raises(ValidationError, match="integer"):
+            run(1000.0)
+        assert run(np.int64(1000)) == run(1000)
+
+
 # -- serialization ------------------------------------------------------------------
 
 
