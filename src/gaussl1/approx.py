@@ -46,6 +46,7 @@ from .hermite import (
 from .mc import (
     CHUNK_SIZE,
     EstimateWithError,
+    check_integer,
     check_samples,
     check_seed,
     chunk_rngs,
@@ -201,10 +202,7 @@ def estimate_coefficients(
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
     if method == "quadrature":
-        m = 400 if budget is None else budget
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValidationError(f"quadrature budget must be an integer >= 1, got {m!r}")
-        m = int(m)
+        m = 400 if budget is None else check_integer("quadrature budget", budget, 1)
         if degree >= m:  # H_m vanishes at every node of the m-point rule
             raise ValidationError(f"degree {degree} needs more than {m} quadrature points per axis")
         if c.dimension > 3:
@@ -498,11 +496,14 @@ def bound_check(
     supplied trusted value (outside ``[0, 1/2]`` it raises
     :class:`ValidationError`), the concept's closed form when present (every
     halfspace, ball and 1-D intersection has one), or a Monte-Carlo estimate.
-    A non-integral or smaller than 2 ``error_budget`` raises
-    :class:`ValidationError`.
+    A non-integral or smaller than 2 ``error_budget``, or a ``coeff_budget``
+    that is neither ``None`` nor an integer >= 1, raises
+    :class:`ValidationError` on every route.
     """
     check_seed(seed)
     check_samples(error_budget)
+    if coeff_budget is not None:
+        check_integer("coeff_budget", coeff_budget, 1)
     validate_noise_level(aplan.rho)
     delta = 1.0 - aplan.rho
 

@@ -29,7 +29,7 @@ from .hermite import (
     expansion_eval_batch,
     multi_indices_upto,
 )
-from .mc import EstimateWithError, check_seed, derive_seed
+from .mc import EstimateWithError, check_integer, check_seed, derive_seed
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,13 @@ def _check_eta(eta: float) -> float:
 
 def generate_agnostic_data(c: Concept, eta: float, m: int, seed: int) -> LabeledData:
     """Draw ``m`` Gaussian samples labeled by ``c`` with each label flipped
-    independently with probability ``eta``."""
+    independently with probability ``eta``; ``m`` must be an integer >= 1."""
     eta = _check_eta(eta)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = check_integer("m", m, 1)
     rng = np.random.default_rng(check_seed(seed))
-    x = rng.standard_normal((int(m), c.dimension))
+    x = rng.standard_normal((m, c.dimension))
     labels = c.batch(x)
-    flips = rng.random(int(m)) < eta
+    flips = rng.random(m) < eta
     return LabeledData(x, np.where(flips, -labels, labels))
 
 
@@ -126,8 +125,14 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     With ``A = QR``, a Mehrotra predictor-corrector solves the dual ``max y.a
     s.t. Q^T a = Q^T 1 / 2, 0 <= a <= 1`` from ``a = 1/2``; ``z`` and ``w``
     price ``a >= 0`` and ``s = 1 - a >= 0``, with ``w - z = r = y - Q lam``, and
-    the coefficients are ``R^-1 lam``.  Deterministic: the labels are solved as
-    ``y[0] * y``, so negating them negates the coefficients exactly.
+    the coefficients are ``R^-1 lam``.  Each step makes one blocked pass over
+    ``[sqrt(q) Q | sqrt(q) r]``, whose Gram matrix is both ``G = Q^T diag(q) Q``
+    and the predictor's right-hand side ``Q^T (q r)``; the corrector's
+    right-hand side takes a second pass.  A Cholesky of ``G`` only probes
+    definiteness, which ends the path when lost; both directions solve on
+    ``G`` itself, one LU each, since numpy has no triangular solve to use the
+    factor with.  Deterministic: the labels are solved as ``y[0] * y``, so
+    negating them negates the coefficients exactly.
     """
     config = config or FitConfig()
     if degree < 0:
@@ -144,10 +149,13 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
 
     A = basis_matrix(data.x, alphas)
     step = max(1, BLOCK_CELLS // n_terms)  # row blocks bound the scratch of passes over A
-    blocks = [slice(i, i + step) for i in range(0, m, step)]
-    # Q = A R^-1, R from a blocked Householder QR (TSQR); one Cholesky pass in
-    # place restores orthogonality (CholeskyQR2).  Column-major for the solver
-    R = np.linalg.qr(np.vstack([np.linalg.qr(A[b], mode="r") for b in blocks]), mode="r")
+    blocks = [slice(i, min(i + step, m)) for i in range(0, m, step)]
+    # Q = A R^-1, R from a blocked Householder QR (TSQR: a lone block's R is
+    # already triangular, which a second QR would leave as it is); one
+    # Cholesky pass in place restores orthogonality (CholeskyQR2).
+    # Column-major for the solver
+    R = [np.linalg.qr(A[b], mode="r") for b in blocks]
+    R = R[0] if len(R) == 1 else np.linalg.qr(np.vstack(R), mode="r")
     Q = np.matmul(A, np.linalg.inv(R), out=np.empty(A.shape, order="F"))
     C = np.linalg.cholesky(Q.T @ Q).T
     R = C @ R
@@ -161,32 +169,46 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     w = np.maximum(r, 0.0) + np.abs(r).mean()
     z = w - r
     steps, gap = 0, float(a @ z + s @ w)
-    def direction(rho):  # the Newton step for residual rho, by this step's factor chol
-        dlam = np.linalg.solve(chol.T, np.linalg.solve(chol, Q.T @ (q * rho)))
+    # one row block of [sqrt(q) Q | sqrt(q) r], refilled block by block: its
+    # Gram matrix holds G = Q^T diag(q) Q and, in its last column, the
+    # predictor's right-hand side Q^T (q r), so a step reads Q once for both
+    S = np.empty((min(step, m), n_terms + 1), order="F")
+    def direction(rho, rhs=None):  # the Newton step for residual rho; rhs = Q^T (q rho)
+        if rhs is None:
+            rhs = Q.T @ (q * rho)
+        # one LU on the SPD G costs less than two on its Cholesky factors,
+        # which numpy would solve as general matrices
+        dlam = np.linalg.solve(G, rhs)
         Qdlam = Q @ dlam
         return dlam, Qdlam, q * (rho - Qdlam)
     def longest(da, dz, dw):  # steps <= 1 keeping a, s and z, w nonnegative
-        tp = 1.0 / max(1.0, (-da / a).max(), (da / s).max())
-        return tp, 1.0 / max(1.0, (-dz / z).max(), (-dw / w).max())
+        tp = 1.0 / max(1.0, -(da / a).min(), (da / s).max())
+        return tp, 1.0 / max(1.0, -(dz / z).min(), -(dw / w).min())
     while steps < config.max_iters and 2.0 * gap / m > _GAP_SHARE * config.tol:
         q = 1.0 / (z / a + w / s)
-        G = np.zeros((n_terms, n_terms))
-        for b in blocks:
-            S = Q[b] * np.sqrt(q[b, None])
-            G += S.T @ S
-        del S  # free the block before the solves: it shows in peak RSS
-        try:
-            chol = np.linalg.cholesky(G)
+        for i, b in enumerate(blocks):
+            Sb = S[: b.stop - b.start]
+            last = np.sqrt(q[b], out=Sb[:, n_terms])  # sqrt(q), then sqrt(q) r
+            np.multiply(Q[b], last[:, None], out=Sb[:, :n_terms])
+            last *= r[b]
+            if i == 0:  # the first block starts the sum: a lone block needs no temporary
+                gram = Sb.T @ Sb
+            else:
+                gram += Sb.T @ Sb
+        G = gram[:n_terms, :n_terms]
+        try:  # only the definiteness probe: the solves run on G itself
+            np.linalg.cholesky(G)
         except np.linalg.LinAlgError:  # definiteness lost at the end of the path
             break
         steps += 1
         # predictor: the affine direction's gap sets the centring target mu
-        da = direction(r)[2]
+        da = direction(r, gram[:n_terms, n_terms])[2]
         dz, dw = -z * (1.0 + da / a), -w * (1.0 - da / s)
         tp, td = longest(da, dz, dw)
         gap_aff = float((a + tp * da) @ (z + td * dz) + (s - tp * da) @ (w + td * dw))
         mu = (gap_aff / gap) ** 3 * gap / (2 * m)
-        # corrector: the same factor, centred on mu with second-order terms
+        # corrector: the same G, centred on mu with second-order terms; its
+        # right-hand side depends on the predictor, so it takes its own pass
         cz, cw = mu - da * dz, mu + da * dw
         dlam, Qdlam, da = direction(r - cw / s + cz / a)
         dz, dw = (cz - z * da) / a - z, (cw + w * da) / s - w
@@ -261,7 +283,8 @@ def choose_threshold(p: HermiteExpansion, data: LabeledData) -> float:
     ``sign(0) = +1``, i.e. predict +1 iff ``p(x) >= t``.
     """
     scores = expansion_eval_batch(p, data.x)
-    order = np.argsort(scores, kind="stable")
+    # counts are read only between runs of equal scores, so ties need no order
+    order = np.argsort(scores)
     s = scores[order]
     pos = (data.y[order] > 0).astype(np.int64)
     prefix_pos = np.concatenate([[0], np.cumsum(pos)])
@@ -275,8 +298,11 @@ def choose_threshold(p: HermiteExpansion, data: LabeledData) -> float:
     k = np.searchsorted(s, candidates, side="left")
     # errors: +1 labels below the threshold plus -1 labels at or above it
     errs = prefix_pos[k] + (m - k) - (total_pos - prefix_pos[k])
-    pick = np.lexsort((candidates, np.abs(candidates), errs))[0]
-    return float(candidates[pick])
+    # the least error, then the least |t|, then the least t: one pass each
+    best = errs == errs.min()
+    mags = np.abs(candidates)
+    best &= mags == mags[best].min()
+    return float(candidates[best].min())
 
 
 @dataclass(frozen=True)
@@ -365,11 +391,13 @@ def learn(
 
     The planned degree is capped at ``degree_cap`` (with a warning) to keep
     the regression tractable; training and testing use child seeds derived
-    from ``seed``.
+    from ``seed``.  Sizes and the cap are taken as given: a non-integral
+    ``m_train``, ``m_test`` or ``degree_cap`` raises :class:`ValidationError`.
     """
     eta = _check_eta(eta)
     aplan = plan(epsilon, gamma)
-    degree = min(aplan.degree, int(degree_cap))
+    degree = min(aplan.degree, check_integer("degree_cap", degree_cap, 0))
+    check_integer("m_test", m_test, 1)  # before the fit; m_train is checked as drawn
     capped = degree < aplan.degree
     if capped:
         warnings.warn(

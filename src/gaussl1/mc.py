@@ -68,10 +68,16 @@ class EstimateWithError:
         return d
 
 
+def check_integer(name: str, value: int, least: int) -> int:
+    """``value`` as an ``int``, if it is an integer (numpy's too) >= ``least``;
+    anything else, a non-integral float included, raises :class:`ValidationError`."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def check_samples(samples: int) -> int:
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
-    return int(samples)
+    return check_integer("samples", samples, 2)
 
 
 def mc_mean(

@@ -728,6 +728,24 @@ def test_monte_carlo_budgets_must_be_integers():
     )
 
 
+def test_bound_check_checks_coeff_budget_on_every_route():
+    # a ridge's exact route uses no coefficient budget, but a malformed one
+    # still raises there, as it does on the quadrature and Monte-Carlo routes
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=4)
+    for c in (halfspace([0.6, 0.8], 0.0), halfspace([1.0], 0.0), halfspace([-1.0], 0.3)):
+        for budget in (2.5, -7, 0, "x"):
+            with pytest.raises(ValidationError, match="coeff_budget"):
+                bound_check(c, aplan, coeff_budget=budget, error_budget=2000, seed=SEED)
+        assert bound_check(c, aplan, coeff_budget=np.int64(7), error_budget=2000, seed=SEED) == (
+            bound_check(c, aplan, error_budget=2000, seed=SEED)
+        )
+    # the routes' own checks stay: a one-sample Monte-Carlo budget is too small
+    with pytest.raises(ValidationError, match="samples"):
+        bound_check(ball(1.0, 4), aplan, coeff_budget=1, error_budget=2000, seed=SEED)
+    with pytest.raises(ValidationError, match="coeff_budget"):
+        bound_check(ball(1.0, 2), aplan, coeff_budget=60.0, error_budget=2000, seed=SEED)
+
+
 def test_bound_check_offset_halfspace_gns_is_exact():
     # every halfspace carries its closed-form GNS, so none is sampled
     c = halfspace([0.6, 0.8], 0.2)

@@ -67,6 +67,17 @@ def test_data_generation_validation():
         generate_agnostic_data(c, 0.1, 0, SEED)
 
 
+def test_data_generation_rejects_non_integral_sizes():
+    # a size is taken as given, never truncated: 2.5 samples raise
+    c = halfspace([1.0], 0.0)
+    for m in (2.5, 2.0, "2"):
+        with pytest.raises(ValidationError, match="integer"):
+            generate_agnostic_data(c, 0.1, m, SEED)
+    a = generate_agnostic_data(c, 0.1, np.int64(5), SEED)
+    b = generate_agnostic_data(c, 0.1, 5, SEED)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
 def test_labeled_data_validation():
     x = np.zeros((4, 2))
     with pytest.raises(ValidationError):
@@ -207,6 +218,31 @@ def test_fit_gap_certifies_against_highs():
     assert fit.converged and 0.0 <= fit.gap <= FitConfig().tol
     assert fit.train_loss == pytest.approx(lp.fun, rel=1e-7)
     assert fit.train_loss - fit.gap <= lp.fun <= fit.train_loss
+
+
+@pytest.mark.parametrize("dimension, degree, m", [(5, 4, 1000), (10, 3, 400)])
+def test_fit_gap_certifies_against_highs_at_learn_pool_size(dimension, degree, m):
+    # the learn benchmark's largest normal equations, 126 and 286 terms
+    sparse = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    w = np.random.default_rng(SEED).standard_normal(dimension)
+    data = generate_agnostic_data(halfspace(w / np.linalg.norm(w), 0.2), 0.1, m, SEED)
+    fit = fit_l1(data, degree)
+    A = basis_matrix(data.x, multi_indices_upto(dimension, degree))
+    B = A.shape[1]
+    lp = linprog(
+        np.concatenate([np.zeros(B), np.full(2 * m, 1.0 / m)]),
+        A_eq=sparse.hstack([sparse.csr_matrix(A), sparse.identity(m), -sparse.identity(m)]),
+        b_eq=data.y,
+        bounds=[(None, None)] * B + [(0.0, None)] * (2 * m),
+        method="highs",
+    )
+    assert lp.status == 0, lp.message
+    assert fit.converged and 0.0 <= fit.gap <= FitConfig().tol
+    assert fit.train_loss == pytest.approx(lp.fun, rel=1e-7)
+    # HiGHS stops within its own tolerances: at 286 terms its optimum reads
+    # 1.6e-14 above this fit's loss, so only the certified side is exact
+    assert fit.train_loss - fit.gap <= lp.fun <= fit.train_loss + 1e-12
 
 
 def test_fit_loss_independent_of_blas_threads():
@@ -396,6 +432,33 @@ def test_threshold_tie_prefers_small_magnitude():
     assert choose_threshold(p, data) == 0.0
 
 
+def _lexsort_threshold(scores, y):
+    # the rule by a full sort of the candidates: errors, then |t|, then t
+    s = np.sort(scores)
+    candidates = np.concatenate([s, 0.5 * (s[1:] + s[:-1]), [0.0, s[-1] + 1.0]])
+    preds = np.where(scores[None, :] >= candidates[:, None], 1.0, -1.0)
+    errs = np.count_nonzero(preds != y[None, :], axis=1)
+    return float(candidates[np.lexsort((candidates, np.abs(candidates), errs))[0]])
+
+
+def test_threshold_tie_order_matches_a_full_sort():
+    p = expansion(1, {(1,): 1.0})  # the score is x itself
+    # -0.5 and 0.5 both err once, 0 twice: the tie goes to the smaller t
+    x = np.array([[-2.0], [-0.5], [0.25], [0.75]])
+    data = LabeledData(x, np.array([-1.0, 1.0, -1.0, 1.0]))
+    assert choose_threshold(p, data) == -0.5 == _lexsort_threshold(x[:, 0], data.y)
+    rng = np.random.default_rng(SEED)
+    for trial in range(200):
+        m = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 4))
+        x = rng.integers(-k, k + 1, m).astype(np.float64)  # integer scores, heavy ties
+        if trial % 2:
+            x = np.concatenate([x, -x])  # symmetric: +-t candidates err alike more often
+        y = np.where(rng.random(x.size) < 0.5, 1.0, -1.0)
+        got = choose_threshold(p, LabeledData(x[:, None], y))
+        assert got == _lexsort_threshold(x, y), trial
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -464,6 +527,17 @@ def test_learn_bit_identical_reruns():
     a = learn(c, 0.8, 0.2, 0.05, 1500, 10_000, SEED)
     b = learn(c, 0.8, 0.2, 0.05, 1500, 10_000, SEED)
     assert a.to_dict() == b.to_dict()
+
+
+def test_learn_rejects_non_integral_sizes():
+    # 200.7 training samples or a degree cap of 3.9 raise, not truncate
+    args = (halfspace([0.6, 0.8], 0.1), 0.8, 0.2, 0.05)
+    sizes = {"m_train": 200, "m_test": 100, "degree_cap": 3}
+    for bad in ({"m_train": 200.7}, {"m_test": 100.2}, {"degree_cap": 3.9}, {"m_test": 0}):
+        with pytest.raises(ValidationError, match="integer"):
+            learn(*args, seed=SEED, **{**sizes, **bad})
+    a = learn(*args, m_train=np.int64(200), m_test=np.int32(100), seed=SEED, degree_cap=np.int64(3))
+    assert a.to_dict() == learn(*args, seed=SEED, **sizes).to_dict()
 
 
 def test_learn_validation():
