@@ -109,11 +109,11 @@ def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
     against ``H_k phi = -(H_{k-1} phi)' / sqrt(k)`` gives
     ``<g, H_k> = sum_j J_j H_{k-1}(t_j) phi(t_j) / sqrt(k)`` for ``k >= 1``, and
     ``<g, H_0> = (values[0] + values[-1]) / 2 - sum_j J_j erf(t_j / sqrt 2) / 2``.
+    ``degree`` must be an integer >= 0.
     """
     t = [float(b) for b in breakpoints]
     v = [float(a) for a in values]
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
+    degree = check_integer("degree", degree, 0)
     if len(v) != len(t) + 1 or not all(map(math.isfinite, t + v)) or sorted(set(t)) != t:
         raise ValidationError(f"need finite increasing breakpoints and one value more: {t}, {v}")
     jumps = [b - a for a, b in zip(v, v[1:])]
@@ -197,10 +197,9 @@ def estimate_coefficients(
     common samples (default 10^6) and records per-coefficient stderr; a
     chunk buffer of more than ``MC_CHUNK_CELLS`` cells (chunk samples x
     coefficients) raises :class:`NodeBudgetError` before it is allocated.
-    A budget that is not an integer raises :class:`ValidationError`.
+    A budget or ``degree`` that is not an integer raises :class:`ValidationError`.
     """
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
+    degree = check_integer("degree", degree, 0)
     if method == "quadrature":
         m = 400 if budget is None else check_integer("quadrature budget", budget, 1)
         if degree >= m:  # H_m vanishes at every node of the m-point rule
@@ -226,7 +225,7 @@ def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEsti
     for _ in range(n):
         tensor = np.tensordot(tensor, B, axes=([0], [1]))
     terms = {a: float(tensor[a]) for a in multi_indices_upto(n, degree) if tensor[a] != 0.0}
-    return CoefficientEstimate(expansion(n, terms), int(degree), "quadrature", int(m))
+    return CoefficientEstimate(expansion(n, terms), degree, "quadrature", m)
 
 
 def _coefficients_mc(
@@ -265,7 +264,7 @@ def _coefficients_mc(
             terms[alpha] = float(mean[j])
     return CoefficientEstimate(
         expansion(c.dimension, terms),
-        int(degree),
+        degree,
         "monte_carlo",
         samples,
         check_seed(seed),
@@ -351,10 +350,7 @@ def l1_error_quad_1d(
     else ``breakpoints`` supplied by the caller) and is cut
     at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
-    _check_same_dimension(c, p)
-    return _quad_error_1d(
-        c, partial(expansion_eval_batch, p), p.degree_bound, breakpoints, abs_tol, np.abs
-    )
+    return _quad_error_1d(c, p, breakpoints, abs_tol, np.abs)
 
 
 def l2_error_quad_1d(
@@ -364,23 +360,18 @@ def l2_error_quad_1d(
     abs_tol: float = 1e-8,
 ) -> float:
     """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
-    _check_same_dimension(c, p)
-    squared = _quad_error_1d(
-        c, partial(expansion_eval_batch, p), p.degree_bound, breakpoints, abs_tol, np.square
-    )
-    return math.sqrt(max(0.0, squared))
+    return math.sqrt(max(0.0, _quad_error_1d(c, p, breakpoints, abs_tol, np.square)))
 
 
 def _quad_error_1d(
     c: Concept,
-    p_values: Callable[[np.ndarray], np.ndarray],
-    degree: int,
+    p: HermiteExpansion,
     breakpoints: Sequence[float] | None,
     abs_tol: float,
     norm: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF] for a p of this
-    # degree whose values at (m, 1) points come from p_values
+    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF]
+    _check_same_dimension(c, p)
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
     if breakpoints is None:
@@ -389,11 +380,9 @@ def _quad_error_1d(
         breakpoints = [c.profile.w[0] * t for t in c.profile.breakpoints]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        f = c.batch(x[:, None])
-        q = p_values(x[:, None])
-        return norm(f - q) * gauss_density(x)
+        return norm(c.batch(x[:, None]) - expansion_eval_batch(p, x[:, None])) * gauss_density(x)
 
-    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
+    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
     return integrate_adaptive(
         integrand,
         -GAUSS_CUTOFF,
@@ -529,20 +518,19 @@ def bound_check(
             c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
         )
     p = build(est.expansion, aplan, complete_through=est.degree)
-    if c.profile is None:
-        p_values = partial(expansion_eval_batch, p)
-    else:
-        p_values = _ridge_values(p, c.profile.w)
     if c.dimension == 1 and c.profile is not None:
+        # q(w_0 x) = sum_k q_k w_0^k H_k(x), exactly for w_0 = +-1
+        w0 = c.profile.w[0]
+        px = expansion(1, {(k,): v * w0**k for (k,), v in p.terms.items()})
         quad_tol = 1e-6
-        value = _quad_error_1d(c, p_values, p.degree_bound, None, quad_tol, np.abs)
-        measured_l1 = EstimateWithError(value, quad_tol, 0, check_seed(seed), note="quadrature")
-        l2_squared = _quad_error_1d(c, p_values, p.degree_bound, None, 1e-8, np.square)
-        measured_l2 = EstimateWithError(
-            math.sqrt(max(0.0, l2_squared)), 0.0, 0, check_seed(seed), note="quadrature"
-        )
+        l1, l2 = l1_error_quad_1d(c, px, abs_tol=quad_tol), l2_error_quad_1d(c, px)
+        measured_l1 = EstimateWithError(l1, quad_tol, 0, check_seed(seed), note="quadrature")
+        measured_l2 = EstimateWithError(l2, 0.0, 0, check_seed(seed), note="quadrature")
         error_method = "quadrature"
     else:
+        p_values = partial(expansion_eval_batch, p)
+        if c.profile is not None:  # an n-D ridge: q evaluated as q(<w, x>)
+            p_values = _ridge_values(p, c.profile.w)
         measured_l1, measured_l2 = _mc_errors(c, p_values, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 

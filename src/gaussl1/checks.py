@@ -94,8 +94,16 @@ def _noise_distance() -> CheckResult:
 
 def _gns_gsa_closed_forms() -> CheckResult:
     rhos = np.linspace(0.0, 1.0, 50)
+    shapes = (
+        concepts.halfspace([1.0], 0.0),
+        concepts.halfspace([1.0], 0.5),
+        concepts.ball(1.5, 2),
+        concepts.ball(2.2, 4),
+    )
     worst = max(
-        math.acos(r) / math.pi - math.sqrt((1.0 - r) / 2.0) for r in rhos
+        c.gns_closed_form(1.0 - r) - math.sqrt(math.pi) * math.sqrt(1.0 - r) * c.gsa_closed_form
+        for c in shapes
+        for r in rhos
     )
     return CheckResult(
         "sensitivity-surface-inequality", worst <= 1e-12, f"max lhs-rhs {worst:.2e}"
@@ -131,11 +139,11 @@ def _sign_coefficients() -> CheckResult:
 
 def _dual_form() -> CheckResult:
     worst = 0.0
+    xs = np.linspace(0.15, 3.0, 8)
     for d in (11, 101):
-        t = sign_series.truncation(d)
-        for x in np.linspace(0.15, 3.0, 8):
-            a = sign_series.truncation_eval_direct(t, x)
-            b = sign_series.truncation_eval_integral(d, float(x), tol=1e-9)
+        direct = sign_series.truncation_eval_direct(sign_series.truncation(d), xs)
+        for x, a in zip(xs.tolist(), direct.tolist()):
+            b = sign_series.truncation_eval_integral(d, x, tol=1e-9)
             worst = max(worst, abs(a - b))
     return CheckResult("sign-series-dual-form", worst <= 1e-7, f"max gap {worst:.2e}")
 

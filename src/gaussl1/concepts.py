@@ -36,6 +36,8 @@ from .errors import (
 from .hermite import NODE_BUDGET, HermiteExpansion, expansion_eval_batch, gauss_density
 from .mc import (
     EstimateWithError,
+    check_dimension,
+    check_probability,
     check_samples,
     check_seed,
     chunk_rngs,
@@ -66,6 +68,7 @@ class Concept:
     +/-1 values.  ``distance_to_set`` (when present) maps the same input to
     Euclidean distances to ``K = {f = +1}`` (0 inside).  A ridge concept
     carries its :class:`Profile`, which makes its Hermite coefficients exact.
+    ``dimension`` must be a whole number >= 1 and is stored as an ``int``.
     """
 
     dimension: int
@@ -78,8 +81,7 @@ class Concept:
     profile: Profile | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", check_dimension(self.dimension))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -101,14 +103,16 @@ def eval_concept(c: Concept, x) -> int:
 
 
 def halfspace(w, c: float) -> Concept:
-    """``f(x) = sign(c - <w, x>)`` for a unit normal ``w`` (ties to +1)."""
+    """``f(x) = sign(c - <w, x>)`` for a unit ``w`` and a non-NaN ``c`` (ties to +1)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValidationError("w must be a non-empty vector")
     norm = float(np.linalg.norm(w))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN entry fails too
         raise ValidationError(f"w must be a unit vector; got |w| = {norm!r}")
     offset = float(c)
+    if math.isnan(offset):
+        raise ValidationError("offset c must not be NaN")
     w = w.copy()
     w.setflags(write=False)
 
@@ -134,13 +138,12 @@ def halfspace(w, c: float) -> Concept:
 
 
 def ball(radius: float, dimension: int) -> Concept:
-    """``f(x) = +1`` iff ``|x| <= radius`` (boundary counts as +1)."""
+    """``f(x) = +1`` iff ``|x| <= radius`` (boundary counts as +1) for a finite
+    ``radius > 0`` and a whole ``dimension >= 1``; others raise :class:`ValidationError`."""
     radius = float(radius)
-    if radius <= 0:
-        raise ValidationError(f"radius must be > 0, got {radius}")
-    if int(dimension) != dimension or dimension < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {dimension}")
-    dimension = int(dimension)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValidationError(f"radius must be finite and > 0, got {radius}")
+    dimension = check_dimension(dimension)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         return np.where(_row_norms(points) <= radius, 1.0, -1.0)
@@ -279,7 +282,9 @@ def _polyhedron_distance(W: np.ndarray, cvec: np.ndarray, points: np.ndarray) ->
 
 
 def constant_concept(dimension: int, value: int) -> Concept:
-    """The constant concept ``f = value`` with trivial closed forms."""
+    """The constant concept ``f = value`` with trivial closed forms; a
+    ``dimension`` that is not a whole number >= 1 raises :class:`ValidationError`."""
+    dimension = check_dimension(dimension)
     if value not in (-1, 1):
         raise ValidationError(f"value must be +1 or -1, got {value}")
 
@@ -291,14 +296,14 @@ def constant_concept(dimension: int, value: int) -> Concept:
         return np.full(points.shape[0], fill)
 
     return Concept(
-        dimension=int(dimension),
+        dimension=dimension,
         evaluator=evaluator,
         kind="constant",
         gsa_closed_form=0.0,
         gns_closed_form=lambda delta: 0.0,
         distance_to_set=distance,
-        params={"value": int(value), "dimension": int(dimension)},
-        profile=Profile((1.0,) + (0.0,) * (int(dimension) - 1), (), (float(value),)),
+        params={"value": int(value), "dimension": dimension},
+        profile=Profile((1.0,) + (0.0,) * (dimension - 1), (), (float(value),)),
     )
 
 
@@ -329,6 +334,7 @@ def concept_to_dict(c: Concept) -> dict:
 
 
 def concept_from_dict(data: dict) -> Concept:
+    """Inverse of :func:`concept_to_dict`; a missing or malformed field raises ValidationError."""
     try:
         kind = data["kind"]
     except (KeyError, TypeError):
@@ -348,8 +354,10 @@ def concept_from_dict(data: dict) -> Concept:
                 {"dimension": data["dimension"], "terms": data["terms"]}
             )
             return ptf(p)
-    except KeyError as exc:
-        raise ValidationError(f"concept kind {kind!r} is missing field {exc}") from exc
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"concept kind {kind!r}: missing or malformed field {exc}") from exc
     raise ValidationError(f"unknown concept kind {kind!r}")
 
 
@@ -364,13 +372,6 @@ def load_concept(path) -> Concept:
 
 # ---------------------------------------------------------------------------
 # noise sensitivity
-
-
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not (math.isfinite(delta) and 0.0 <= delta <= 1.0):
-        raise ValidationError(f"delta must lie in [0, 1], got {delta}")
-    return delta
 
 
 def gns_halfspace_closed_form(delta: float, offset: float = 0.0) -> float:
@@ -402,7 +403,7 @@ def gns_profile_closed_form(delta: float, breakpoints, values) -> float:
     ``((t_j - t_l)^2 + 4 t_j t_l u) / (8 u (1 - u))`` to keep its digits.  A
     single jump at the origin gives ``arccos(1 - delta) / pi``.
     """
-    delta = _check_delta(delta)
+    delta = check_probability("delta", delta)
     t = [float(b) for b in breakpoints]
     v = [float(a) for a in values]
     if len(v) != len(t) + 1 or any(abs(a) != 1.0 for a in v) or sorted(set(t)) != t:
@@ -457,14 +458,14 @@ def gns_ball_closed_form(delta: float, radius: float, dimension: int) -> float:
     stops once ``rho^(2J) <= 1e-17``, about ``20 / delta`` terms; more than
     ``NODE_BUDGET`` terms (``delta`` below about 1e-5) raise
     :class:`NodeBudgetError` before any is summed.  ``delta = 0`` gives 0 and
-    ``delta = 1`` gives ``2 P (1 - P)``.
+    ``delta = 1`` gives ``2 P (1 - P)``; arguments :func:`ball` rejects, or a
+    ``delta`` outside ``[0, 1]``, raise :class:`ValidationError`.
     """
-    delta = _check_delta(delta)
+    delta = check_probability("delta", delta)
     radius = float(radius)
     if not (math.isfinite(radius) and radius > 0):
-        raise ValidationError(f"radius must be > 0, got {radius}")
-    if int(dimension) != dimension or dimension < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {dimension}")
+        raise ValidationError(f"radius must be finite and > 0, got {radius}")
+    dimension = check_dimension(dimension)
     if delta == 0.0:
         return 0.0
     rho = 1.0 - delta
@@ -511,7 +512,7 @@ def _gamma_q(beta: float, s: float) -> float:
 def gns_mc(c: Concept, delta: float, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``P[f(X) != f(Y)]`` for ``(1-delta)``-correlated
     Gaussian pairs, with binomial standard error."""
-    delta = _check_delta(delta)
+    delta = check_probability("delta", delta)
     rho = 1.0 - delta
     spread = math.sqrt(max(0.0, 1.0 - rho * rho))
 

@@ -28,6 +28,7 @@ from .errors import (
     NodeBudgetError,
     ValidationError,
 )
+from .mc import check_dimension, check_integer
 
 MultiIndex = tuple[int, ...]
 
@@ -61,12 +62,6 @@ def gauss_density(x):
 # univariate evaluation
 
 
-def _check_degree(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValidationError(f"degree must be a non-negative integer, got {k!r}")
-    return int(k)
-
-
 def _recurrence(k: int, x: np.ndarray, start=None, weights=None, table=False):
     """The three-term recurrence over a float64 array ``x``:
     ``h_0 = start`` (default 1), ``h_1 = x h_0`` and
@@ -77,30 +72,20 @@ def _recurrence(k: int, x: np.ndarray, start=None, weights=None, table=False):
     (length ``k + 1``), ``sum_j weights[j] h_j`` over the non-zero weights.
     """
     shape = x.shape
-    if shape or table:
-        # arrays step in place: row j goes into its table row, or else into
-        # the buffer that h_{j-3} leaves in a ring of three
-        x = np.ascontiguousarray(x).reshape(-1)
-        rows = np.empty((k + 1, x.size)) if table else [np.empty(x.size) for _ in range(3)]
-        scaled = np.empty(x.size)
-        mul = np.multiply
-    else:
-        # a 0-d x steps as a numpy scalar: the same operations without the
-        # fixed cost of a ufunc call, which dominates at one point
-        x, rows, scaled = x[()], [None] * 3, None
-
-        def mul(a, b, out):
-            return a * b
-
+    # x steps in place as a flat array: row j goes into its table row, or
+    # else into the buffer that h_{j-3} leaves in a ring of three
+    x = np.ascontiguousarray(x).reshape(-1)
+    rows = np.empty((k + 1, x.size)) if table else [np.empty(x.size) for _ in range(3)]
+    scaled = np.empty(x.size)
     total = None if weights is None else np.zeros_like(x)
-    prev, cur = None, 1.0 if start is None else np.reshape(start, np.shape(x))
+    prev, cur = None, 1.0 if start is None else np.reshape(start, x.shape)
     for j in range(k + 1):
-        new = mul(x if j else 1.0, cur, rows[j % len(rows)])  # h_0 = 1 * start
+        new = np.multiply(x if j else 1.0, cur, rows[j % len(rows)])  # h_0 = 1 * start
         if j > 1:
-            new -= mul(prev, math.sqrt(j - 1), scaled)
+            new -= np.multiply(prev, math.sqrt(j - 1), scaled)
             new /= math.sqrt(j)
         if total is not None and weights[j] != 0.0:
-            total += mul(new, weights[j], scaled)
+            total += np.multiply(new, weights[j], scaled)
         prev, cur = cur, new
     if table:
         return rows.reshape((k + 1,) + shape)
@@ -111,15 +96,15 @@ def hermite_upto(k: int, x) -> np.ndarray:
     """Values ``H_0(x) .. H_k(x)`` in one upward recurrence pass.
 
     ``x`` may be a scalar or an ndarray; the result has shape
-    ``(k + 1,) + shape(x)``.
+    ``(k + 1,) + shape(x)``.  ``k`` must be an integer >= 0 (numpy's too).
     """
-    k = _check_degree(k)
+    k = check_integer("degree", k, 0)
     return _recurrence(k, np.asarray(x, dtype=np.float64), table=True)
 
 
 def hermite_eval(k: int, x):
-    """``H_k(x)`` by the three-term recurrence (scalar or ndarray ``x``)."""
-    k = _check_degree(k)
+    """``H_k(x)``, integer ``k >= 0``, by the three-term recurrence (scalar or ndarray ``x``)."""
+    k = check_integer("degree", k, 0)
     value = _recurrence(k, np.asarray(x, dtype=np.float64))
     return float(value) if value.ndim == 0 else value
 
@@ -136,7 +121,7 @@ def hermite_zero(k: int) -> float:
 
 def hermite_zeros_upto(k: int) -> np.ndarray:
     """Array ``[H_0(0), ..., H_k(0)]`` via the same product recurrence."""
-    k = _check_degree(k)
+    k = check_integer("degree", k, 0)
     out = np.zeros(k + 1)
     value = 1.0
     out[0] = value
@@ -163,10 +148,10 @@ def check_multi_index(alpha) -> MultiIndex:
 def multi_indices_upto(dimension: int, degree: int) -> list[MultiIndex]:
     """All multi-indices of total degree <= ``degree``, degree-major then
     lexicographic (a deterministic basis ordering with nested prefixes).
-    More than ``NODE_BUDGET`` of them raise :class:`NodeBudgetError` at once."""
-    if dimension < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dimension}")
-    degree = _check_degree(degree)
+    A bad ``dimension`` or ``degree`` raises :class:`ValidationError`, and more
+    than ``NODE_BUDGET`` indices raise :class:`NodeBudgetError`, at once."""
+    dimension = check_dimension(dimension)
+    degree = check_integer("degree", degree, 0)
     if math.comb(dimension + degree, degree) > NODE_BUDGET:
         raise NodeBudgetError(f"more than {NODE_BUDGET} multi-indices up to degree {degree}")
     return [alpha for d in range(degree + 1) for alpha in _compositions(d, dimension)]
@@ -200,14 +185,14 @@ class HermiteExpansion:
 
     Canonical form: keys are multi-indices of length ``dimension``, stored
     coefficients are finite and non-zero.  Use :func:`expansion` to build one.
+    ``dimension`` must be a whole number >= 1 and is stored as an ``int``.
     """
 
     dimension: int
     terms: dict[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", check_dimension(self.dimension))
         for alpha, c in self.terms.items():
             if len(alpha) != self.dimension:
                 raise DimensionMismatchError(
@@ -265,12 +250,12 @@ class HermiteExpansion:
     @classmethod
     def from_dict(cls, data: Mapping) -> "HermiteExpansion":
         try:
-            dimension = int(data["dimension"])
+            dimension = data["dimension"]
             terms = {
                 check_multi_index(item["alpha"]): float(item["coeff"])
                 for item in data["terms"]
             }
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed expansion payload: {exc}") from exc
         if len(terms) != len(data["terms"]):
             raise ValidationError("duplicate multi-index in expansion payload")
@@ -425,8 +410,8 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
 
 
 def truncate(p: HermiteExpansion, degree: int) -> HermiteExpansion:
-    """Keep the terms of total degree <= ``degree``."""
-    degree = _check_degree(degree)
+    """Keep the terms of total degree <= ``degree``, an integer >= 0."""
+    degree = check_integer("degree", degree, 0)
     return expansion(
         p.dimension, {a: c for a, c in p.terms.items() if sum(a) <= degree}
     )
@@ -505,7 +490,7 @@ def gauss_hermite_products(points_per_axis: int, degree: int) -> np.ndarray:
     rounding error by ``|H_k(x_i)|``, past 1e100 at the outer nodes.
     """
     gauss_hermite_nodes(points_per_axis)  # validates first
-    degree = _check_degree(degree)
+    degree = check_integer("degree", degree, 0)
     damp, ratio = _christoffel_ratio(points_per_axis)
     x = _gauss_hermite_1d(points_per_axis)[0]
     return _recurrence(degree, x, start=damp, table=True) * ratio
@@ -514,10 +499,8 @@ def gauss_hermite_products(points_per_axis: int, degree: int) -> np.ndarray:
 def gauss_hermite_nodes(points_per_axis: int, dimension: int = 1) -> np.ndarray:
     """The nodes of :func:`gauss_hermite_rule`, shape ``(m^n, n)``, without
     building its ``m^n`` weights; the same checks and budget."""
-    if points_per_axis < 1:
-        raise ValidationError(f"points_per_axis must be >= 1, got {points_per_axis}")
-    if dimension < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dimension}")
+    points_per_axis = check_integer("points_per_axis", points_per_axis, 1)
+    dimension = check_dimension(dimension)
     power = max(dimension, 2)
     if points_per_axis**power > NODE_BUDGET:
         raise NodeBudgetError(
@@ -533,13 +516,15 @@ def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRu
 
     Exact for polynomials of per-axis degree <= ``2 * points_per_axis - 1``.
     Nodes are in "ij" order (last axis fastest); weights multiply in axis
-    order.  Raises :class:`NodeBudgetError` when the tensor grid, or in 1-D the
-    ``m x m`` Jacobi matrix the nodes are computed from, would exceed
-    ``NODE_BUDGET`` cells (use the Monte-Carlo paths instead).
+    order.  ``points_per_axis`` must be an integer >= 1 and ``dimension``
+    integral and >= 1, else :class:`ValidationError`; a float such as ``2.5``
+    is never truncated.  Raises :class:`NodeBudgetError` when the tensor
+    grid, or in 1-D the ``m x m`` Jacobi matrix the nodes are computed from,
+    would exceed ``NODE_BUDGET`` cells (use the Monte-Carlo paths instead).
     """
     nodes = gauss_hermite_nodes(points_per_axis, dimension)  # validates first
-    weights = reduce(np.multiply.outer, [_gauss_hermite_1d(points_per_axis)[1]] * dimension, 1.0)
-    return QuadratureRule(dimension, nodes, weights.reshape(-1))
+    axes = [_gauss_hermite_1d(points_per_axis)[1]] * nodes.shape[1]
+    return QuadratureRule(nodes.shape[1], nodes, reduce(np.multiply.outer, axes, 1.0).reshape(-1))
 
 
 def expectation(f: Callable, rule: QuadratureRule) -> float:

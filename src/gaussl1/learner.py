@@ -29,7 +29,7 @@ from .hermite import (
     expansion_eval_batch,
     multi_indices_upto,
 )
-from .mc import EstimateWithError, check_integer, check_seed, derive_seed
+from .mc import EstimateWithError, check_integer, check_probability, check_seed, derive_seed
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,9 @@ class LabeledData:
 
 
 def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not (math.isfinite(eta) and 0.0 <= eta < 1.0):
-        raise ValidationError(f"noise rate eta must lie in [0, 1), got {eta}")
-    return eta
+    if check_probability("noise rate eta", eta) == 1.0:
+        raise ValidationError("noise rate eta must lie in [0, 1), got 1.0")
+    return float(eta)
 
 
 def generate_agnostic_data(c: Concept, eta: float, m: int, seed: int) -> LabeledData:
@@ -132,11 +131,11 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     definiteness, which ends the path when lost; both directions solve on
     ``G`` itself, one LU each, since numpy has no triangular solve to use the
     factor with.  Deterministic: the labels are solved as ``y[0] * y``, so
-    negating them negates the coefficients exactly.
+    negating them negates the coefficients exactly.  ``degree`` must be an
+    integer >= 0.
     """
     config = config or FitConfig()
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
+    degree = check_integer("degree", degree, 0)
     alphas = multi_indices_upto(data.dimension, degree)
     if degree == 0:
         c0 = _median_toward_zero(data.y)

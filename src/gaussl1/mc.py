@@ -76,6 +76,27 @@ def check_integer(name: str, value: int, least: int) -> int:
     return int(value)
 
 
+def check_dimension(value: int) -> int:
+    """``value`` as an ``int``, if it is a whole number >= 1 (``2.0`` counts);
+    anything else, NaN and infinities included, raises :class:`ValidationError`."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"dimension must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"dimension must be >= 1, got {value}")
+    return int(value)
+
+
+def check_probability(name: str, value: float) -> float:
+    """``value`` as a ``float`` in the closed interval ``[0, 1]``; anything
+    outside, NaN included, raises :class:`ValidationError`."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
 def check_samples(samples: int) -> int:
     return check_integer("samples", samples, 2)
 

@@ -22,16 +22,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermite import HermiteExpansion, expansion, hermite_eval, l2_norm, truncate
-from .mc import EstimateWithError, mc_mean
+from .mc import EstimateWithError, check_integer, check_probability, mc_mean
 from . import mc
 
 
 def validate_noise_level(rho: float) -> float:
     """Check ``rho`` lies in [0, 1]; out-of-range values are never clamped."""
-    rho = float(rho)
-    if not (math.isfinite(rho) and 0.0 <= rho <= 1.0):
-        raise ValidationError(f"noise level rho must lie in [0, 1], got {rho}")
-    return rho
+    return check_probability("noise level rho", rho)
 
 
 def apply_to_expansion(p: HermiteExpansion, rho: float) -> HermiteExpansion:
@@ -142,10 +139,9 @@ def eigen_check(
     samples: int,
     seed: int,
 ) -> EigenCheckReport:
-    """Verify ``T_rho H_k = rho^k H_k`` by Monte Carlo on a grid of points."""
+    """Verify ``T_rho H_k = rho^k H_k`` (integer ``k >= 0``) by Monte Carlo on a grid."""
     rho = validate_noise_level(rho)
-    if k < 0:
-        raise ValidationError(f"degree must be >= 0, got {k}")
+    k = check_integer("degree", k, 0)
     grid = [float(g) for g in grid]
     if not grid:
         raise ValidationError("grid must be non-empty")
@@ -158,7 +154,7 @@ def eigen_check(
         est = apply_pointwise_mc(f, rho, x, samples, mc.derive_seed(seed, i))
         target = rho**k * hermite_eval(k, x)
         rows.append(EigenCheckRow(x, est.mean, est.stderr, target))
-    return EigenCheckReport(int(k), rho, int(samples), mc.check_seed(seed), tuple(rows))
+    return EigenCheckReport(k, rho, int(samples), mc.check_seed(seed), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -186,12 +182,12 @@ class TailBoundReport:
 
 
 def tail_bound_check(p: HermiteExpansion, rho: float, d: int) -> TailBoundReport:
-    """Compare ``||T_rho p - (T_rho p)_{<=d}||^2`` with ``rho^{2(d+1)} ||p||^2``."""
+    """Compare ``||T_rho p - (T_rho p)_{<=d}||^2`` with ``rho^{2(d+1)} ||p||^2``;
+    ``d`` must be an integer >= 0."""
     rho = validate_noise_level(rho)
-    if d < 0:
-        raise ValidationError(f"degree must be >= 0, got {d}")
+    d = check_integer("degree", d, 0)
     smoothed = apply_to_expansion(p, rho)
     tail = smoothed - truncate(smoothed, d)
     lhs = l2_norm(tail) ** 2
     rhs = rho ** (2 * d + 2) * l2_norm(p) ** 2
-    return TailBoundReport(lhs, rhs, rho, int(d))
+    return TailBoundReport(lhs, rhs, rho, d)

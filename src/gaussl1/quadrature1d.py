@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ToleranceError, ValidationError
+from .mc import check_integer
 
 _HI = 21
 _LO = 10
@@ -121,9 +122,10 @@ def fixed_panels(
 ) -> float:
     """Composite Gauss-Legendre rule with ``panels`` panels of ``points`` nodes.
 
-    A non-finite integrand value raises :class:`EvaluationError`.
+    ``points`` and ``panels`` must be integers >= 1; a non-finite integrand
+    value raises :class:`EvaluationError`.
     """
-    if points < 1 or panels < 1:
-        raise ValidationError("points and panels must be >= 1")
+    points = check_integer("points", points, 1)
+    panels = check_integer("panels", panels, 1)
     edges = np.linspace(float(a), float(b), panels + 1)
     return float(_batch_estimates(f, edges[:-1], edges[1:], points).sum())

@@ -36,6 +36,7 @@ from .hermite import (
     hermite_zero,
     hermite_zeros_upto,
 )
+from .mc import check_integer
 from .quadrature1d import integrate_adaptive
 
 # Small-t switchover for the removable singularity of H_d(t)/t.
@@ -49,16 +50,14 @@ SMALL_T_CONSTANT = 0.2101
 
 
 def _check_odd_degree(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 1 or d % 2 == 0:
+    if check_integer("degree", d, 1) % 2 == 0:
         raise ValidationError(f"degree must be an odd integer >= 1, got {d!r}")
     return int(d)
 
 
 def sign_coefficient(k: int) -> float:
-    """Hermite coefficient ``<sign, H_k>``; zero for even ``k``."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValidationError(f"k must be a non-negative integer, got {k!r}")
-    if k % 2 == 0:
+    """Hermite coefficient ``<sign, H_k>`` for an integer ``k >= 0``; zero for even ``k``."""
+    if check_integer("k", k, 0) % 2 == 0:
         return 0.0
     return math.sqrt(2.0 / (k * math.pi)) * hermite_zero(k - 1)
 
@@ -189,9 +188,9 @@ class RemainderSample:
 
 
 def remainder_grid(d: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized remainders and envelopes over a grid (see RemainderSample)."""
-    if d < 1:
-        raise ValidationError(f"degree must be >= 1, got {d}")
+    """Vectorized remainders and envelopes over a grid (see RemainderSample);
+    ``d`` must be an integer >= 1."""
+    d = check_integer("degree", d, 1)
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x) > math.sqrt(d)):
         raise ValidationError("remainder is only tracked for |x| <= sqrt(d)")
@@ -215,10 +214,10 @@ def plancherel_rotach_remainder(d: int, x: float) -> RemainderSample:
 def christoffel_darboux_residual(d: int, x: float) -> float:
     """Absolute defect of the Christoffel-Darboux identity anchored at 0:
 
-    ``sum_{k<d} H_k(x) H_k(0) = sqrt(d) (H_d(x) H_{d-1}(0) - H_{d-1}(x) H_d(0)) / x``.
+    ``sum_{k<d} H_k(x) H_k(0) = sqrt(d) (H_d(x) H_{d-1}(0) - H_{d-1}(x) H_d(0)) / x``
+    for an integer ``d >= 1``.
     """
-    if d < 1:
-        raise ValidationError(f"degree must be >= 1, got {d}")
+    d = check_integer("degree", d, 1)
     x = float(x)
     if x == 0.0:
         raise ValidationError("the identity is anchored at 0; x must be non-zero")

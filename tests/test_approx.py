@@ -946,3 +946,17 @@ def test_bound_check_report_serialization():
     assert d["bound"] == pytest.approx(d["gns_term"] + d["tail_term"], abs=1e-15)
     assert d["plan"]["degree"] == 10
     assert d["measured_l1"]["note"] == "quadrature"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: profile_coefficients((0.0,), (1.0, -1.0), 2.5),
+        lambda: halfspace_expansion([0.6, -0.8], 0.4, 2.5),
+        lambda: bound_check(halfspace([1.0], 0.3), ApproximationPlan(0.5, 1.0, 0.9, 2.5)),
+    ],
+    ids=["profile", "halfspace-expansion", "bound-check"],
+)
+def test_fractional_degrees_raise(call):
+    with pytest.raises(ValidationError, match="degree"):
+        call()

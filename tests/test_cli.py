@@ -415,3 +415,27 @@ def test_runtime_imports_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["gns", "approx"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "halfspace", "w": [1.0], "c": "x"},
+        {"kind": "halfspace", "w": "ab", "c": 0.0},
+        {"kind": "intersection", "halfspaces": [{"w": [1.0], "c": 0.0}, 5]},
+        {"kind": "ptf", "dimension": 1, "terms": [{"alpha": [1], "coeff": "x"}]},
+        {"kind": "constant", "dimension": 2.5, "value": 1},
+    ],
+    ids=["c", "w", "halfspaces", "coeff", "dimension"],
+)
+def test_malformed_concept_field_exit_2(tmp_path, capsys, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "gns":
+        argv = ["gns", "--concept", str(bad), "--delta", "0.1", "--samples", "1000"]
+    else:
+        argv = ["approx", "--concept", str(bad), "--epsilon", "0.5", "--gamma", "0.4",
+                "--error-budget", "1000"]
+    assert main(argv + ["--seed", "1"]) == 2
+    assert "gaussl1: invalid input:" in capsys.readouterr().err

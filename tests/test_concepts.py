@@ -655,3 +655,38 @@ def test_concept_from_dict_validation():
         concept_from_dict({"kind": "moebius"})
     with pytest.raises(ValidationError):
         concept_from_dict({"kind": "ball", "radius": 1.0})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: constant_concept(2.5, 1),
+        lambda: Concept(2.5, lambda points: np.ones(points.shape[0])),
+        lambda: halfspace([1.0], math.nan),
+        lambda: halfspace([math.nan], 0.0),
+        lambda: ball(math.nan, 2),
+        lambda: ball(math.inf, 2),
+        lambda: concept_from_dict({"kind": "halfspace", "w": [1.0], "c": "x"}),
+        lambda: concept_from_dict({"kind": "halfspace", "w": "ab", "c": 0.0}),
+        lambda: concept_from_dict({"kind": "intersection", "halfspaces": [5]}),
+        lambda: concept_from_dict(
+            {"kind": "ptf", "dimension": 1, "terms": [{"alpha": [1], "coeff": "x"}]}
+        ),
+    ],
+    ids=["constant-dimension", "concept-dimension", "nan-offset", "nan-normal", "nan-radius",
+         "inf-radius", "payload-c", "payload-w", "payload-halfspaces", "payload-coeff"],
+)
+def test_malformed_concept_arguments_raise(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_infinite_offset_and_integral_float_dimension_stay_legal():
+    points = np.array([[-5.0], [0.0], [5.0]])
+    assert np.array_equal(halfspace([1.0], math.inf).batch(points), np.ones(3))
+    assert np.array_equal(halfspace([1.0], -math.inf).batch(points), -np.ones(3))
+    a, b = ball(1.0, 2.0), ball(1.0, 2)
+    assert type(a.dimension) is int and a.params == b.params
+    assert a.gns_closed_form(0.3) == b.gns_closed_form(0.3)
+    x = np.random.default_rng(SEED).standard_normal((100, 2))
+    assert np.array_equal(a.batch(x), b.batch(x))

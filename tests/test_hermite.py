@@ -712,3 +712,31 @@ def test_sqrt_factorial_log_space():
     assert sqrt_factorial((3, 2)) == pytest.approx(math.sqrt(12.0), rel=1e-14)
     # beyond naive factorial range but fine in log space
     assert math.isfinite(sqrt_factorial((170, 170)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gauss_hermite_rule(2.5),
+        lambda: gauss_hermite_rule(3, 2.5),
+        lambda: gauss_hermite_nodes(3.5, 2),
+        lambda: multi_indices_upto(2.5, 3),
+        lambda: HermiteExpansion.from_dict({"dimension": 2.5, "terms": []}),
+        lambda: HermiteExpansion.from_dict({"dimension": 1, "terms": [{"alpha": [1], "coeff": "x"}]}),
+    ],
+    ids=["rule-points", "rule-dimension", "nodes-points", "indices-dimension",
+         "payload-dimension", "payload-coeff"],
+)
+def test_fractional_counts_and_malformed_payloads_raise(call):
+    # a count, degree or dimension is never truncated, and a payload never
+    # fails with a bare TypeError or ValueError
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_numpy_integer_counts_equal_their_int_counterparts():
+    a, b = gauss_hermite_rule(np.int64(5)), gauss_hermite_rule(5)
+    assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+    x = np.linspace(-2.0, 2.0, 7)
+    assert np.array_equal(hermite_upto(np.int32(3), x), hermite_upto(3, x))
+    assert type(HermiteExpansion(2.0, {}).dimension) is int

@@ -109,3 +109,9 @@ def test_fixed_panels_equals_fresh_legendre_rule():
         cached = quadrature1d._panel(points)
         assert not any(a.flags.writeable for a in cached)
         assert np.array_equal(cached[0], x) and np.array_equal(cached[1], w)
+
+
+@pytest.mark.parametrize("points, panels", [(2.5, 1), (3, 2.5)])
+def test_fixed_panels_takes_counts_as_given(points, panels):
+    with pytest.raises(ValidationError, match="integer"):
+        fixed_panels(np.cos, 0.0, 1.0, points, panels)

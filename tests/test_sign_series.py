@@ -358,3 +358,16 @@ def test_envelope_report_serialization():
     d = truncation_integral_envelopes(101, 1.0).to_dict()
     assert d["pass"] is True
     assert d["degree"] == 101
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: remainder_grid(2.5, np.linspace(0.0, 1.0, 5)),
+        lambda: plancherel_rotach_remainder(2.5, 0.5),
+    ],
+    ids=["grid", "point"],
+)
+def test_fractional_degrees_raise(call):
+    with pytest.raises(ValidationError, match="integer"):
+        call()
