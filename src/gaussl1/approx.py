@@ -31,6 +31,7 @@ from .errors import CapabilityError, NodeBudgetError, ToleranceError, Validation
 from .concepts import Concept, Profile, gns_mc, halfspace
 from .hermite import (
     GAUSS_CUTOFF,
+    MC_CHUNK_CELLS,
     HermiteExpansion,
     MultiIndex,
     basis_matrix,
@@ -55,11 +56,6 @@ from .mc import (
 )
 from .noise import apply_to_expansion, validate_noise_level
 from .quadrature1d import integrate_adaptive
-
-
-# cells of the (chunk x coefficients) float64 buffer one Monte-Carlo
-# coefficient chunk may hold: 2^27 cells, 1 GiB
-MC_CHUNK_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -285,10 +281,13 @@ def build(
 
     ``fhat`` must be known complete through the plan degree; canonical
     expansions drop exact zeros, so callers whose estimate genuinely covered
-    all terms declare it via ``complete_through``.
+    all terms declare it via ``complete_through``, an integer >= 0.
     """
     validate_noise_level(aplan.rho)
-    known = fhat.degree_bound if complete_through is None else int(complete_through)
+    if complete_through is None:
+        known = fhat.degree_bound
+    else:
+        known = check_integer("complete_through", complete_through, 0)
     if known < aplan.degree:
         raise ValidationError(
             f"coefficients known only through degree {known}, plan needs {aplan.degree}"

@@ -9,7 +9,8 @@ construction bound, the sign-series dual forms, and the learner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,9 +23,12 @@ _SEED = 20260814
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; :func:`run_all` fills in its wall time ``seconds``."""
+
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _orthonormality() -> CheckResult:
@@ -235,4 +239,11 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """Run every check in ``ALL_CHECKS`` (read at call time, so wrappers put
+    on it run too), each timed by the wall clock."""
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        res = check()
+        results.append(replace(res, seconds=time.perf_counter() - start))
+    return results

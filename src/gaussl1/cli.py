@@ -25,7 +25,6 @@ import datetime
 import json
 import shlex
 import sys
-import time
 from typing import Sequence
 
 import numpy as np
@@ -250,25 +249,17 @@ def _cmd_learn(args, argv) -> int:
 
 
 def _cmd_check(args, argv) -> int:
-    if args.json:
-        entries = []
-        # read at call time, as run_all does, so wrappers put on it are timed too
-        for check in checks.ALL_CHECKS:
-            start = time.perf_counter()
-            res = check()
-            seconds = time.perf_counter() - start
-            entries.append({
-                "name": res.name,
-                "pass": bool(res.passed),
-                "detail": res.detail,
-                "seconds": seconds,
-            })
-        _emit_json({"meta": _meta(argv, None), "checks": entries}, None)
-        return 0 if all(entry["pass"] for entry in entries) else 1
     results = checks.run_all()
+    failed = [res.name for res in results if not res.passed]
+    if args.json:
+        entries = [
+            {"name": r.name, "pass": bool(r.passed), "detail": r.detail, "seconds": r.seconds}
+            for r in results
+        ]
+        _emit_json({"meta": _meta(argv, None), "checks": entries}, None)
+        return 1 if failed else 0
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
-    failed = [res.name for res in results if not res.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
 

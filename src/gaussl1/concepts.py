@@ -18,6 +18,7 @@ bound ``GNS_{1-rho}(f) <= sqrt(pi) sqrt(1-rho) GSA(f)``) live here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -104,43 +105,67 @@ def eval_concept(c: Concept, x) -> int:
 
 def halfspace(w, c: float) -> Concept:
     """``f(x) = sign(c - <w, x>)`` for a unit ``w`` and a non-NaN ``c`` (ties to +1)."""
-    w = np.asarray(w, dtype=np.float64)
+    w = _numeric("w", w, lambda a: np.asarray(a, dtype=np.float64))
     if w.ndim != 1 or w.size < 1:
         raise ValidationError("w must be a non-empty vector")
     norm = float(np.linalg.norm(w))
     if not abs(norm - 1.0) <= 1e-12:  # a NaN entry fails too
         raise ValidationError(f"w must be a unit vector; got |w| = {norm!r}")
-    offset = float(c)
+    offset = _numeric("c", c)
     if math.isnan(offset):
         raise ValidationError("offset c must not be NaN")
-    w = w.copy()
-    w.setflags(write=False)
+    profile = Profile(tuple(float(v) for v in w), (offset,), (1.0, -1.0))
+    return _ridge(profile, "halfspace", {"w": list(profile.w), "c": offset})
 
+
+def _numeric(name: str, value, convert: Callable = float):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
+
+
+def _ridge(profile: Profile, kind: str, params: dict) -> Concept:
+    """The ridge ``g(<w, x>)``, its evaluator, distance, GNS and GSA read off ``g``.
+
+    ``K = {f = +1}`` is the closure of ``{g = +1}``: a cut is in ``K`` iff a
+    piece next to it is +1.  So ``K`` is a union of closed intervals
+    ``lo <= u <= hi`` of ``u = <w, x>``, and an infinite ``lo`` is not tested.
+    """
+    w = np.asarray(profile.w, dtype=np.float64)  # fresh from the tuple: no caller holds it
+    t, v = profile.breakpoints, profile.values
+    ends = (-math.inf, *t, math.inf)
+    pieces = [(lo, hi) for lo, hi, value in zip(ends, ends[1:], v) if value == 1.0]
+
+    def inside(u: np.ndarray) -> np.ndarray:  # lo <= u <= hi on some +1 piece
+        tests = ((u <= hi) if lo == -math.inf else (u >= lo) & (u <= hi) for lo, hi in pieces)
+        return functools.reduce(np.logical_or, tests)
+
+    def gap(u: np.ndarray) -> np.ndarray:  # least max(0, lo - u, u - hi) over the +1 pieces
+        def one(lo: float, hi: float) -> np.ndarray:
+            g = u - hi
+            np.maximum(0.0, g, out=g)
+            return g if lo == -math.inf else np.maximum(g, lo - u, out=g)
+        return functools.reduce(np.minimum, (one(lo, hi) for lo, hi in pieces))
+
+    # u = <w, x> is freed before np.where allocates: a fresh buffer costs page faults
     def evaluator(points: np.ndarray) -> np.ndarray:
-        return np.where(points @ w <= offset, 1.0, -1.0)
+        return np.where(inside(points @ w), 1.0, -1.0) if pieces else np.full(len(points), -1.0)
 
     def distance(points: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, points @ w - offset)
+        return gap(points @ w) if pieces else np.full(len(points), np.inf)
 
-    def gns(delta: float) -> float:
-        return gns_halfspace_closed_form(delta, offset)
-
+    gsa = sum((abs(b - a) / 2.0 * gauss_density(s) for s, a, b in zip(t, v, v[1:])), 0.0)
     return Concept(
-        dimension=w.size,
-        evaluator=evaluator,
-        kind="halfspace",
-        gsa_closed_form=gauss_density(offset),
-        gns_closed_form=gns,
-        distance_to_set=distance,
-        params={"w": [float(v) for v in w], "c": offset},
-        profile=Profile(tuple(float(v) for v in w), (offset,), (1.0, -1.0)),
+        w.size, evaluator, kind, gsa_closed_form=gsa, distance_to_set=distance, params=params,
+        gns_closed_form=lambda delta: gns_profile_closed_form(delta, t, v), profile=profile,
     )
 
 
 def ball(radius: float, dimension: int) -> Concept:
     """``f(x) = +1`` iff ``|x| <= radius`` (boundary counts as +1) for a finite
     ``radius > 0`` and a whole ``dimension >= 1``; others raise :class:`ValidationError`."""
-    radius = float(radius)
+    radius = _numeric("radius", radius)
     if not (math.isfinite(radius) and radius > 0):
         raise ValidationError(f"radius must be finite and > 0, got {radius}")
     dimension = check_dimension(dimension)
@@ -154,12 +179,13 @@ def ball(radius: float, dimension: int) -> Concept:
     def gns(delta: float) -> float:
         return gns_ball_closed_form(delta, radius, dimension)
 
-    # sphere area x Gaussian density at radius r
-    gsa = (
-        radius ** (dimension - 1)
-        * math.exp(-0.5 * radius * radius)
-        * 2.0 ** (1.0 - dimension / 2.0)
-        / math.gamma(dimension / 2.0)
+    # sphere area x Gaussian density at radius r, the chi density, in logs:
+    # r^(n-1) and Gamma(n/2) overflow on their own from n of about 300
+    gsa = math.exp(
+        (dimension - 1) * math.log(radius)
+        - 0.5 * radius * radius
+        + (1.0 - dimension / 2.0) * math.log(2.0)
+        - math.lgamma(dimension / 2.0)
     )
     return Concept(
         dimension=dimension,
@@ -191,9 +217,10 @@ _MAX_INTERSECTION_FACES = 10
 def intersection(halfspaces: Sequence[Concept]) -> Concept:
     """Intersection of halfspaces: +1 iff every component is +1.
 
-    An exact distance oracle (projection onto the polyhedron by active-set
-    enumeration) is attached for up to 10 faces.  In one dimension the
-    intersection is a ridge: it carries its profile and closed-form GNS.
+    In one dimension the intersection is a ridge (an interval, a half-line or
+    empty) and carries its profile with everything derived from it.  From two
+    dimensions on, an exact distance oracle (projection onto the polyhedron
+    by active-set enumeration) is attached for up to 10 faces.
     """
     if not halfspaces:
         raise ValidationError("intersection needs at least one halfspace")
@@ -208,6 +235,14 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
     W.setflags(write=False)
     cvec.setflags(write=False)
 
+    params = {"halfspaces": [{"w": h.params["w"], "c": h.params["c"]} for h in halfspaces]}
+    if n == 1:  # read one point a piece
+        t = sorted(set(float(v) for v in cvec / W[:, 0]))
+        ends = np.array([t[0] - 1.0, *t, t[-1] + 1.0])
+        inside = (np.outer((ends[:-1] + ends[1:]) / 2.0, W[:, 0]) <= cvec).all(axis=1)
+        values = tuple(1.0 if a else -1.0 for a in inside)
+        return _ridge(Profile((1.0,), tuple(t), values), "intersection", params)
+
     def evaluator(points: np.ndarray) -> np.ndarray:
         # column by column: numpy's all() over the short length-k axis
         # costs far more than k elementwise passes over the rows
@@ -219,28 +254,8 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
 
     distance = None
     if len(halfspaces) <= _MAX_INTERSECTION_FACES:
-        def distance(points: np.ndarray) -> np.ndarray:
-            return _polyhedron_distance(W, cvec, points)
-
-    profile = gns = None
-    if n == 1:  # an interval, a half-line or empty: read one point a piece
-        t = sorted(set(float(v) for v in cvec / W[:, 0]))
-        ends = np.array([t[0] - 1.0, *t, t[-1] + 1.0])
-        values = evaluator((ends[:-1, None] + ends[1:, None]) / 2.0)
-        profile = Profile((1.0,), tuple(t), tuple(float(v) for v in values))
-
-        def gns(delta: float) -> float:
-            return gns_profile_closed_form(delta, profile.breakpoints, profile.values)
-
-    return Concept(
-        dimension=n,
-        evaluator=evaluator,
-        kind="intersection",
-        gns_closed_form=gns,
-        distance_to_set=distance,
-        params={"halfspaces": [{"w": h.params["w"], "c": h.params["c"]} for h in halfspaces]},
-        profile=profile,
-    )
+        distance = functools.partial(_polyhedron_distance, W, cvec)
+    return Concept(n, evaluator, "intersection", distance_to_set=distance, params=params)
 
 
 def _polyhedron_distance(W: np.ndarray, cvec: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -287,24 +302,8 @@ def constant_concept(dimension: int, value: int) -> Concept:
     dimension = check_dimension(dimension)
     if value not in (-1, 1):
         raise ValidationError(f"value must be +1 or -1, got {value}")
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        return np.full(points.shape[0], float(value))
-
-    def distance(points: np.ndarray) -> np.ndarray:
-        fill = 0.0 if value == 1 else np.inf
-        return np.full(points.shape[0], fill)
-
-    return Concept(
-        dimension=dimension,
-        evaluator=evaluator,
-        kind="constant",
-        gsa_closed_form=0.0,
-        gns_closed_form=lambda delta: 0.0,
-        distance_to_set=distance,
-        params={"value": int(value), "dimension": dimension},
-        profile=Profile((1.0,) + (0.0,) * (dimension - 1), (), (float(value),)),
-    )
+    profile = Profile((1.0,) + (0.0,) * (dimension - 1), (), (float(value),))
+    return _ridge(profile, "constant", {"value": int(value), "dimension": dimension})
 
 
 def ptf(p: HermiteExpansion) -> Concept:

@@ -40,6 +40,11 @@ NODE_BUDGET = 2_000_000
 # 1 MiB, so a block stays in a core's L2 cache.
 BLOCK_CELLS = 1 << 17
 
+# Float64 cells one whole buffer may hold: a Monte-Carlo coefficient chunk
+# (chunk samples x coefficients) or the learner's basis (samples x terms).
+# 2^27 cells are 1 GiB.
+MC_CHUNK_CELLS = 1 << 27
+
 
 # ---------------------------------------------------------------------------
 # the standard Gaussian measure
@@ -137,9 +142,12 @@ def hermite_zeros_upto(k: int) -> np.ndarray:
 
 def check_multi_index(alpha) -> MultiIndex:
     entries = tuple(alpha)
-    if any(a != int(a) for a in entries):
+    try:
+        alpha = tuple(int(a) for a in entries)
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, strings
+        alpha = None
+    if alpha != entries:
         raise ValidationError(f"multi-index entries must be integers, got {entries}")
-    alpha = tuple(int(a) for a in entries)
     if any(a < 0 for a in alpha):
         raise ValidationError(f"multi-index entries must be >= 0, got {alpha}")
     return alpha

@@ -22,6 +22,7 @@ from .concepts import Concept
 from .errors import DimensionMismatchError, NodeBudgetError, ValidationError
 from .hermite import (
     BLOCK_CELLS,
+    MC_CHUNK_CELLS,
     NODE_BUDGET,
     HermiteExpansion,
     basis_matrix,
@@ -132,7 +133,8 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     ``G`` itself, one LU each, since numpy has no triangular solve to use the
     factor with.  Deterministic: the labels are solved as ``y[0] * y``, so
     negating them negates the coefficients exactly.  ``degree`` must be an
-    integer >= 0.
+    integer >= 0; a basis of more than ``MC_CHUNK_CELLS`` cells (samples x
+    terms) raises :class:`NodeBudgetError` before it is allocated.
     """
     config = config or FitConfig()
     degree = check_integer("degree", degree, 0)
@@ -145,6 +147,11 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     m, n_terms = data.size, len(alphas)
     if m < n_terms:
         raise ValidationError(f"{n_terms} basis terms need as many samples, got {m}")
+    if m * n_terms > MC_CHUNK_CELLS:  # A and Q would each hold m x terms cells
+        raise NodeBudgetError(
+            f"a basis of {m} samples x {n_terms} terms needs {m * n_terms} cells, "
+            f"more than the budget of {MC_CHUNK_CELLS}"
+        )
 
     A = basis_matrix(data.x, alphas)
     step = max(1, BLOCK_CELLS // n_terms)  # row blocks bound the scratch of passes over A

@@ -56,9 +56,10 @@ def integrate_adaptive(
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
 
     ``breakpoints`` seeds the subdivision at known kinks or discontinuities;
-    ``initial_intervals`` additionally splits every seed interval uniformly
-    (useful for integrands with a known oscillation scale).  Raises
-    :class:`ToleranceError` if the interval budget is exhausted first.
+    ``initial_intervals``, an integer >= 1, additionally splits every seed
+    interval uniformly (useful for integrands with a known oscillation
+    scale).  Raises :class:`ToleranceError` if the interval budget is
+    exhausted first.
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -71,8 +72,8 @@ def integrate_adaptive(
             edges.append(t)
     edges.append(b)
     lo_list, hi_list = [], []
+    pieces = check_integer("initial_intervals", initial_intervals, 1)
     for left, right in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(initial_intervals))
         cuts = np.linspace(left, right, pieces + 1)
         lo_list.extend(cuts[:-1])
         hi_list.extend(cuts[1:])

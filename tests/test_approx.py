@@ -960,3 +960,15 @@ def test_bound_check_report_serialization():
 def test_fractional_degrees_raise(call):
     with pytest.raises(ValidationError, match="degree"):
         call()
+
+
+@pytest.mark.parametrize(
+    "through", [2.5, 5.0, -1, "5"], ids=["fraction", "float", "negative", "str"]
+)
+def test_build_takes_complete_through_as_a_count(through):
+    # 2.5 was read as 2: a plan of degree 2 then passed the completeness test
+    fhat = expansion(1, {(1,): 1.0, (5,): 1.0})
+    with pytest.raises(ValidationError, match="complete_through"):
+        build(fhat, ApproximationPlan(0.5, 1.0, 0.5, 2), complete_through=through)
+    want = build(fhat, ApproximationPlan(0.5, 1.0, 0.5, 3), complete_through=5)
+    assert build(fhat, ApproximationPlan(0.5, 1.0, 0.5, 3), complete_through=np.int64(5)) == want

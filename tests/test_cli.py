@@ -439,3 +439,61 @@ def test_malformed_concept_field_exit_2(tmp_path, capsys, command, payload):
                 "--error-budget", "1000"]
     assert main(argv + ["--seed", "1"]) == 2
     assert "gaussl1: invalid input:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# ridges and balls read their closed forms off their profile or radius
+
+
+def test_gsa_prints_the_closed_form_of_an_interval(tmp_path):
+    concept = tmp_path / "interval.json"
+    concept.write_text(json.dumps({"kind": "intersection", "halfspaces": [
+        {"w": [1.0], "c": 0.5}, {"w": [-1.0], "c": 0.3}]}))
+    out = tmp_path / "gsa.json"
+    code = main(["gsa", "--concept", str(concept), "--deltas", "0.04,0.02",
+                 "--samples", "200000", "--seed", str(SEED), "--output", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    phi = [math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) for t in (-0.3, 0.5)]
+    assert payload["closed_form"] == pytest.approx(phi[0] + phi[1], rel=1e-15)
+
+
+def test_gns_on_a_300_dimensional_ball_exits_0(tmp_path):
+    # its surface area r^(n-1) / Gamma(n/2) overflowed as two factors
+    concept = tmp_path / "ball.json"
+    concept.write_text(json.dumps({"kind": "ball", "radius": 17.0, "dimension": 300}))
+    out = tmp_path / "gns.json"
+    code = main(["gns", "--concept", str(concept), "--delta", "0.1",
+                 "--samples", "1000", "--seed", str(SEED), "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["closed_form"] == gns_ball_closed_form(0.1, 17.0, 300)
+
+
+def test_check_text_and_json_print_the_same_timed_run(monkeypatch, capsys):
+    from gaussl1 import checks
+
+    calls = []
+
+    def fake(name, passed):
+        def check():
+            calls.append(name)
+            return checks.CheckResult(name, passed, f"{name} detail")
+        return check
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (fake("one", True), fake("two", True)))
+    results = checks.run_all()
+    assert [r.name for r in results] == ["one", "two"]
+    assert all(r.seconds > 0.0 for r in results)
+    assert results[0] == checks.CheckResult("one", True, "one detail")  # time is not compared
+    calls.clear()
+    assert main(["check", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    assert [list(e) for e in entries] == [["name", "pass", "detail", "seconds"]] * 2
+    assert calls == ["one", "two"]
+    monkeypatch.setattr(checks, "ALL_CHECKS", (fake("one", True), fake("two", False)))
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS  one: one detail\nFAIL  two: two detail\n1/2 checks passed\n"
+    )
+    assert main(["check", "--json"]) == 1
+    assert [e["pass"] for e in json.loads(capsys.readouterr().out)["checks"]] == [True, False]

@@ -690,3 +690,143 @@ def test_infinite_offset_and_integral_float_dimension_stay_legal():
     assert a.gns_closed_form(0.3) == b.gns_closed_form(0.3)
     x = np.random.default_rng(SEED).standard_normal((100, 2))
     assert np.array_equal(a.batch(x), b.batch(x))
+
+
+# -- every ridge is built from its profile -------------------------------------
+
+
+def _closures_before_the_profile_builder(kind, *args):
+    """Copies of the evaluator, distance and GNS each constructor wrote by hand."""
+    if kind == "halfspace":
+        w, c = np.asarray(args[0], dtype=np.float64), float(args[1])
+        return (
+            lambda p: np.where(p @ w <= c, 1.0, -1.0),
+            lambda p: np.maximum(0.0, p @ w - c),
+            lambda delta: gns_halfspace_closed_form(delta, c),
+            gauss_density(c),
+        )
+    if kind == "constant":
+        value = args[1]
+        return (
+            lambda p: np.full(p.shape[0], float(value)),
+            lambda p: np.full(p.shape[0], 0.0 if value == 1 else np.inf),
+            lambda delta: 0.0,
+            0.0,
+        )
+    W, cvec = np.asarray(args[0]), np.asarray(args[1])  # a 1-D intersection
+
+    def evaluator(p):
+        proj = p @ W.T
+        inside = proj[:, 0] <= cvec[0]
+        for j in range(1, cvec.size):
+            inside &= proj[:, j] <= cvec[j]
+        return np.where(inside, 1.0, -1.0)
+
+    from gaussl1.concepts import _polyhedron_distance
+
+    return evaluator, lambda p: _polyhedron_distance(W, cvec, p), None, None
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _ridge_cases():
+    rng = np.random.default_rng(SEED)
+    for n in (1, 2, 10):
+        normals = [np.array([1.0]), np.array([-1.0])] if n == 1 else []
+        w = rng.standard_normal(n)
+        normals.append(w / np.linalg.norm(w))
+        for w in normals:
+            for c in (0.0, 0.7, -0.7, math.inf, -math.inf):
+                yield halfspace(w, c), ("halfspace", w, c), [c] if math.isfinite(c) else []
+    for n in (1, 3):
+        for value in (1, -1):
+            yield constant_concept(n, value), ("constant", n, value), []
+    for lo, hi in ((-0.3, 0.5), (0.2, 0.25), (-2.0, 1.5), (0.4, -0.4)):
+        c = intersection([halfspace([1.0], hi), halfspace([-1.0], -lo)])
+        yield c, ("intersection", [[1.0], [-1.0]], [hi, -lo]), [lo, hi]
+    right = intersection([halfspace([-1.0], 0.7), halfspace([-1.0], -0.1)])
+    yield right, ("intersection", [[-1.0], [-1.0]], [0.7, -0.1]), [-0.7, 0.1]
+
+
+def test_ridge_constructors_keep_the_bits_of_their_hand_written_closures():
+    for concept, old, cuts in _ridge_cases():
+        evaluator, distance, gns, gsa = _closures_before_the_profile_builder(*old)
+        n = concept.dimension
+        x = np.random.default_rng(SEED + n).standard_normal((4000, n))
+        w = np.asarray(concept.profile.w)
+        if n == 1:  # exactly on each cut
+            on_cut = [np.array([[t]]) for t in cuts]
+        else:  # on each cut up to rounding, so on both sides of it
+            on_cut = [t * w + (x - np.outer(x @ w, w)) for t in cuts]
+        points = np.vstack([x, *on_cut, np.zeros((1, n)), -np.zeros((1, n))])
+        assert _same_bits(concept.batch(points), evaluator(points)), old
+        if concept.profile.values != (-1.0, -1.0, -1.0):  # the old projection of an
+            # empty interval raised; the empty case has its own test
+            assert _same_bits(concept.distance_to_set(points), distance(points)), old
+        if gns is not None:
+            for delta in (0.0, 1e-4, 0.1, 0.5, 1.0):
+                assert concept.gns_closed_form(delta) == gns(delta), (old, delta)
+            assert concept.gsa_closed_form == gsa, old
+
+
+def _interval(lo, hi):
+    return intersection([halfspace([1.0], hi), halfspace([-1.0], -lo)])
+
+
+def test_interval_gsa_is_the_density_at_both_ends():
+    assert _interval(-0.3, 0.5).gsa_closed_form == gauss_density(-0.3) + gauss_density(0.5)
+    assert _interval(-0.3, 0.5).gsa_closed_form == pytest.approx(0.73345314, abs=1e-8)
+    right = intersection([halfspace([-1.0], 0.7), halfspace([-1.0], -0.1)])
+    assert right.gsa_closed_form == gauss_density(0.1)  # the cut at -0.7 has no jump
+    assert _interval(0.4, -0.4).gsa_closed_form == 0.0  # empty
+    est = gsa_mc(_interval(-0.3, 0.5), [0.04, 0.02], 10**6, SEED)
+    assert abs(est.mean - _interval(-0.3, 0.5).gsa_closed_form) <= 0.05 * est.mean
+
+
+def test_interval_passes_the_surface_area_bound():
+    rep = gns_gsa_bound_check(_interval(-0.3, 0.5), [0.5, 0.9, 0.99], 10**5, SEED)
+    assert rep.passed and rep.gsa == _interval(-0.3, 0.5).gsa_closed_form
+
+
+def test_many_faced_and_empty_intervals_have_a_distance():
+    # eleven faces: one past the polyhedron projection's limit in n >= 2
+    faces = [halfspace([1.0], 0.5 + 0.1 * k) for k in range(10)] + [halfspace([-1.0], 0.3)]
+    many = intersection(faces)
+    x = np.random.default_rng(SEED).standard_normal((1000, 1))
+    want = np.maximum(0.0, np.maximum(-0.3 - x[:, 0], x[:, 0] - 0.5))
+    assert np.array_equal(many.distance_to_set(x), want)
+    est = gsa_mc(many, [0.04, 0.02], 10**5, SEED)
+    assert abs(est.mean - many.gsa_closed_form) <= 0.1 * many.gsa_closed_form
+    empty = intersection([halfspace([1.0], -0.5), halfspace([-1.0], -0.5)])
+    assert np.all(np.isposinf(empty.distance_to_set(x)))
+    assert gsa_mc(empty, [0.04, 0.02], 1000, SEED).mean == 0.0
+
+
+def test_ball_surface_area_is_the_chi_density_without_overflow():
+    stats = pytest.importorskip("scipy.stats")
+    for n in (1, 2, 3, 10, 100, 300, 1000):
+        for r in (0.5, 1.0, math.sqrt(n), 17.0):
+            want = stats.chi.pdf(r, n)
+            got = ball(r, n).gsa_closed_form
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (n, r)
+    # r^(n-1) alone overflows here
+    assert ball(17.0, 300).gsa_closed_form == pytest.approx(stats.chi.pdf(17.0, 300), rel=1e-12)
+    assert ball(1.0, 2).gsa_closed_form == math.exp(-0.5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: halfspace("ab", 0.0), "w"),
+        (lambda: halfspace([1.0], "x"), "c"),
+        (lambda: halfspace([1.0], None), "c"),
+        (lambda: ball("x", 2), "radius"),
+        (lambda: ball([1.0, 2.0], 2), "radius"),
+    ],
+    ids=["w", "c", "c-none", "radius", "radius-list"],
+)
+def test_non_numeric_constructor_arguments_raise_validation_error(call, name):
+    with pytest.raises(ValidationError, match=rf"^{name} must be numeric"):
+        call()

@@ -740,3 +740,19 @@ def test_numpy_integer_counts_equal_their_int_counterparts():
     x = np.linspace(-2.0, 2.0, 7)
     assert np.array_equal(hermite_upto(np.int32(3), x), hermite_upto(3, x))
     assert type(HermiteExpansion(2.0, {}).dimension) is int
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(math.nan,), ("x",), (math.inf,), (1.5,), ("1",)],
+    ids=["nan", "str", "inf", "half", "digit"],
+)
+def test_non_integer_multi_index_entries_raise_validation_error(alpha):
+    with pytest.raises(ValidationError, match="multi-index entries must be integers"):
+        expansion(1, {alpha: 1.0})
+    with pytest.raises(ValidationError):
+        HermiteExpansion.from_dict(
+            {"dimension": 1, "terms": [{"alpha": list(alpha), "coeff": 1.0}]}
+        )
+    want = expansion(1, {(2,): 1.0})
+    assert expansion(1, {(np.int64(2),): 1.0}) == expansion(1, {(2.0,): 1.0}) == want

@@ -546,3 +546,23 @@ def test_learn_validation():
         learn(c, 0.5, 0.1, 1.0, 100, 100, SEED)
     with pytest.raises(ValidationError):
         learn(c, 0.0, 0.1, 0.1, 100, 100, SEED)
+
+
+def test_fit_refuses_a_basis_past_the_cell_budget_before_building_it(monkeypatch):
+    # a 2-D fit at degree 278 has 39 060 terms: 10^5 samples would ask for
+    # about 31 GB each for the basis and its orthonormal factor
+    def no_basis(*args):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(learner, "basis_matrix", no_basis)
+    data = LabeledData(np.zeros((10**5, 2)), np.ones(10**5))
+    start = time.perf_counter()
+    with pytest.raises(NodeBudgetError, match="39060 terms"):
+        fit_l1(data, 278)
+    assert time.perf_counter() - start < 5.0  # about 0.05 s on a 2-vCPU host
+    # the budget bounds samples x terms: 10 x 10 cells reach the basis, 11 x 10 do not
+    monkeypatch.setattr(learner, "MC_CHUNK_CELLS", 100)
+    with pytest.raises(NodeBudgetError, match="110 cells"):
+        fit_l1(LabeledData(np.zeros((11, 2)), np.ones(11)), 3)
+    with pytest.raises(AssertionError, match="the basis was built"):
+        fit_l1(LabeledData(np.zeros((10, 2)), np.ones(10)), 3)

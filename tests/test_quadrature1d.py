@@ -115,3 +115,14 @@ def test_fixed_panels_equals_fresh_legendre_rule():
 def test_fixed_panels_takes_counts_as_given(points, panels):
     with pytest.raises(ValidationError, match="integer"):
         fixed_panels(np.cos, 0.0, 1.0, points, panels)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, 0, -1], ids=["fraction", "float", "zero", "negative"])
+def test_initial_intervals_is_a_count_taken_as_given(count):
+    with pytest.raises(ValidationError, match="initial_intervals"):
+        integrate_adaptive(np.cos, 0.0, 1.0, initial_intervals=count)
+
+
+def test_initial_intervals_accepts_numpy_integers():
+    want = integrate_adaptive(np.cos, 0.0, 1.0, initial_intervals=3)
+    assert integrate_adaptive(np.cos, 0.0, 1.0, initial_intervals=np.int64(3)) == want
