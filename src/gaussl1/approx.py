@@ -47,6 +47,7 @@ from .hermite import (
 from .mc import (
     CHUNK_SIZE,
     EstimateWithError,
+    Moments,
     check_integer,
     check_samples,
     check_seed,
@@ -235,36 +236,17 @@ def _coefficients_mc(
             f"one Monte-Carlo chunk of {min(samples, CHUNK_SIZE)} samples x {len(alphas)} "
             f"coefficients needs {cells} cells, more than the budget of {MC_CHUNK_CELLS}"
         )
-    count = 0
-    mean = np.zeros(len(alphas))
-    m2 = np.zeros(len(alphas))
+    moments = Moments()
     for rng, m in chunk_rngs(seed, samples):
         x = rng.standard_normal((m, c.dimension))
-        # one (m x terms) buffer, reused in place for f H, its deviations and their squares
+        # one (m x terms) buffer: f H, then its deviations and their squares in place
         vals = basis_matrix(x, alphas)
         vals *= np.asarray(c.batch(x), dtype=np.float64)[:, None]
-        c_mean = vals.mean(axis=0)
-        vals -= c_mean
-        c_m2 = np.square(vals, out=vals).sum(axis=0)
-        delta = c_mean - mean
-        total = count + m
-        mean += delta * m / total
-        m2 += c_m2 + delta * delta * count * m / total
-        count = total
-    stderr_vec = np.sqrt(np.maximum(m2, 0.0) / (count - 1) / count)
-    terms = {}
-    stderr = {}
-    for j, alpha in enumerate(alphas):
-        stderr[alpha] = float(stderr_vec[j])
-        if mean[j] != 0.0:
-            terms[alpha] = float(mean[j])
+        moments.add(vals)
+    terms = {a: float(v) for a, v in zip(alphas, moments.mean) if v != 0.0}
+    stderr = {a: float(s) for a, s in zip(alphas, moments.stderr())}
     return CoefficientEstimate(
-        expansion(c.dimension, terms),
-        degree,
-        "monte_carlo",
-        samples,
-        check_seed(seed),
-        stderr,
+        expansion(c.dimension, terms), degree, "monte_carlo", samples, check_seed(seed), stderr
     )
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__, approx, checks, concepts, learner, sign_series
 from .errors import GaussL1Error, ValidationError
+from .mc import check_integer
 
 
 def _meta(argv: Sequence[str], seed: int | None) -> dict:
@@ -142,13 +143,14 @@ def _cmd_sign_study(args, argv) -> int:
 
 
 def _cmd_asymptotics(args, argv) -> int:
+    grid_points = check_integer("grid-points", args.grid_points, 1)
     dlist = _parse_ints(args.dlist)
     if any(d < 3 for d in dlist):
         raise ValidationError("degrees must be >= 3")
     rows = []
     sup_by_degree = {}
     for d in dlist:
-        xs = np.linspace(0.0, 1.0, args.grid_points)
+        xs = np.linspace(0.0, 1.0, grid_points)
         sup = 0.0
         for x in xs:
             sample = sign_series.plancherel_rotach_remainder(d, float(x))

@@ -148,12 +148,23 @@ def _ridge(profile: Profile, kind: str, params: dict) -> Concept:
             return g if lo == -math.inf else np.maximum(g, lo - u, out=g)
         return functools.reduce(np.minimum, (one(lo, hi) for lo, hi in pieces))
 
-    # u = <w, x> is freed before np.where allocates: a fresh buffer costs page faults
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        return np.where(inside(points @ w), 1.0, -1.0) if pieces else np.full(len(points), -1.0)
+    level = {value for lo, hi, value in zip(ends, ends[1:], v) if lo < hi}
+    if len(level) == 1:  # g takes one value on every finite u: <w, x> is not formed
+        value = level.pop()
 
-    def distance(points: np.ndarray) -> np.ndarray:
-        return gap(points @ w) if pieces else np.full(len(points), np.inf)
+        def evaluator(points: np.ndarray) -> np.ndarray:
+            return np.full(len(points), value)
+
+        def distance(points: np.ndarray) -> np.ndarray:
+            return np.full(len(points), 0.0 if value == 1.0 else np.inf)
+
+    else:
+        # u = <w, x> is freed before np.where allocates: a fresh buffer costs page faults
+        def evaluator(points: np.ndarray) -> np.ndarray:
+            return np.where(inside(points @ w), 1.0, -1.0)
+
+        def distance(points: np.ndarray) -> np.ndarray:
+            return gap(points @ w)
 
     gsa = sum((abs(b - a) / 2.0 * gauss_density(s) for s, a, b in zip(t, v, v[1:])), 0.0)
     return Concept(
@@ -255,11 +266,29 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
     distance = None
     if len(halfspaces) <= _MAX_INTERSECTION_FACES:
         distance = functools.partial(_polyhedron_distance, W, cvec)
+        # a non-empty K has a projection of 0 with independent active faces, which
+        # the enumeration visits; with none, K is empty and everything is at inf
+        if math.isinf(_projection_lengths(W, cvec, np.zeros((1, n)))[0]):
+            distance = _infinitely_far
     return Concept(n, evaluator, "intersection", distance_to_set=distance, params=params)
 
 
+def _infinitely_far(points: np.ndarray) -> np.ndarray:
+    return np.full(len(points), np.inf)
+
+
 def _polyhedron_distance(W: np.ndarray, cvec: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Exact distance to ``{x : W x <= c}`` by KKT active-set enumeration.
+    """Exact distance to the non-empty ``{x : W x <= c}``; a point whose
+    projection no active set gives raises :class:`GaussL1Error`."""
+    dist = _projection_lengths(W, cvec, points)
+    if np.any(np.isinf(dist)):
+        raise GaussL1Error("polyhedron projection failed (degenerate face set)")
+    return dist
+
+
+def _projection_lengths(W: np.ndarray, cvec: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance to ``{x : W x <= c}`` by KKT active-set enumeration, ``inf``
+    where no active set qualifies.
 
     For each candidate active set S the projection is ``x - W_S^T lambda``
     with ``lambda = (W_S W_S^T)^{-1} (W_S x - c_S)``; it is the true
@@ -290,8 +319,6 @@ def _polyhedron_distance(W: np.ndarray, cvec: np.ndarray, points: np.ndarray) ->
             d2 = np.einsum("ij,ij->i", lam, lam @ M)
             cand = np.where(ok, np.sqrt(np.maximum(d2, 0.0)), np.inf)
             best = np.minimum(best, cand)
-    if np.any(np.isinf(best[infeasible])):
-        raise GaussL1Error("polyhedron projection failed (degenerate face set)")
     dist[infeasible] = best[infeasible]
     return dist
 
@@ -511,17 +538,23 @@ def _gamma_q(beta: float, s: float) -> float:
 def gns_mc(c: Concept, delta: float, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``P[f(X) != f(Y)]`` for ``(1-delta)``-correlated
     Gaussian pairs, with binomial standard error."""
-    delta = check_probability("delta", delta)
-    rho = 1.0 - delta
-    spread = math.sqrt(max(0.0, 1.0 - rho * rho))
+    rho = 1.0 - check_probability("delta", delta)
 
     def hits(rng: np.random.Generator, m: int) -> int:
-        x = rng.standard_normal((m, c.dimension))
-        z = rng.standard_normal((m, c.dimension))
-        y = rho * x + spread * z
+        x, y = _correlated_pair(rng, m, c.dimension, rho)
         return int(np.count_nonzero(c.batch(x) != c.batch(y)))
 
     return mc_fraction(hits, samples, seed)
+
+
+def _correlated_pair(
+    rng: np.random.Generator, m: int, n: int, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` draws of ``(X, rho X + sqrt(1 - rho^2) Z)`` for independent
+    standard Gaussian ``X`` and ``Z`` in ``R^n``, ``X`` drawn first."""
+    x = rng.standard_normal((m, n))
+    z = rng.standard_normal((m, n))
+    return x, rho * x + math.sqrt(max(0.0, 1.0 - rho * rho)) * z
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +576,12 @@ def gsa_mc(
         raise CapabilityError(
             f"concept kind {c.kind!r} has no distance oracle; gsa_mc needs one"
         )
-    ds = sorted(float(d) for d in deltas)
+    ds = [float(d) for d in deltas]
+    if not all(math.isfinite(d) and d > 0 for d in ds):
+        raise ValidationError(f"deltas must be finite and > 0, got {ds}")
+    ds.sort()
     if len(ds) < 2 or len(set(ds)) != len(ds):
         raise ValidationError("need at least two distinct deltas")
-    if ds[0] <= 0:
-        raise ValidationError("deltas must be positive")
 
     n = check_samples(samples)
     counts = np.zeros(len(ds), dtype=np.int64)
@@ -583,9 +617,13 @@ def gsa_mc(
 class NoiseDistanceReport:
     """Two-route check of ``E|f - T_rho f| = 2 GNS_{1 - rho}(f)``.
 
-    ``lhs`` samples the smoothing distance directly; ``rhs`` is twice an
-    independent sensitivity estimate.  ``closed_form`` carries
-    ``2 GNS_{1-rho}`` when the concept has a closed form.
+    ``lhs`` is the mean of ``|f(X) - f(Y)|`` over ``rho``-correlated pairs.
+    For a +-1 valued ``f`` it equals ``E|f - T_rho f|``, since
+    ``|f - T_rho f| = 1 - f T_rho f``; but per sample it is the statistic
+    behind ``rhs``, twice a :func:`gns_mc` estimate, drawn on another
+    stream.  So the two routes agree whether or not the identity's
+    algebra is right.  ``closed_form`` carries ``2 GNS_{1-rho}`` when the
+    concept has a closed form.
     """
 
     rho: float
@@ -601,28 +639,15 @@ class NoiseDistanceReport:
     def passed(self) -> bool:
         return abs(self.lhs.mean - self.rhs.mean) <= 4.0 * self.combined_stderr
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "lhs": self.lhs.to_dict(),
-            "rhs": self.rhs.to_dict(),
-            "closed_form": self.closed_form,
-            "combined_stderr": self.combined_stderr,
-            "pass": self.passed,
-        }
-
 
 def noise_distance_check(
     c: Concept, rho: float, samples: int, seed: int
 ) -> NoiseDistanceReport:
     """Sample both sides of the smoothing-distance identity."""
     rho = validate_noise_level(rho)
-    spread = math.sqrt(max(0.0, 1.0 - rho * rho))
 
     def distance_values(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rng.standard_normal((m, c.dimension))
-        z = rng.standard_normal((m, c.dimension))
-        y = rho * x + spread * z
+        x, y = _correlated_pair(rng, m, c.dimension, rho)
         return np.abs(c.batch(x) - c.batch(y))
 
     lhs = mc_mean(distance_values, samples, derive_seed(seed, 0))
@@ -655,21 +680,6 @@ class GnsGsaReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "gsa": self.gsa,
-            "pass": self.passed,
-            "rows": [
-                {
-                    "rho": r.rho,
-                    "gns": r.gns.to_dict(),
-                    "bound": r.bound,
-                    "pass": r.passed,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def gns_gsa_bound_check(

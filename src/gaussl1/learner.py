@@ -391,7 +391,6 @@ def learn(
     m_test: int,
     seed: int,
     degree_cap: int = DEGREE_CAP,
-    config: FitConfig | None = None,
 ) -> LearnResult:
     """Full pipeline: plan a degree, fit in L1, threshold, and test.
 
@@ -412,7 +411,7 @@ def learn(
             stacklevel=2,
         )
     train = generate_agnostic_data(c, eta, m_train, derive_seed(seed, 0))
-    fit = fit_l1(train, degree, config)
+    fit = fit_l1(train, degree)
     threshold = choose_threshold(fit.expansion, train)
     hypothesis = Hypothesis(fit.expansion, threshold, degree)
     test_error = evaluate(hypothesis, c, eta, m_test, derive_seed(seed, 1))

@@ -102,56 +102,48 @@ def check_samples(samples: int) -> int:
 
 
 def mc_mean(
-    sample_values: Callable[[np.random.Generator, int], np.ndarray],
-    samples: int,
-    seed: int,
-    note: str | None = None,
+    sample_values: Callable[[np.random.Generator, int], np.ndarray], samples: int, seed: int
 ) -> EstimateWithError:
     """Mean and standard error of ``sample_values(rng, m)`` over ``samples`` draws.
 
-    Variances are pooled across chunks with a Welford-style merge.  If every
+    Variances are pooled across chunks by :class:`Moments`.  If every
     sampled value is identical the estimate is that value with stderr exactly
     0 (covers degenerate cases such as constant integrands).
     """
-    return mc_means(lambda rng, m: (sample_values(rng, m),), samples, seed, note)[0]
+    return mc_means(lambda rng, m: (sample_values(rng, m),), samples, seed)[0]
 
 
-@dataclass
-class _Moments:
-    """Running count, mean, squared deviations and range of one quantity."""
+class Moments:
+    """Count, mean and sum of squared deviations along axis 0, pooled chunk by
+    chunk with Welford's merge; ``mean`` and ``m2`` take the shape of one row."""
 
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    vmin: float = math.inf
-    vmax: float = -math.inf
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
 
-    def add(self, values: np.ndarray, vmin: float, vmax: float) -> None:
-        # Welford-style merge of one chunk whose range is [vmin, vmax]
-        count = values.size
-        c_mean = float(values.mean())
-        deviations = values - c_mean
-        c_m2 = float(np.square(deviations, out=deviations).sum())
+    def add(self, values: np.ndarray) -> None:
+        """Merge the ``(m, ...)`` chunk ``values``, overwriting it in place."""
+        count = values.shape[0]
+        c_mean = values.mean(axis=0)
+        values -= c_mean
+        c_m2 = np.square(values, out=values).sum(axis=0)
         delta = c_mean - self.mean
         total = self.n + count
-        self.mean += delta * count / total
-        self.m2 += c_m2 + delta * delta * self.n * count / total
+        self.mean = self.mean + delta * count / total
+        # the chunk's terms are summed first: bits depend on this order
+        self.m2 = self.m2 + (c_m2 + delta * delta * self.n * count / total)
         self.n = total
-        self.vmin = min(self.vmin, vmin)
-        self.vmax = max(self.vmax, vmax)
 
-    def estimate(self, seed: int, note: str | None) -> EstimateWithError:
-        if self.vmin == self.vmax:
-            return EstimateWithError(self.vmin, 0.0, self.n, seed, note)
-        var = max(0.0, self.m2 / (self.n - 1))
-        return EstimateWithError(self.mean, math.sqrt(var / self.n), self.n, seed, note)
+    def stderr(self):
+        """Standard error of the mean, ``sqrt(m2 / (n - 1) / n)``."""
+        return np.sqrt(np.maximum(self.m2 / (self.n - 1), 0.0) / self.n)
 
 
 def mc_means(
     sample_values: Callable[[np.random.Generator, int], Sequence[np.ndarray]],
     samples: int,
     seed: int,
-    note: str | None = None,
 ) -> list[EstimateWithError]:
     """:func:`mc_mean` of several quantities sampled from one stream.
 
@@ -160,17 +152,19 @@ def mc_means(
     :func:`mc_mean` gives for that quantity alone.
     """
     samples = check_samples(samples)
-    moments: list[_Moments] = []
+    moments: list[Moments] = []
+    ranges: list[tuple[float, float]] = []
     for rng, count in chunk_rngs(seed, samples):
         batch = sample_values(rng, count)
         if not moments:
-            moments = [_Moments() for _ in batch]
+            moments = [Moments() for _ in batch]
+            ranges = [(math.inf, -math.inf)] * len(batch)
         if len(batch) != len(moments):
             raise ValidationError(
                 f"sampler returned {len(batch)} quantities, expected {len(moments)}"
             )
-        for acc, values in zip(moments, batch):
-            values = np.asarray(values, dtype=np.float64)
+        for j, values in enumerate(batch):
+            values = np.array(values, dtype=np.float64)  # a copy: add() overwrites it
             if values.shape != (count,):
                 raise ValidationError(
                     f"sampler returned shape {values.shape}, expected ({count},)"
@@ -179,15 +173,19 @@ def mc_means(
             vmin, vmax = float(values.min()), float(values.max())
             if not (math.isfinite(vmin) and math.isfinite(vmax)):
                 raise ValidationError("sampler produced non-finite values")
-            acc.add(values, vmin, vmax)
-    return [acc.estimate(int(seed), note) for acc in moments]
+            ranges[j] = (min(ranges[j][0], vmin), max(ranges[j][1], vmax))
+            moments[j].add(values)
+    seed = int(seed)
+    return [
+        EstimateWithError(lo, 0.0, acc.n, seed)
+        if lo == hi
+        else EstimateWithError(float(acc.mean), float(acc.stderr()), acc.n, seed)
+        for acc, (lo, hi) in zip(moments, ranges)
+    ]
 
 
 def mc_fraction(
-    hit_count: Callable[[np.random.Generator, int], int],
-    samples: int,
-    seed: int,
-    note: str | None = None,
+    hit_count: Callable[[np.random.Generator, int], int], samples: int, seed: int
 ) -> EstimateWithError:
     """Binomial fraction estimate: ``hit_count(rng, m)`` hits out of ``samples``.
 
@@ -205,4 +203,4 @@ def mc_fraction(
         n += count
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
-    return EstimateWithError(p, stderr, n, int(seed), note)
+    return EstimateWithError(p, stderr, n, int(seed))

@@ -112,25 +112,6 @@ class EigenCheckReport:
     def passed(self) -> bool:
         return all(abs(r.deviation) <= 4.0 * r.stderr for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "rho": self.rho,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_abs_deviation": self.max_abs_deviation,
-            "pass": self.passed,
-            "rows": [
-                {
-                    "x": r.x,
-                    "estimate": r.estimate,
-                    "stderr": r.stderr,
-                    "target": r.target,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def eigen_check(
     k: int,

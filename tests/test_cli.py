@@ -178,6 +178,17 @@ def test_gsa_estimate(tmp_path):
     assert abs(payload["estimate"]["mean"] - phi0) <= 0.05 * phi0
 
 
+@pytest.mark.parametrize("deltas", ["nan,0.02", "0.02,inf", "0.04,0.02,nan"])
+def test_gsa_non_finite_deltas_exit_2(tmp_path, capsys, deltas):
+    concept = _write_halfspace(tmp_path)
+    out = tmp_path / "gsa.json"
+    code = main(["gsa", "--concept", concept, "--deltas", deltas,
+                 "--samples", "1000", "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert "deltas must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # approx / learn
 
@@ -302,6 +313,16 @@ def test_asymptotics_validates_degrees(capsys):
     assert main(["asymptotics", "--dlist", "1,11"]) == 2
     assert main(["asymptotics", "--dlist", "foo"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_asymptotics_validates_grid_points(tmp_path, capsys, points):
+    rep = tmp_path / "asym.json"
+    code = main(["asymptotics", "--dlist", "11,101", "--grid-points", points,
+                 "--output", str(tmp_path / "asym.csv"), "--report", str(rep)])
+    assert code == 2
+    assert "grid-points" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_python_m_gaussl1_matches_console_script():

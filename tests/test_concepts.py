@@ -559,6 +559,14 @@ def test_gsa_mc_validation_and_low_hit_warning():
     assert est.note is not None  # far fewer than 100 shell hits
 
 
+@pytest.mark.parametrize(
+    "deltas", [[math.nan, 0.02], [0.02, math.inf], [0.04, 0.02, math.nan], [0.02, -math.inf]]
+)
+def test_gsa_mc_rejects_non_finite_deltas(deltas):
+    with pytest.raises(ValidationError, match="finite"):
+        gsa_mc(halfspace([1.0], 0.0), deltas, 100, SEED)
+
+
 def test_gsa_mc_deterministic():
     hs = halfspace([1.0], 0.0)
     assert gsa_mc(hs, [0.04, 0.02], 10**5, SEED) == gsa_mc(hs, [0.04, 0.02], 10**5, SEED)
@@ -830,3 +838,22 @@ def test_ball_surface_area_is_the_chi_density_without_overflow():
 def test_non_numeric_constructor_arguments_raise_validation_error(call, name):
     with pytest.raises(ValidationError, match=rf"^{name} must be numeric"):
         call()
+
+
+def test_empty_intersection_in_two_dimensions_is_infinitely_far():
+    empty = intersection([halfspace([1.0, 0.0], -0.5), halfspace([-1.0, 0.0], -0.5)])
+    x = np.random.default_rng(SEED).standard_normal((1000, 2))
+    assert np.all(np.isposinf(empty.distance_to_set(x)))
+    assert np.all(empty.batch(x) == -1.0)
+    assert gsa_mc(empty, [0.04, 0.02], 1000, SEED).mean == 0.0
+    # a point of the set gives the projection away: a non-empty one still measures
+    wedge = intersection([halfspace([1.0, 0.0], -0.5), halfspace([0.0, 1.0], -0.5)])
+    assert wedge.distance_to_set(np.zeros((1, 2)))[0] == pytest.approx(math.sqrt(0.5))
+
+
+def test_a_constant_ignores_its_input():
+    rows = np.array([[math.nan, 0.0, 1.0], [math.inf, -math.inf, math.nan], [0.0, 0.0, 0.0]])
+    for value, far in ((1, 0.0), (-1, math.inf)):
+        c = constant_concept(3, value)
+        assert np.array_equal(c.batch(rows), np.full(3, float(value)))
+        assert np.array_equal(c.distance_to_set(rows), np.full(3, far))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussl1 import ValidationError
-from gaussl1.mc import CHUNK_SIZE, chunk_rngs, mc_mean, mc_means
+from gaussl1.mc import CHUNK_SIZE, Moments, chunk_rngs, mc_mean, mc_means
 
 
 def _sampler(rng, m):
@@ -50,3 +50,15 @@ def test_mc_means_reject_non_finite_values(bad, where):
         mc_means(sampler, 1000, 3)
     with pytest.raises(ValidationError, match="non-finite"):
         mc_mean(lambda rng, m: sampler(rng, m)[1], 1000, 3)
+
+
+@pytest.mark.parametrize("shape", [(1000,), (1000, 3)])
+def test_moments_pool_chunks_into_the_whole_sample_statistics(shape):
+    values = np.random.default_rng(5).standard_normal(shape) * 3.0 + 1.5
+    acc = Moments()
+    for lo, hi in ((0, 1), (1, 400), (400, 1000)):
+        acc.add(values[lo:hi].copy())
+    assert acc.n == 1000
+    assert np.allclose(acc.mean, values.mean(axis=0), rtol=0, atol=1e-13)
+    want = values.std(axis=0, ddof=1) / math.sqrt(1000)
+    assert np.allclose(acc.stderr(), want, rtol=1e-12, atol=0)
