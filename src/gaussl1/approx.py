@@ -279,14 +279,12 @@ def build(
 
 def l1_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``E|f(X) - p(X)|``."""
-    _check_same_dimension(c, p)
-    return _mc_errors(c, partial(expansion_eval_batch, p), samples, seed)[0]
+    return _mc_errors(c, _p_values(c, p), samples, seed)[0]
 
 
 def l2_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``E[(f - p)^2]^(1/2)`` (delta-method stderr)."""
-    _check_same_dimension(c, p)
-    return _mc_errors(c, partial(expansion_eval_batch, p), samples, seed)[1]
+    return _mc_errors(c, _p_values(c, p), samples, seed)[1]
 
 
 def _mc_errors(
@@ -312,11 +310,13 @@ def _ridge_values(q: HermiteExpansion, w) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: expansion_eval_batch(q, (x @ w)[:, None])
 
 
-def _check_same_dimension(c: Concept, p: HermiteExpansion) -> None:
+def _p_values(c: Concept, p: HermiteExpansion) -> Callable[[np.ndarray], np.ndarray]:
+    # p's values at points of c's dimension, which must be p's
     if c.dimension != p.dimension:
         raise ValidationError(
             f"concept dimension {c.dimension} != polynomial dimension {p.dimension}"
         )
+    return partial(expansion_eval_batch, p)
 
 
 def l1_error_quad_1d(
@@ -331,7 +331,7 @@ def l1_error_quad_1d(
     else ``breakpoints`` supplied by the caller) and is cut
     at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
-    return _quad_error_1d(c, p, breakpoints, abs_tol, np.abs)
+    return _quad_error_1d(c, _p_values(c, p), p.degree_bound, np.abs, abs_tol, breakpoints)
 
 
 def l2_error_quad_1d(
@@ -341,18 +341,19 @@ def l2_error_quad_1d(
     abs_tol: float = 1e-8,
 ) -> float:
     """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
-    return math.sqrt(max(0.0, _quad_error_1d(c, p, breakpoints, abs_tol, np.square)))
+    msq = _quad_error_1d(c, _p_values(c, p), p.degree_bound, np.square, abs_tol, breakpoints)
+    return math.sqrt(max(0.0, msq))
 
 
 def _quad_error_1d(
     c: Concept,
-    p: HermiteExpansion,
-    breakpoints: Sequence[float] | None,
-    abs_tol: float,
+    p_values: Callable[[np.ndarray], np.ndarray],
+    degree: int,
     norm: Callable[[np.ndarray], np.ndarray],
+    abs_tol: float,
+    breakpoints: Sequence[float] | None = None,
 ) -> float:
-    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF]
-    _check_same_dimension(c, p)
+    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF] for p of degree <= degree
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
     if breakpoints is None:
@@ -361,9 +362,9 @@ def _quad_error_1d(
         breakpoints = [c.profile.w[0] * t for t in c.profile.breakpoints]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return norm(c.batch(x[:, None]) - expansion_eval_batch(p, x[:, None])) * gauss_density(x)
+        return norm(c.batch(x[:, None]) - p_values(x[:, None])) * gauss_density(x)
 
-    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
+    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
     return integrate_adaptive(
         integrand,
         -GAUSS_CUTOFF,
@@ -401,9 +402,13 @@ class ApproxReport:
     """Measured error of the construction against its proved budget.
 
     ``bound = gns_term + tail_term`` where ``gns_term`` is twice the noise
-    sensitivity at ``delta = 1 - rho`` and ``tail_term = rho^(degree + 1)``;
-    ``slack`` adds the coefficient-noise allowance for Monte-Carlo
-    coefficients and is reported separately from the bound itself.
+    sensitivity at ``delta = 1 - rho`` and ``tail_term = rho^(degree + 1)``.
+    The verdict is ``pass`` when the measured L1 error is within the bound
+    plus the sampling allowance (four combined stderrs of the measured L1
+    and ``gns_term``).  ``slack``, the worst-case wobble of ``p`` from
+    Monte-Carlo coefficient noise, is a diagnostic: an error past the
+    allowance but within ``slack`` of it is ``inconclusive``, and anything
+    else ``fail``.  Only ``pass`` counts as :attr:`passed`.
     """
 
     plan: ApproximationPlan
@@ -423,8 +428,16 @@ class ApproxReport:
 
     @property
     def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    @property
+    def verdict(self) -> str:
         allowance = 4.0 * math.hypot(self.measured_l1.stderr, 2.0 * self.gns_stderr)
-        return self.measured_l1.mean <= self.bound + allowance + self.slack
+        if self.measured_l1.mean <= self.bound + allowance:
+            return "pass"
+        if self.measured_l1.mean <= self.bound + allowance + self.slack:
+            return "inconclusive"
+        return "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -440,6 +453,7 @@ class ApproxReport:
             "slack": self.slack,
             "seed": self.seed,
             "pass": self.passed,
+            "verdict": self.verdict,
         }
 
 
@@ -458,11 +472,12 @@ def bound_check(
     where ``q = (T_rho g)_{<=d}`` is built in one dimension from
     :func:`profile_coefficients`, in any dimension (:func:`profile_expansion`
     is the n-D export of the same coefficients).  Other concepts take tensor
-    quadrature up to dimension 3 and Monte Carlo beyond (adding the
-    coefficient-noise slack).  A 1-D concept with a profile has its error
-    measured by dense quadrature (stderr then reflects the quadrature
-    tolerance); otherwise one Monte-Carlo pass gives both the L1 and the L2
-    error, evaluating an n-D ridge's ``p`` as ``q(<w, x>)``.  GNS uses a
+    quadrature up to dimension 3 and Monte Carlo beyond (whose
+    coefficient-noise ``slack`` can make the verdict ``inconclusive``).  A
+    1-D concept with a profile has its error measured by dense quadrature
+    (stderr then reflects the quadrature tolerance); otherwise one
+    Monte-Carlo pass gives both the L1 and the L2 error.  Either pass
+    evaluates a ridge's ``p`` as ``q(<w, x>)``.  GNS uses a
     supplied trusted value (outside ``[0, 1/2]`` it raises
     :class:`ValidationError`), the concept's closed form when present (every
     halfspace, ball and 1-D intersection has one), or a Monte-Carlo estimate.
@@ -499,19 +514,17 @@ def bound_check(
             c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
         )
     p = build(est.expansion, aplan, complete_through=est.degree)
+    p_values = partial(expansion_eval_batch, p)
+    if c.profile is not None:  # p is the profile's 1-D q, evaluated as q(<w, x>)
+        p_values = _ridge_values(p, c.profile.w)
     if c.dimension == 1 and c.profile is not None:
-        # q(w_0 x) = sum_k q_k w_0^k H_k(x), exactly for w_0 = +-1
-        w0 = c.profile.w[0]
-        px = expansion(1, {(k,): v * w0**k for (k,), v in p.terms.items()})
         quad_tol = 1e-6
-        l1, l2 = l1_error_quad_1d(c, px, abs_tol=quad_tol), l2_error_quad_1d(c, px)
+        l1 = _quad_error_1d(c, p_values, p.degree_bound, np.abs, quad_tol)
+        l2 = math.sqrt(max(0.0, _quad_error_1d(c, p_values, p.degree_bound, np.square, 1e-8)))
         measured_l1 = EstimateWithError(l1, quad_tol, 0, check_seed(seed), note="quadrature")
         measured_l2 = EstimateWithError(l2, 0.0, 0, check_seed(seed), note="quadrature")
         error_method = "quadrature"
     else:
-        p_values = partial(expansion_eval_batch, p)
-        if c.profile is not None:  # an n-D ridge: q evaluated as q(<w, x>)
-            p_values = _ridge_values(p, c.profile.w)
         measured_l1, measured_l2 = _mc_errors(c, p_values, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 

@@ -87,12 +87,9 @@ def _eigen() -> CheckResult:
 
 def _noise_distance() -> CheckResult:
     hs = concepts.halfspace([1.0], 0.0)
-    rep = concepts.noise_distance_check(hs, 0.9, 10**5, _SEED)
-    ok = rep.passed
-    if rep.closed_form is not None:
-        ok = ok and abs(rep.lhs.mean - rep.closed_form) <= 4.0 * rep.lhs.stderr
+    rep = concepts.noise_distance_check(hs, 0.9, 10**5, _SEED)  # rhs: the closed form
     return CheckResult(
-        "noise-distance-identity", ok, f"lhs {rep.lhs.mean:.5f} vs rhs {rep.rhs.mean:.5f}"
+        "noise-distance-identity", rep.passed, f"lhs {rep.lhs.mean:.5f} vs rhs {rep.rhs.mean:.5f}"
     )
 
 

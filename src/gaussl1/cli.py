@@ -25,7 +25,7 @@ import datetime
 import json
 import shlex
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 
 def _emit_csv(
-    meta: dict, header: Sequence[str], rows: Sequence[Sequence], output: str | None
+    meta: dict, header: Iterable[str], rows: Iterable[Iterable], output: str | None
 ) -> None:
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(",".join(header))
@@ -110,22 +110,17 @@ def _cmd_approx(args, argv) -> int:
     payload = {"meta": _meta(argv, args.seed), "report": report.to_dict()}
     _emit_json(payload, args.output)
     if args.csv is not None:
-        row = (
-            args.epsilon,
-            args.gamma,
-            p.rho,
-            p.degree,
-            report.measured_l1.mean,
-            report.measured_l1.stderr,
-            report.bound,
-            report.passed,
-        )
-        _emit_csv(
-            _meta(argv, args.seed),
-            ["epsilon", "gamma", "rho", "degree", "l1_error", "stderr", "bound", "passed"],
-            [row],
-            args.csv,
-        )
+        row = {
+            "epsilon": args.epsilon,
+            "gamma": args.gamma,
+            "rho": p.rho,
+            "degree": p.degree,
+            "l1_error": report.measured_l1.mean,
+            "stderr": report.measured_l1.stderr,
+            "bound": report.bound,
+            "passed": report.passed,
+        }
+        _emit_csv(_meta(argv, args.seed), row.keys(), [row.values()], args.csv)
     return 0 if report.passed else 1
 
 
@@ -220,33 +215,18 @@ def _cmd_learn(args, argv) -> int:
     payload = {"meta": _meta(argv, args.seed), "result": result.to_dict()}
     _emit_json(payload, args.output)
     if args.csv is not None:
-        row = (
-            args.epsilon,
-            args.gamma,
-            args.eta,
-            result.degree,
-            result.capped,
-            result.train_l1_loss,
-            result.test_error.mean,
-            result.test_error.stderr,
-            result.excess,
-        )
-        _emit_csv(
-            _meta(argv, args.seed),
-            [
-                "epsilon",
-                "gamma",
-                "eta",
-                "degree",
-                "capped",
-                "train_l1_loss",
-                "test_error",
-                "stderr",
-                "excess",
-            ],
-            [row],
-            args.csv,
-        )
+        row = {
+            "epsilon": args.epsilon,
+            "gamma": args.gamma,
+            "eta": args.eta,
+            "degree": result.degree,
+            "capped": result.capped,
+            "train_l1_loss": result.train_l1_loss,
+            "test_error": result.test_error.mean,
+            "stderr": result.test_error.stderr,
+            "excess": result.excess,
+        }
+        _emit_csv(_meta(argv, args.seed), row.keys(), [row.values()], args.csv)
     return 0
 
 
@@ -266,6 +246,13 @@ def _cmd_check(args, argv) -> int:
     return 1 if failed else 0
 
 
+def _option(flag: str, **kwargs) -> argparse.ArgumentParser:
+    # a parent parser declaring one option that several subcommands share
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussl1", description="Smoothed polynomial approximation toolkit"
@@ -273,62 +260,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gaussl1 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="compute the smoothing/degree schedule")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--output", default=None)
+    output = _option("--output", default=None)
+    concept = _option("--concept", required=True, help="concept JSON file")
+    seed = _option("--seed", type=int, required=True)
+    epsilon = _option("--epsilon", type=float, required=True)
+    gamma = _option("--gamma", type=float, required=True)
+    samples = _option("--samples", type=int, default=10**6)
+    csv = _option("--csv", default=None, help="one-row summary CSV path")
+
+    p = sub.add_parser(
+        "plan", parents=[epsilon, gamma, output], help="compute the smoothing/degree schedule"
+    )
     p.set_defaults(run=_cmd_plan)
 
-    p = sub.add_parser("approx", help="build an approximation and audit its bound")
-    p.add_argument("--concept", required=True, help="concept JSON file")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p = sub.add_parser(
+        "approx",
+        parents=[concept, epsilon, gamma, seed, output, csv],
+        help="build an approximation and audit its bound",
+    )
     p.add_argument("--coeff-budget", type=int, default=None)
     p.add_argument("--error-budget", type=int, default=10**6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", default=None)
-    p.add_argument("--csv", default=None)
     p.set_defaults(run=_cmd_approx)
 
-    p = sub.add_parser("sign-study", help="sign truncation error vs degree")
+    p = sub.add_parser("sign-study", parents=[output], help="sign truncation error vs degree")
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--output", default=None)
     p.set_defaults(run=_cmd_sign_study)
 
-    p = sub.add_parser("asymptotics", help="oscillatory remainder vs envelope")
+    p = sub.add_parser("asymptotics", parents=[output], help="oscillatory remainder vs envelope")
     p.add_argument("--dlist", required=True, help="comma separated degrees")
     p.add_argument("--grid-points", type=int, default=21)
-    p.add_argument("--output", default=None)
     p.add_argument("--report", default=None, help="summary JSON path")
     p.set_defaults(run=_cmd_asymptotics)
 
-    p = sub.add_parser("gns", help="Monte Carlo noise sensitivity")
-    p.add_argument("--concept", required=True)
+    p = sub.add_parser(
+        "gns", parents=[concept, samples, seed, output], help="Monte Carlo noise sensitivity"
+    )
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", default=None)
     p.set_defaults(run=_cmd_gns)
 
-    p = sub.add_parser("gsa", help="shell-extrapolated surface area")
-    p.add_argument("--concept", required=True)
+    p = sub.add_parser(
+        "gsa", parents=[concept, samples, seed, output], help="shell-extrapolated surface area"
+    )
     p.add_argument("--deltas", default="0.04,0.02", help="two shrinking widths")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", default=None)
     p.set_defaults(run=_cmd_gsa)
 
-    p = sub.add_parser("learn", help="agnostic polynomial threshold learner")
-    p.add_argument("--concept", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p = sub.add_parser(
+        "learn",
+        parents=[concept, epsilon, gamma, seed, output, csv],
+        help="agnostic polynomial threshold learner",
+    )
     p.add_argument("--eta", type=float, default=0.0, help="label flip rate")
     p.add_argument("--mtrain", type=int, required=True, dest="m_train")
     p.add_argument("--mtest", type=int, required=True, dest="m_test")
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--degree-cap", type=int, default=learner.DEGREE_CAP)
-    p.add_argument("--output", default=None)
-    p.add_argument("--csv", default=None, help="one-row summary CSV path")
     p.set_defaults(run=_cmd_learn)
 
     p = sub.add_parser("check", help="run the deterministic invariant suite")

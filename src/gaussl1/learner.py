@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproximationPlan, plan
-from .concepts import Concept
+from .concepts import Concept, _signs
 from .errors import DimensionMismatchError, NodeBudgetError, ValidationError
 from .hermite import (
     BLOCK_CELLS,
@@ -321,7 +321,7 @@ class Hypothesis:
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         scores = expansion_eval_batch(self.p, np.asarray(points, dtype=np.float64))
-        return np.where(scores >= self.threshold, 1.0, -1.0)
+        return _signs(scores >= self.threshold)
 
     def to_dict(self) -> dict:
         return {

@@ -657,12 +657,21 @@ def test_bound_check_ridge_pass_matches_the_lifted_polynomial(w):
 
 
 def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
-    # q(-x) negates H_k(x) exactly for odd k, so a 1-D halfspace with w = -1
-    # measures what the lifted 1-D expansion measures, bit for bit
-    for offset, aplan in ((0.3, plan(0.6, 0.3)), (-0.45, plan(0.5, gauss_density(0.0)))):
-        f = halfspace([-1.0], offset)
+    # q(-x) negates H_k(x) exactly for odd k, so a 1-D ridge whose q is
+    # evaluated at <w, x> measures what the lifted 1-D expansion measures, bit
+    # for bit: a halfspace with w = -1, and the ball, interval and constant
+    degree12 = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=12)
+    interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])
+    for f, aplan in (
+        (halfspace([-1.0], 0.3), plan(0.6, 0.3)),
+        (halfspace([-1.0], -0.45), plan(0.5, gauss_density(0.0))),
+        (halfspace([-1.0], 1.7), degree12),
+        (ball(1.2, 1), plan(0.6, 0.3)),
+        (interval, degree12),
+        (constant_concept(1, -1), plan(0.6, 0.3)),
+    ):
         report = bound_check(f, aplan, seed=SEED)
-        p = build(halfspace_expansion([-1.0], offset, aplan.degree), aplan,
+        p = build(approx.profile_expansion(f.profile, aplan.degree), aplan,
                   complete_through=aplan.degree)
         assert report.measured_l1.mean == l1_error_quad_1d(f, p, abs_tol=1e-6)
         assert report.measured_l2.mean == l2_error_quad_1d(f, p)
@@ -812,6 +821,33 @@ def test_bound_check_mc_coefficient_slack():
     assert report.coeff_method == "monte_carlo"
     assert report.slack > 0.0
     assert report.passed
+
+
+def test_bound_check_error_within_only_the_slack_is_inconclusive():
+    # 200 samples leave the degree-15 Monte-Carlo coefficients noisy: the L1
+    # error misses bound + allowance, and only the coefficient-noise slack
+    # (about 4e6) covers it, so the verdict is undecided rather than a pass
+    report = bound_check(ball(2.2, 4), plan(0.6, 0.3), coeff_budget=200,
+                         error_budget=100_000, seed=7)
+    allowance = 4.0 * math.hypot(report.measured_l1.stderr, 2.0 * report.gns_stderr)
+    assert report.bound + allowance < report.measured_l1.mean
+    assert report.measured_l1.mean <= report.bound + allowance + report.slack
+    assert report.verdict == "inconclusive"
+    assert not report.passed
+    d = report.to_dict()
+    assert (d["pass"], d["verdict"]) == (False, "inconclusive")
+
+
+def test_bound_check_verdict_is_pass_or_fail_without_slack():
+    # deterministic coefficients have no slack: within the allowance is a
+    # pass, past it (here: a GNS value far below the true one) a fail
+    c = halfspace([1.0], 0.0)
+    aplan = plan(0.6, 0.3)
+    report = bound_check(c, aplan, seed=SEED)
+    assert (report.slack, report.verdict, report.passed) == (0.0, "pass", True)
+    report = bound_check(c, aplan, seed=SEED, gns_value=0.0)
+    assert report.measured_l1.mean > report.bound + 4.0 * report.measured_l1.stderr
+    assert (report.verdict, report.passed) == ("fail", False)
 
 
 def test_bound_check_1d_profiles_are_exact():

@@ -262,6 +262,21 @@ def test_approx_20d_halfspace_at_the_plan_degree(tmp_path):
     assert report["pass"] is True
 
 
+def test_approx_inconclusive_verdict_exits_1(tmp_path):
+    # a 4-D ball from 200 Monte-Carlo samples: its error lies past the
+    # allowance, within only the coefficient-noise slack
+    concept = tmp_path / "ball4.json"
+    concept.write_text(json.dumps({"kind": "ball", "radius": 2.2, "dimension": 4}))
+    out = tmp_path / "ball4-report.json"
+    code = main(["approx", "--concept", str(concept), "--epsilon", "0.6", "--gamma", "0.3",
+                 "--coeff-budget", "200", "--error-budget", "100000", "--seed", "7",
+                 "--output", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())["report"]
+    assert (report["pass"], report["verdict"]) == (False, "inconclusive")
+    assert report["slack"] > report["measured_l1"]["mean"] - report["bound"]
+
+
 def test_learn_json_and_csv(tmp_path):
     concept = _write_halfspace(tmp_path)
     out = tmp_path / "learn.json"

@@ -591,6 +591,21 @@ def test_noise_distance_identity_halfspace():
     assert abs(rep.lhs.mean - rep.closed_form) <= 4.0 * rep.lhs.stderr
 
 
+def test_noise_distance_identity_compares_with_the_exact_side():
+    # with a closed form, rhs is the exact 2 GNS: a closed form 0.05 too
+    # large fails, where a second sampled 2 GNS would agree with lhs anyway
+    hs = halfspace([1.0], 0.0)
+    wrong = Concept(1, hs.evaluator, gns_closed_form=lambda d: hs.gns_closed_form(d) + 0.05)
+    rep = noise_distance_check(wrong, 0.9, 10**5, SEED)
+    assert (rep.rhs.mean, rep.rhs.stderr, rep.rhs.samples) == (rep.closed_form, 0.0, 0)
+    assert not rep.passed
+    rep = noise_distance_check(hs, 0.9, 10**5, SEED)
+    assert rep.rhs.mean == rep.closed_form and rep.passed
+    # without one, rhs is sampled
+    rep = noise_distance_check(Concept(1, hs.evaluator), 0.9, 10**5, SEED)
+    assert rep.closed_form is None and rep.rhs.samples == 10**5 and rep.passed
+
+
 def test_gns_gsa_bound_halfspace():
     hs = halfspace([1.0], 0.0)
     rep = gns_gsa_bound_check(hs, [1.0, 0.99, 0.9, 0.5], 10**5, SEED)
