@@ -50,14 +50,17 @@ def _write_sidecar(path: str) -> None:
         fh.write("\n")
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _write(text: str, output: str | None) -> None:
     if output is None:
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
         _write_sidecar(output)
+
+
+def _emit_json(payload: dict, output: str | None) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", output)
 
 
 def _emit_csv(
@@ -67,27 +70,14 @@ def _emit_csv(
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_sidecar(output)
+    _write("\n".join(lines) + "\n", output)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, convert: type) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [convert(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ValidationError(f"bad float list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad int list {text!r}") from exc
+        raise ValidationError(f"bad {convert.__name__} list {text!r}") from exc
 
 
 def _cmd_plan(args, argv) -> int:
@@ -139,19 +129,16 @@ def _cmd_sign_study(args, argv) -> int:
 
 def _cmd_asymptotics(args, argv) -> int:
     grid_points = check_integer("grid-points", args.grid_points, 1)
-    dlist = _parse_ints(args.dlist)
+    dlist = _parse_list(args.dlist, int)
     if any(d < 3 for d in dlist):
         raise ValidationError("degrees must be >= 3")
+    xs = np.linspace(0.0, 1.0, grid_points)
     rows = []
     sup_by_degree = {}
     for d in dlist:
-        xs = np.linspace(0.0, 1.0, grid_points)
-        sup = 0.0
-        for x in xs:
-            sample = sign_series.plancherel_rotach_remainder(d, float(x))
-            rows.append((d, float(x), sample.remainder, sample.envelope))
-            sup = max(sup, abs(sample.remainder))
-        sup_by_degree[d] = sup
+        remainder, envelope = sign_series.remainder_grid(d, xs)
+        rows.extend(zip([d] * grid_points, xs.tolist(), remainder.tolist(), envelope.tolist()))
+        sup_by_degree[d] = float(np.abs(remainder).max())
     _emit_csv(
         _meta(argv, None), ["degree", "x", "remainder", "envelope"], rows, args.output
     )
@@ -187,7 +174,7 @@ def _cmd_gns(args, argv) -> int:
 
 def _cmd_gsa(args, argv) -> int:
     concept = concepts.load_concept(args.concept)
-    deltas = _parse_floats(args.deltas)
+    deltas = _parse_list(args.deltas, float)
     est = concepts.gsa_mc(concept, deltas, args.samples, args.seed)
     payload = {
         "meta": _meta(argv, args.seed),
@@ -333,10 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"gaussl1: invalid input: {exc}", file=sys.stderr)
         return 2
-    except GaussL1Error as exc:
-        print(f"gaussl1: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GaussL1Error, FileNotFoundError) as exc:
         print(f"gaussl1: {exc}", file=sys.stderr)
         return 2
 

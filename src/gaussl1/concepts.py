@@ -38,6 +38,7 @@ from .hermite import NODE_BUDGET, HermiteExpansion, expansion_eval_batch, gauss_
 from .mc import (
     EstimateWithError,
     check_dimension,
+    check_numeric,
     check_probability,
     check_samples,
     check_seed,
@@ -114,24 +115,17 @@ def eval_concept(c: Concept, x) -> int:
 
 def halfspace(w, c: float) -> Concept:
     """``f(x) = sign(c - <w, x>)`` for a unit ``w`` and a non-NaN ``c`` (ties to +1)."""
-    w = _numeric("w", w, lambda a: np.asarray(a, dtype=np.float64))
+    w = check_numeric("w", w, lambda a: np.asarray(a, dtype=np.float64))
     if w.ndim != 1 or w.size < 1:
         raise ValidationError("w must be a non-empty vector")
     norm = float(np.linalg.norm(w))
     if not abs(norm - 1.0) <= 1e-12:  # a NaN entry fails too
         raise ValidationError(f"w must be a unit vector; got |w| = {norm!r}")
-    offset = _numeric("c", c)
+    offset = check_numeric("c", c)
     if math.isnan(offset):
         raise ValidationError("offset c must not be NaN")
     profile = Profile(tuple(float(v) for v in w), (offset,), (1.0, -1.0))
     return _ridge(profile, "halfspace", {"w": list(profile.w), "c": offset})
-
-
-def _numeric(name: str, value, convert: Callable = float):
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
 
 
 def _ridge(profile: Profile, kind: str, params: dict) -> Concept:
@@ -185,7 +179,7 @@ def _ridge(profile: Profile, kind: str, params: dict) -> Concept:
 def ball(radius: float, dimension: int) -> Concept:
     """``f(x) = +1`` iff ``|x| <= radius`` (boundary counts as +1) for a finite
     ``radius > 0`` and a whole ``dimension >= 1``; others raise :class:`ValidationError`."""
-    radius = _numeric("radius", radius)
+    radius = check_numeric("radius", radius)
     if not (math.isfinite(radius) and radius > 0):
         raise ValidationError(f"radius must be finite and > 0, got {radius}")
     dimension = check_dimension(dimension)

@@ -28,7 +28,7 @@ from .errors import (
     NodeBudgetError,
     ValidationError,
 )
-from .mc import check_dimension, check_integer
+from .mc import check_dimension, check_integer, check_numeric
 
 MultiIndex = tuple[int, ...]
 
@@ -208,7 +208,7 @@ class HermiteExpansion:
                 )
             if any(not isinstance(a, int) or a < 0 for a in alpha):
                 raise ValidationError(f"invalid multi-index {alpha}")
-            if not math.isfinite(c):
+            if not check_numeric("coefficient", c, math.isfinite, alpha):
                 raise ValidationError(f"non-finite coefficient at {alpha}")
             if c == 0.0:
                 raise ValidationError(f"zero coefficient stored at {alpha}")
@@ -282,7 +282,7 @@ def expansion(dimension: int, terms: Mapping | Iterable) -> HermiteExpansion:
     canon: dict[MultiIndex, float] = {}
     for alpha, c in items:
         alpha = check_multi_index(alpha)
-        c = float(c)
+        c = check_numeric("coefficient", c, at=alpha)
         if not math.isfinite(c):
             raise ValidationError(f"non-finite coefficient at {alpha}")
         if c != 0.0:

@@ -88,6 +88,17 @@ def check_dimension(value: int) -> int:
     return int(value)
 
 
+def check_numeric(name: str, value, convert: Callable = float, at=None):
+    """``convert(value)``; a ``TypeError`` or ``ValueError`` from it (a string,
+    ``None``) raises :class:`ValidationError` naming ``name``, and ``at`` if
+    given (formatted only on failure)."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        where = "" if at is None else f" at {at}"
+        raise ValidationError(f"{name}{where} must be numeric, got {value!r}") from exc
+
+
 def check_probability(name: str, value: float) -> float:
     """``value`` as a ``float`` in the closed interval ``[0, 1]``; anything
     outside, NaN included, raises :class:`ValidationError`."""

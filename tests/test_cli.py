@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussl1 import sign_series
@@ -189,6 +190,16 @@ def test_gsa_non_finite_deltas_exit_2(tmp_path, capsys, deltas):
     assert not out.exists()
 
 
+def test_gsa_non_numeric_deltas_exit_2(tmp_path, capsys):
+    concept = _write_halfspace(tmp_path)
+    out = tmp_path / "gsa.json"
+    code = main(["gsa", "--concept", concept, "--deltas", "0.04,x",
+                 "--samples", "1000", "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert "invalid input: bad float list '0.04,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # approx / learn
 
@@ -324,10 +335,34 @@ def test_asymptotics_csv_and_report(tmp_path):
     assert payload["sup_ratios"]["101/11"] < 1.0
 
 
+@pytest.mark.parametrize("points", [1, 2, 21, 101])
+def test_asymptotics_rows_and_sups_are_the_remainder_grid(tmp_path, points):
+    out = tmp_path / "asym.csv"
+    rep = tmp_path / "asym.json"
+    degrees = [3, 11, 101, 1001]
+    code = main(["asymptotics", "--dlist", ",".join(map(str, degrees)),
+                 "--grid-points", str(points), "--output", str(out), "--report", str(rep)])
+    assert code == 0
+    _, _, rows = _read_csv(out)
+    sups = json.loads(rep.read_text())["sup_remainder"]
+    xs = np.linspace(0.0, 1.0, points)
+    for i, d in enumerate(degrees):
+        remainder, envelope = sign_series.remainder_grid(d, xs)
+        block = rows[i * points:(i + 1) * points]
+        assert [int(r[0]) for r in block] == [d] * points
+        assert [float(r[1]) for r in block] == xs.tolist()
+        assert [float(r[2]) for r in block] == remainder.tolist()
+        assert [float(r[3]) for r in block] == envelope.tolist()
+        assert sups[str(d)] == float(np.abs(remainder).max())
+    assert len(rows) == len(degrees) * points
+
+
 def test_asymptotics_validates_degrees(capsys):
     assert main(["asymptotics", "--dlist", "1,11"]) == 2
     assert main(["asymptotics", "--dlist", "foo"]) == 2
     capsys.readouterr()
+    assert main(["asymptotics", "--dlist", "11,1.5"]) == 2
+    assert "bad int list '11,1.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])

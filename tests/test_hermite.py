@@ -458,6 +458,14 @@ def test_expansion_errors_name_the_bad_term(
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("coefficient", ["a", None, [1.0]], ids=["str", "none", "list"])
+@pytest.mark.parametrize("build", [expansion, HermiteExpansion], ids=["expansion", "class"])
+def test_non_numeric_coefficient_raises_validation_error(build, coefficient):
+    message = f"coefficient at (0, 2) must be numeric, got {coefficient!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(2, {(1, 0): 1.0, (0, 2): coefficient})
+
+
 def test_expansion_is_the_constructed_expansion():
     p = expansion(2, [((1, 0), 2.0), ((0, 3), -1.0), ((1, 0), 0.5), (np.array([2, 2]), 0.0)])
     q = HermiteExpansion(2, {(1, 0): 2.5, (0, 3): -1.0})
