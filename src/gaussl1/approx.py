@@ -34,7 +34,7 @@ from .hermite import (
     MC_CHUNK_CELLS,
     HermiteExpansion,
     MultiIndex,
-    basis_matrix,
+    basis_sums,
     expansion,
     expansion_eval_batch,
     gauss_density,
@@ -191,9 +191,11 @@ def estimate_coefficients(
     rejected -- the tensor grid would be astronomically large; a rule past
     ``NODE_BUDGET`` raises :class:`NodeBudgetError`).
     ``method="monte_carlo"`` averages ``f(X) H_alpha(X)`` over ``budget``
-    common samples (default 10^6) and records per-coefficient stderr; a
-    chunk buffer of more than ``MC_CHUNK_CELLS`` cells (chunk samples x
-    coefficients) raises :class:`NodeBudgetError` before it is allocated.
+    common samples (default 10^6) and records per-coefficient stderr.  Each
+    chunk of samples is summed by :func:`basis_sums`, which holds one block
+    of points whatever the samples and coefficients; a chunk of more than
+    ``MC_CHUNK_CELLS`` cells of work (chunk samples x coefficients) raises
+    :class:`NodeBudgetError` before any is done.
     A budget or ``degree`` that is not an integer raises :class:`ValidationError`.
     """
     degree = check_integer("degree", degree, 0)
@@ -239,10 +241,11 @@ def _coefficients_mc(
     moments = Moments()
     for rng, m in chunk_rngs(seed, samples):
         x = rng.standard_normal((m, c.dimension))
-        # one (m x terms) buffer: f H, then its deviations and their squares in place
-        vals = basis_matrix(x, alphas)
-        vals *= np.asarray(c.batch(x), dtype=np.float64)[:, None]
-        moments.add(vals)
+        sums, sumsq = basis_sums(x, alphas, c.batch(x))
+        mean = sums / m
+        # m2 = sumsq - m mean^2, which rounding can take below 0; a constant
+        # f = +-1 sums its degree-0 term exactly, so that m2 is exactly 0
+        moments.merge(m, mean, np.maximum(sumsq - m * mean * mean, 0.0))
     terms = {a: float(v) for a, v in zip(alphas, moments.mean) if v != 0.0}
     stderr = {a: float(s) for a, s in zip(alphas, moments.stderr())}
     return CoefficientEstimate(

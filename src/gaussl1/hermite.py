@@ -36,13 +36,14 @@ NODE_BUDGET = 2_000_000
 
 # Float64 cells that one point block of the batch kernels holds at once: the
 # stacked table of every axis plus one prefix chunk's intermediate
-# (expansion_eval_batch) or the basis block (basis_matrix).  2^17 cells are
-# 1 MiB, so a block stays in a core's L2 cache.
+# (expansion_eval_batch), the basis block (basis_matrix) or the prefixes and
+# their squares (basis_sums).  2^17 cells are 1 MiB, so a block stays in a
+# core's L2 cache.
 BLOCK_CELLS = 1 << 17
 
-# Float64 cells one whole buffer may hold: a Monte-Carlo coefficient chunk
-# (chunk samples x coefficients) or the learner's basis (samples x terms).
-# 2^27 cells are 1 GiB.
+# Cells of samples x terms that one call may cover: the learner's basis, one
+# whole buffer (2^27 cells are 1 GiB), or one Monte-Carlo coefficient chunk,
+# which basis_sums passes through in blocks, so the limit bounds its work.
 MC_CHUNK_CELLS = 1 << 27
 
 
@@ -260,7 +261,9 @@ class HermiteExpansion:
         try:
             dimension = data["dimension"]
             terms = {
-                check_multi_index(item["alpha"]): float(item["coeff"])
+                check_multi_index(item["alpha"]): check_numeric(
+                    "coefficient", item["coeff"], at=item["alpha"]
+                )
                 for item in data["terms"]
             }
         except (KeyError, TypeError, ValueError) as exc:
@@ -365,6 +368,45 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _prefix_levels(index: np.ndarray, k: int):
+    """The distinct prefixes ``alpha[:i + 1]`` over the leading ``n - 1`` axes
+    of the ``(terms, n)`` multi-index array ``index``, all entries <= ``k``.
+
+    Returns ``levels``, one ``(parents, rows)`` pair per leading axis in axis
+    order: prefix ``j`` of axis ``i`` is prefix ``parents[j]`` of axis
+    ``i - 1`` (axis 0 has the one empty parent) times row ``rows[j]`` of the
+    stacked table viewed as ``(k + 1) n`` rows, where ``H_{alpha_i}(x_i)`` is
+    row ``alpha_i n + i``.  Also returns each term's prefix number on the
+    last leading axis and the count of those prefixes (one when ``n = 1``).
+    """
+    n = index.shape[1]
+    # a prefix alpha[:i + 1] has the key (number of alpha[:i]) (k + 1) + alpha_i;
+    # the distinct keys of each axis are numbered in order
+    prefix, count = np.zeros(index.shape[0], dtype=np.intp), 1
+    levels = []
+    for i in range(n - 1):
+        key = prefix * (k + 1) + index[:, i]
+        seen = np.zeros(count * (k + 1), dtype=bool)
+        seen[key] = True
+        prefix = (np.cumsum(seen) - 1)[key]
+        key = np.flatnonzero(seen)
+        count = key.size
+        levels.append((key // (k + 1), key % (k + 1) * n + i))
+    return levels, prefix, count
+
+
+def _check_basis_args(points, alphas) -> tuple[np.ndarray, np.ndarray, int]:
+    # points as (N, n) float64, alphas as a (terms, n) array, and their largest entry
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise DimensionMismatchError("points must have shape (N, dimension)")
+    n = points.shape[1]
+    if any(len(a) != n for a in alphas):
+        raise DimensionMismatchError("multi-index length does not match points")
+    k = max((max(a, default=0) for a in alphas), default=0)
+    return points, np.array(alphas, dtype=np.intp).reshape(len(alphas), n), k
+
+
 def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     """Design matrix ``M[i, j] = H_{alphas[j]}(points[i])``.
 
@@ -373,38 +415,18 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     per-axis degree ``k`` (``n (k + 1)`` rows, so unequal per-axis degrees pay
     for the rows above each axis' own), then the columns in a transposed
     (basis x points) scratch buffer, whose rows are contiguous, copied into
-    the output.  Each distinct prefix ``alpha[:i + 1]`` is formed once per
-    block, as its parent prefix times ``H_{alpha_i}(x_i)``, and the last axis
-    extends the prefixes to every column.  Each entry is thus the product of
-    its table values in axis order, so the matrix is bit-identical to the
-    column-by-column construction and deterministic for a given input array.
+    the output.  Each distinct prefix ``alpha[:i + 1]`` of a leading axis is
+    formed once per block, as its parent prefix times ``H_{alpha_i}(x_i)``,
+    and the last axis extends the prefixes to every column.  Each entry is
+    thus the product of its table values in axis order, so the matrix is
+    bit-identical to the column-by-column construction and deterministic for
+    a given input array.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise DimensionMismatchError("points must have shape (N, dimension)")
+    points, index, k = _check_basis_args(points, alphas)
     n = points.shape[1]
-    if any(len(a) != n for a in alphas):
-        raise DimensionMismatchError("multi-index length does not match points")
-    k = max((max(a, default=0) for a in alphas), default=0)
-    # H_{alpha_i}(x_i) is row alpha_i n + i of the stacked table viewed as
-    # (k + 1) n rows.  A prefix alpha[:i + 1] has the key (number of
-    # alpha[:i]) (k + 1) + alpha_i; the distinct keys of each leading axis
-    # are numbered in order, and on the last axis every column keeps its own
-    # key.  Each level after the first gathers its parent prefix rows and
-    # multiplies them by its rows of the table.
-    index = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
-    prefix, count = np.zeros(len(alphas), dtype=np.intp), 1
-    levels = []
-    for i in range(n):
-        key = prefix * (k + 1) + index[:, i]
-        if i < n - 1:
-            seen = np.zeros(count * (k + 1), dtype=bool)
-            seen[key] = True
-            prefix = (np.cumsum(seen) - 1)[key]
-            key = np.flatnonzero(seen)
-            count = key.size
-        levels.append((key // (k + 1), key % (k + 1) * n + i))
-    (_, rows_0), *steps = levels
+    levels, prefix, _ = _prefix_levels(index, k)
+    # on the last axis every column extends its own prefix
+    (_, rows_0), *steps = levels + [(prefix, index[:, -1] * n + n - 1)]
     out = np.empty((points.shape[0], len(alphas)))
     block = _block_length(len(alphas) + n * (k + 1))
     for start in range(0, points.shape[0], block):
@@ -415,6 +437,51 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
             scratch *= np.take(table, rows_i, axis=0)
         out[start : start + block] = scratch.T
     return out
+
+
+def basis_sums(
+    points: np.ndarray, alphas: list[MultiIndex], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_i w_i H_alpha(x_i)`` and ``sum_i (w_i H_alpha(x_i))^2`` for each
+    ``alpha`` in ``alphas``, over ``points`` of shape ``(N, n)`` and
+    ``weights`` of shape ``(N,)``, without the ``N x terms`` basis.
+
+    The points go in blocks of about :data:`BLOCK_CELLS` cells, so the pass
+    holds one block whatever ``N`` and the number of terms are.  Per block
+    the stacked table is built as in :func:`basis_matrix`, and each distinct
+    prefix over the leading ``n - 1`` axes is formed once, as ``w`` times its
+    table values in axis order.  Two matrix products with the last axis' rows
+    then give every prefix's sums at every last-axis degree: one of the
+    prefixes with ``H_j``, one of their squares with ``H_j^2``.  The sums are
+    deterministic for given input arrays; they differ from the sums of the
+    basis matrix's columns in the last bits (about 1e-15 relative).
+    """
+    points, index, k = _check_basis_args(points, alphas)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != points.shape[:1]:
+        raise DimensionMismatchError(
+            f"weights shape {weights.shape} does not match {points.shape[0]} points"
+        )
+    n = points.shape[1]
+    levels, prefix, count = _prefix_levels(index, k)
+    last = index[:, -1]
+    top = int(last.max(initial=0))
+    sums = np.zeros((count, top + 1))
+    sumsq = np.zeros((count, top + 1))
+    # per point: the table, and at most three prefix rows at once (two levels
+    # and a gathered table row, or the prefixes and their squares)
+    block = _block_length(n * (k + 1) + 3 * count)
+    for start in range(0, points.shape[0], block):
+        table = hermite_upto(k, points[start : start + block].T)
+        last_rows = table[: top + 1, -1]
+        table = table.reshape(n * (k + 1), -1)
+        scratch = weights[None, start : start + block]
+        for parents, rows_i in levels:
+            scratch = np.take(scratch, parents, axis=0)
+            scratch *= np.take(table, rows_i, axis=0)
+        sums += scratch @ last_rows.T
+        sumsq += np.square(scratch) @ np.square(last_rows).T
+    return sums[prefix, last], sumsq[prefix, last]
 
 
 def truncate(p: HermiteExpansion, degree: int) -> HermiteExpansion:

@@ -89,10 +89,16 @@ def check_dimension(value: int) -> int:
 
 
 def check_numeric(name: str, value, convert: Callable = float, at=None):
-    """``convert(value)``; a ``TypeError`` or ``ValueError`` from it (a string,
-    ``None``) raises :class:`ValidationError` naming ``name``, and ``at`` if
-    given (formatted only on failure)."""
+    """``convert(value)``; text (a ``str`` or ``bytes``, or a list, tuple or
+    array holding one, such as ``"1.5"``), or a ``TypeError`` or
+    ``ValueError`` from ``convert`` (``None``), raises
+    :class:`ValidationError` naming ``name``, and ``at`` if given (formatted
+    only on failure)."""
     try:
+        if isinstance(value, (str, bytes)) or (
+            isinstance(value, (list, tuple, np.ndarray)) and np.asarray(value).dtype.kind in "SU"
+        ):
+            raise TypeError("text is not a number")
         return convert(value)
     except (TypeError, ValueError) as exc:
         where = "" if at is None else f" at {at}"
@@ -135,15 +141,18 @@ class Moments:
 
     def add(self, values: np.ndarray) -> None:
         """Merge the ``(m, ...)`` chunk ``values``, overwriting it in place."""
-        count = values.shape[0]
         c_mean = values.mean(axis=0)
         values -= c_mean
-        c_m2 = np.square(values, out=values).sum(axis=0)
-        delta = c_mean - self.mean
+        self.merge(values.shape[0], c_mean, np.square(values, out=values).sum(axis=0))
+
+    def merge(self, count: int, mean, m2) -> None:
+        """Merge a chunk of ``count`` rows summarised by its ``mean`` and its
+        sum of squared deviations ``m2``."""
+        delta = mean - self.mean
         total = self.n + count
         self.mean = self.mean + delta * count / total
         # the chunk's terms are summed first: bits depend on this order
-        self.m2 = self.m2 + (c_m2 + delta * delta * self.n * count / total)
+        self.m2 = self.m2 + (m2 + delta * delta * self.n * count / total)
         self.n = total
 
     def stderr(self):

@@ -1,8 +1,12 @@
 """Tests for the plan / coefficient / build / error-measurement pipeline."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,28 +366,57 @@ def _mc_coefficients_reference(c, degree, samples, seed):
         (constant_concept(3, -1), 3, 5000),
     ],
 )
-def test_mc_coefficients_in_place_pass_is_bit_identical(concept, degree, samples):
+def test_mc_coefficients_match_the_two_pass_reference(concept, degree, samples):
+    # the pass sums f H and its square by contraction, not row by row, so
+    # the bits differ; the tolerances sit far below the stderr (~1e-3)
     alphas, mean, stderr = _mc_coefficients_reference(concept, degree, samples, SEED)
     est = estimate_coefficients(concept, degree, "monte_carlo", samples, SEED)
     got = np.array([est.expansion.terms.get(a, 0.0) for a in alphas])
-    assert np.array_equal(got, mean)
-    assert np.array_equal(np.array([est.stderr[a] for a in alphas]), stderr)
+    assert np.allclose(got, mean, rtol=0, atol=1e-14)
+    assert np.allclose(np.array([est.stderr[a] for a in alphas]), stderr, rtol=1e-12, atol=0)
 
 
-def test_mc_coefficients_chunk_holds_about_one_basis_matrix():
-    # 70 terms on 2^15 points: the basis matrix is 17.5 MB, and the
-    # per-chunk moments reuse it instead of allocating copies beside it
-    c = ball(2.2, 4)
-    samples = 1 << 15
-    matrix_bytes = samples * len(multi_indices_upto(4, 4)) * 8
-    estimate_coefficients(c, 4, "monte_carlo", 1000, SEED)  # warm caches
+@pytest.mark.parametrize(
+    "concept, degree, samples",
+    [
+        (ball(2.2, 4), 4, 1 << 15),  # the audit's 4-D ball: 70 terms
+        (ball(2.2, 6), 4, CHUNK_SIZE),  # one full chunk of 210 terms
+    ],
+    ids=["ball4", "6d-degree-4"],
+)
+def test_mc_coefficients_hold_a_few_mib_whatever_samples_x_terms(concept, degree, samples):
+    # a samples x terms buffer would be 17.5 MB and 210 MB; besides the
+    # chunk's points and values of f the pass holds a few point blocks
+    estimate_coefficients(concept, degree, "monte_carlo", 1000, SEED)  # warm caches
     tracemalloc.start()
     try:
-        estimate_coefficients(c, 4, "monte_carlo", samples, SEED)
+        estimate_coefficients(concept, degree, "monte_carlo", samples, SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * matrix_bytes
+    assert peak < samples * (concept.dimension + 1) * 8 + 4 * 2**20
+
+
+def test_mc_coefficients_independent_of_blas_threads():
+    # the contractions are BLAS products: fresh interpreters with one and two
+    # BLAS threads must give the same bits
+    code = (
+        "from gaussl1 import ball, estimate_coefficients\n"
+        f"est = estimate_coefficients(ball(2.2, 4), 4, 'monte_carlo', 1 << 15, {SEED})\n"
+        "print(repr(sorted(est.expansion.terms.items())), repr(sorted(est.stderr.items())))\n"
+    )
+    src = Path(estimate_coefficients.__code__.co_filename).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_mc_coefficients_refuse_an_over_budget_chunk_before_allocating():

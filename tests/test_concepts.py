@@ -695,9 +695,13 @@ def test_concept_from_dict_validation():
         lambda: concept_from_dict(
             {"kind": "ptf", "dimension": 1, "terms": [{"alpha": [1], "coeff": "x"}]}
         ),
+        lambda: concept_from_dict(
+            {"kind": "ptf", "dimension": 1, "terms": [{"alpha": [1], "coeff": "0.5"}]}
+        ),
     ],
     ids=["constant-dimension", "concept-dimension", "nan-offset", "nan-normal", "nan-radius",
-         "inf-radius", "payload-c", "payload-w", "payload-halfspaces", "payload-coeff"],
+         "inf-radius", "payload-c", "payload-w", "payload-halfspaces", "payload-coeff",
+         "payload-coeff-text"],
 )
 def test_malformed_concept_arguments_raise(call):
     with pytest.raises(ValidationError):
@@ -847,8 +851,16 @@ def test_ball_surface_area_is_the_chi_density_without_overflow():
         (lambda: halfspace([1.0], None), "c"),
         (lambda: ball("x", 2), "radius"),
         (lambda: ball([1.0, 2.0], 2), "radius"),
+        # numeric text is refused as the expansion coefficients refuse it
+        (lambda: halfspace(["1.0"], "0.5"), "w"),
+        (lambda: halfspace([1.0], "0.5"), "c"),
+        (lambda: ball("1.5", 2), "radius"),
+        (lambda: concept_from_dict({"kind": "halfspace", "w": [1.0], "c": "0.5"}), "c"),
     ],
-    ids=["w", "c", "c-none", "radius", "radius-list"],
+    ids=[
+        "w", "c", "c-none", "radius", "radius-list",
+        "w-text", "c-text", "radius-text", "file-c-text",
+    ],
 )
 def test_non_numeric_constructor_arguments_raise_validation_error(call, name):
     with pytest.raises(ValidationError, match=rf"^{name} must be numeric"):

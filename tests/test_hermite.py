@@ -32,6 +32,7 @@ from gaussl1.hermite import (
     _block_length,
     _gauss_hermite_1d,
     basis_matrix,
+    basis_sums,
     expansion,
     expansion_eval_batch,
     gauss_hermite_nodes,
@@ -306,6 +307,46 @@ def test_basis_matrix_bit_identical_to_column_products():
         assert np.array_equal(got, _column_products(points, alphas))
 
 
+@pytest.mark.parametrize(
+    "dimension, alphas",
+    [
+        (1, _indices(1, 9)),
+        (2, _indices(2, 6)),
+        (3, _indices(3, 4)),
+        (6, _indices(6, 3)),
+        # per-axis degrees (7, 0, 2) and (0, 5): the stacked table pays for rows
+        # no axis uses, and the last axis has fewer degrees than the table
+        (3, [(a, 0, c) for a in range(8) for c in range(3)]),
+        (2, [(0, 5), (0, 0), (0, 2)]),
+    ],
+    ids=["1d", "2d", "3d", "6d", "lopsided-3d", "one-prefix-2d"],
+)
+def test_basis_sums_are_the_basis_matrix_contractions(dimension, alphas):
+    rng = np.random.default_rng(19 + dimension)
+    k = max(max(a) for a in alphas)
+    # three blocks and a short fourth one, whatever the block is
+    size = 3 * _block_length(dimension * (k + 1) + 3 * len(alphas)) + 11
+    points = rng.standard_normal((size, dimension))
+    weights = rng.standard_normal(size)
+    weights[::5] = 0.0
+    weights[1::5] = -1.0
+    before = weights.copy()
+    sums, sumsq = basis_sums(points, alphas, weights)
+    B = basis_matrix(points, alphas)
+    # sums of terms of either sign are checked against the sum of magnitudes
+    assert np.all(np.abs(sums - B.T @ weights) <= 1e-13 * (np.abs(B).T @ np.abs(weights)))
+    assert np.allclose(sumsq, (B**2).T @ weights**2, rtol=1e-13, atol=0)
+    assert np.array_equal(weights, before)  # read, never written
+
+
+def test_basis_sums_check_their_shapes():
+    points = np.zeros((4, 2))
+    with pytest.raises(DimensionMismatchError):
+        basis_sums(points, [(1, 0)], np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        basis_sums(points, [(1,)], np.ones(4))
+
+
 def test_hermite_upto_bit_identical_to_plain_recurrence():
     rng = np.random.default_rng(13)
     x = 3.0 * rng.standard_normal(10000)
@@ -458,7 +499,9 @@ def test_expansion_errors_name_the_bad_term(
     assert type(info.value) is error
 
 
-@pytest.mark.parametrize("coefficient", ["a", None, [1.0]], ids=["str", "none", "list"])
+@pytest.mark.parametrize(
+    "coefficient", ["a", None, [1.0], "1.5", b"1.5"], ids=["str", "none", "list", "numeric-str", "bytes"]
+)
 @pytest.mark.parametrize("build", [expansion, HermiteExpansion], ids=["expansion", "class"])
 def test_non_numeric_coefficient_raises_validation_error(build, coefficient):
     message = f"coefficient at (0, 2) must be numeric, got {coefficient!r}"
