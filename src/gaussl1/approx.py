@@ -38,8 +38,8 @@ from .hermite import (
     expansion,
     expansion_eval_batch,
     gauss_density,
-    gauss_hermite_nodes,
     gauss_hermite_products,
+    gauss_hermite_slabs,
     hermite_upto,
     multi_indices_upto,
     truncate,
@@ -54,6 +54,7 @@ from .mc import (
     chunk_rngs,
     derive_seed,
     mc_means,
+    normal_blocks,
 )
 from .noise import apply_to_expansion, validate_noise_level
 from .quadrature1d import integrate_adaptive
@@ -189,7 +190,10 @@ def estimate_coefficients(
     ``method="quadrature"`` uses a tensorized Gauss-Hermite rule with
     ``budget > degree`` points per axis (default 400; dimensions above 3 are
     rejected -- the tensor grid would be astronomically large; a rule past
-    ``NODE_BUDGET`` raises :class:`NodeBudgetError`).
+    ``NODE_BUDGET`` raises :class:`NodeBudgetError` before ``f`` is
+    evaluated).  ``f`` is evaluated on one slab of the grid at a time
+    (:func:`gauss_hermite_slabs`), so the pass holds the ``m^n`` value tensor
+    plus one slab, not the ``m^n x n`` grid.
     ``method="monte_carlo"`` averages ``f(X) H_alpha(X)`` over ``budget``
     common samples (default 10^6) and records per-coefficient stderr.  Each
     chunk of samples is summed by :func:`basis_sums`, which holds one block
@@ -218,9 +222,19 @@ def estimate_coefficients(
 
 def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEstimate:
     n = c.dimension
+    slabs = gauss_hermite_slabs(m, n)  # the node budget is checked before f is evaluated
     # per-axis contraction matrices B[k, i] = w_i H_k(x_i)
     B = gauss_hermite_products(m, degree)
-    tensor = np.asarray(c.batch(gauss_hermite_nodes(m, n)), dtype=np.float64).reshape((m,) * n)
+    # f at node (i_0, i_1, ...) goes to values[(i_1, ...), i_0]: the first
+    # tensordot moves axis i_0 last, which then is this array itself, not a
+    # copy of the m^n tensor
+    values = np.empty((m ** (n - 1), m))
+    start = 0
+    for slab in slabs:
+        f_slab = np.asarray(c.batch(slab), dtype=np.float64).reshape(-1, m ** (n - 1))
+        values[:, start : start + f_slab.shape[0]] = f_slab.T
+        start += f_slab.shape[0]
+    tensor = values.T.reshape((m,) * n)
     for _ in range(n):
         tensor = np.tensordot(tensor, B, axes=([0], [1]))
     terms = {a: float(tensor[a]) for a in multi_indices_upto(n, degree) if tensor[a] != 0.0}
@@ -294,12 +308,17 @@ def _mc_errors(
     c: Concept, p_values: Callable[[np.ndarray], np.ndarray], samples: int, seed: int
 ) -> tuple[EstimateWithError, EstimateWithError]:
     # L1 and L2 error from one pass: each chunk's f - p gives both moments,
-    # with p's values at the chunk's (m, dimension) points from p_values
+    # with p's values at (block, dimension) points from p_values; a chunk is
+    # drawn and evaluated one block at a time, so the pass holds one block of
+    # points and the chunk's two value arrays
 
     def values(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        x = rng.standard_normal((m, c.dimension))
-        diff = c.batch(x) - p_values(x)
-        return np.abs(diff), diff**2
+        l1, sq = np.empty(m), np.empty(m)
+        for start, x in normal_blocks(rng, m, c.dimension):
+            diff = c.batch(x) - p_values(x)
+            np.abs(diff, out=l1[start : start + x.shape[0]])
+            np.square(diff, out=sq[start : start + x.shape[0]])
+        return l1, sq
 
     l1, msq = mc_means(values, samples, seed)
     root = math.sqrt(max(0.0, msq.mean))
@@ -479,8 +498,10 @@ def bound_check(
     coefficient-noise ``slack`` can make the verdict ``inconclusive``).  A
     1-D concept with a profile has its error measured by dense quadrature
     (stderr then reflects the quadrature tolerance); otherwise one
-    Monte-Carlo pass gives both the L1 and the L2 error.  Either pass
-    evaluates a ridge's ``p`` as ``q(<w, x>)``.  GNS uses a
+    Monte-Carlo pass gives both the L1 and the L2 error, drawing and
+    evaluating one block of points (:func:`mc.normal_blocks`) at a time, so
+    it holds one block and a chunk's two value arrays, whatever the
+    dimension.  Either pass evaluates a ridge's ``p`` as ``q(<w, x>)``.  GNS uses a
     supplied trusted value (outside ``[0, 1/2]`` it raises
     :class:`ValidationError`), the concept's closed form when present (every
     halfspace, ball and 1-D intersection has one), or a Monte-Carlo estimate.

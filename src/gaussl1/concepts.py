@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .mc import (
     derive_seed,
     mc_fraction,
     mc_mean,
+    normal_blocks,
 )
 from .noise import validate_noise_level
 from .quadrature1d import fixed_panels, integrate_adaptive
@@ -540,24 +541,32 @@ def _gamma_q(beta: float, s: float) -> float:
 
 def gns_mc(c: Concept, delta: float, samples: int, seed: int) -> EstimateWithError:
     """Monte-Carlo estimate of ``P[f(X) != f(Y)]`` for ``(1-delta)``-correlated
-    Gaussian pairs, with binomial standard error."""
+    Gaussian pairs, with binomial standard error.  It holds one chunk's ``X``
+    and one block of pairs (:func:`_correlated_pair`) at a time."""
     rho = 1.0 - check_probability("delta", delta)
 
     def hits(rng: np.random.Generator, m: int) -> int:
-        x, y = _correlated_pair(rng, m, c.dimension, rho)
-        return int(np.count_nonzero(c.batch(x) != c.batch(y)))
+        pairs = _correlated_pair(rng, m, c.dimension, rho)
+        return sum(int(np.count_nonzero(c.batch(x) != c.batch(y))) for x, y in pairs)
 
     return mc_fraction(hits, samples, seed)
 
 
 def _correlated_pair(
     rng: np.random.Generator, m: int, n: int, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``m`` draws of ``(X, rho X + sqrt(1 - rho^2) Z)`` for independent
-    standard Gaussian ``X`` and ``Z`` in ``R^n``, ``X`` drawn first."""
+    standard Gaussian ``X`` and ``Z`` in ``R^n``, in blocks of
+    :func:`mc.block_rows` pairs.  All of ``X`` is drawn first, as one
+    ``(m, n)`` draw, then ``Z`` in :func:`mc.normal_blocks`, so the pairs are
+    those of one draw of each."""
     x = rng.standard_normal((m, n))
-    z = rng.standard_normal((m, n))
-    return x, rho * x + math.sqrt(max(0.0, 1.0 - rho * rho)) * z
+    spread = math.sqrt(max(0.0, 1.0 - rho * rho))
+    for start, z in normal_blocks(rng, m, n):
+        xb = x[start : start + z.shape[0]]
+        z *= spread
+        z += rho * xb  # y = rho x + spread z, in z's buffer
+        yield xb, z
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +582,9 @@ def gsa_mc(
     is estimated with common samples; a linear (Richardson-style)
     extrapolation of the two smallest deltas to ``delta -> 0`` is returned,
     with the standard error propagated through the extrapolation.  A low hit
-    count (< 100 in the smallest shell) is flagged in ``note``.
+    count (< 100 in the smallest shell) is flagged in ``note``.  The points
+    are drawn and measured one block (:func:`mc.normal_blocks`) at a time, so
+    the pass holds one block of points and distances.
     """
     if c.distance_to_set is None:
         raise CapabilityError(
@@ -590,11 +601,11 @@ def gsa_mc(
     counts = np.zeros(len(ds), dtype=np.int64)
 
     for rng, m in chunk_rngs(seed, n):
-        x = rng.standard_normal((m, c.dimension))
-        dist = np.asarray(c.distance_to_set(x), dtype=np.float64)
-        positive = dist > 0.0
-        for j, d in enumerate(ds):
-            counts[j] += int(np.count_nonzero(positive & (dist <= d)))
+        for _, x in normal_blocks(rng, m, c.dimension):
+            dist = np.asarray(c.distance_to_set(x), dtype=np.float64)
+            positive = dist > 0.0
+            for j, d in enumerate(ds):
+                counts[j] += int(np.count_nonzero(positive & (dist <= d)))
 
     d1, d2 = ds[0], ds[1]
     p = counts / n
@@ -649,12 +660,14 @@ def noise_distance_check(
     c: Concept, rho: float, samples: int, seed: int
 ) -> NoiseDistanceReport:
     """Sample ``E|f - T_rho f|`` and compare it with ``2 GNS_{1-rho}(f)``,
-    exact when the concept has a closed form and sampled otherwise."""
+    exact when the concept has a closed form and sampled otherwise.  A
+    sampled side holds one chunk's ``X``, its values and one block of pairs
+    (:func:`_correlated_pair`) at a time."""
     rho = validate_noise_level(rho)
 
     def distance_values(rng: np.random.Generator, m: int) -> np.ndarray:
-        x, y = _correlated_pair(rng, m, c.dimension, rho)
-        return np.abs(c.batch(x) - c.batch(y))
+        pairs = _correlated_pair(rng, m, c.dimension, rho)
+        return np.concatenate([np.abs(c.batch(x) - c.batch(y)) for x, y in pairs])
 
     lhs = mc_mean(distance_values, samples, derive_seed(seed, 0))
     if c.gns_closed_form is not None:

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -28,18 +28,13 @@ from .errors import (
     NodeBudgetError,
     ValidationError,
 )
-from .mc import check_dimension, check_integer, check_numeric
+# BLOCK_CELLS, the cells of one point block, is defined in mc with the list
+# of every pass that blocks by it
+from .mc import BLOCK_CELLS, block_rows, check_dimension, check_integer, check_numeric
 
 MultiIndex = tuple[int, ...]
 
 NODE_BUDGET = 2_000_000
-
-# Float64 cells that one point block of the batch kernels holds at once: the
-# stacked table of every axis plus one prefix chunk's intermediate
-# (expansion_eval_batch), the basis block (basis_matrix) or the prefixes and
-# their squares (basis_sums).  2^17 cells are 1 MiB, so a block stays in a
-# core's L2 cache.
-BLOCK_CELLS = 1 << 17
 
 # Cells of samples x terms that one call may cover: the learner's basis, one
 # whole buffer (2^27 cells are 1 GiB), or one Monte-Carlo coefficient chunk,
@@ -574,6 +569,23 @@ def gauss_hermite_products(points_per_axis: int, degree: int) -> np.ndarray:
 def gauss_hermite_nodes(points_per_axis: int, dimension: int = 1) -> np.ndarray:
     """The nodes of :func:`gauss_hermite_rule`, shape ``(m^n, n)``, without
     building its ``m^n`` weights; the same checks and budget."""
+    return _grid(_node_axes(points_per_axis, dimension))
+
+
+def gauss_hermite_slabs(points_per_axis: int, dimension: int = 1) -> Iterator[np.ndarray]:
+    """The rows of :func:`gauss_hermite_nodes` in order, in slabs of whole
+    rows of the leading axis (``m^(n-1)`` nodes each), grouped to about
+    :func:`mc.block_rows` nodes a slab; so the ``m^n x n`` grid is never
+    built.  The checks and budget of :func:`gauss_hermite_nodes` run at the
+    call, before any slab is."""
+    axes = _node_axes(points_per_axis, dimension)
+    m = axes[0].size
+    step = max(1, block_rows(dimension) // m ** (dimension - 1))
+    return (_grid([axes[0][i : i + step]] + axes[1:]) for i in range(0, m, step))
+
+
+def _node_axes(points_per_axis: int, dimension: int) -> list[np.ndarray]:
+    # the 1-D nodes of each axis, once the m^n grid is within the budget
     points_per_axis = check_integer("points_per_axis", points_per_axis, 1)
     dimension = check_dimension(dimension)
     power = max(dimension, 2)
@@ -582,8 +594,12 @@ def gauss_hermite_nodes(points_per_axis: int, dimension: int = 1) -> np.ndarray:
             f"{points_per_axis}^{power} cells exceed the budget of "
             f"{NODE_BUDGET}; use a Monte-Carlo estimator instead"
         )
-    axes = [_gauss_hermite_1d(points_per_axis)[0]] * dimension
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, dimension)
+    return [_gauss_hermite_1d(points_per_axis)[0]] * dimension
+
+
+def _grid(axes: list[np.ndarray]) -> np.ndarray:
+    # the tensor grid of the axes in "ij" order, one node a row
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
 def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRule:

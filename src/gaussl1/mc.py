@@ -18,6 +18,21 @@ from .errors import ValidationError
 # Chunk size fixes the stream layout; changing it changes sampled values.
 CHUNK_SIZE = 1 << 17
 
+# Float64 cells that one point block holds at once, in every pass that goes
+# through its points in blocks.  Per-point passes draw and evaluate one block
+# of normal_blocks() at a time: the L1/L2 error (approx._mc_errors), the GNS
+# and noise-distance pairs (concepts._correlated_pair), the GSA shells
+# (concepts.gsa_mc) and the pointwise T_rho f (noise.apply_pointwise_mc);
+# tensor-quadrature coefficients evaluate f on slabs of the grid of about as
+# many points (hermite.gauss_hermite_slabs).  The Hermite kernels size their
+# blocks by it too: the stacked table of every axis plus one prefix chunk's
+# intermediate (hermite.expansion_eval_batch), the basis block
+# (hermite.basis_matrix) or the prefixes and their squares
+# (hermite.basis_sums).  2^17 cells are 1 MiB, so a block stays in a core's
+# L2 cache.  Block sizes never change sampled values, only their rounding
+# where a kernel sums across points.
+BLOCK_CELLS = 1 << 17
+
 _MAX_SEED = 2**64
 
 
@@ -44,6 +59,24 @@ def chunk_rngs(seed: int, samples: int) -> Iterator[tuple[np.random.Generator, i
         yield rng, count
         done += count
         index += 1
+
+
+def block_rows(dimension: int) -> int:
+    """Points per block in ``dimension``: about :data:`BLOCK_CELLS` cells,
+    counting a point as its coordinates and, in few dimensions, at least the
+    handful of per-point values that a pass makes of it (8 cells in all)."""
+    return max(1, BLOCK_CELLS // max(dimension, 8))
+
+
+def normal_blocks(
+    rng: np.random.Generator, count: int, dimension: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``rng.standard_normal((count, dimension))`` in order, as ``(start,
+    rows)`` pairs of :func:`block_rows` rows each (the last may be short);
+    the rows concatenated equal the one draw, bit for bit."""
+    step = block_rows(dimension)
+    for start in range(0, count, step):
+        yield start, rng.standard_normal((min(step, count - start), dimension))
 
 
 @dataclass(frozen=True)
@@ -195,6 +228,8 @@ def mc_means(
                 raise ValidationError("sampler produced non-finite values")
             ranges[j] = (min(ranges[j][0], vmin), max(ranges[j][1], vmax))
             moments[j].add(values)
+        # hold one chunk at a time: drop it and its copy before the next is sampled
+        batch = values = None
     seed = int(seed)
     return [
         EstimateWithError(lo, 0.0, acc.n, seed)

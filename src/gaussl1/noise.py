@@ -54,7 +54,9 @@ def apply_pointwise_mc(
 
     ``f`` must map an ``(N, n)`` array of points to ``(N,)`` values; ``x`` is
     a scalar or length-``n`` point.  At ``rho = 1`` the operator is the
-    identity and the exact value ``f(x)`` is returned with stderr 0.
+    identity and the exact value ``f(x)`` is returned with stderr 0.  ``f``
+    is called on one block of points (:func:`mc.normal_blocks`) at a time,
+    so the pass holds one block of points and one chunk's values.
     """
     rho = validate_noise_level(rho)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -65,8 +67,10 @@ def apply_pointwise_mc(
     spread = math.sqrt(1.0 - rho * rho)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        y = rng.standard_normal((m, n))
-        return np.asarray(f(rho * x[None, :] + spread * y), dtype=np.float64)
+        return np.concatenate([
+            np.atleast_1d(np.asarray(f(rho * x[None, :] + spread * y), dtype=np.float64))
+            for _, y in mc.normal_blocks(rng, m, n)
+        ])
 
     return mc_mean(sampler, samples, seed)
 

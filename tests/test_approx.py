@@ -5,11 +5,11 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from gaussl1 import (
     ApproximationPlan,
@@ -44,7 +44,7 @@ from gaussl1.hermite import (
     l2_norm,
     multi_indices_upto,
 )
-from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed
+from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed, mc_means
 from gaussl1.quadrature1d import integrate_adaptive
 
 SEED = 424242
@@ -388,12 +388,7 @@ def test_mc_coefficients_hold_a_few_mib_whatever_samples_x_terms(concept, degree
     # a samples x terms buffer would be 17.5 MB and 210 MB; besides the
     # chunk's points and values of f the pass holds a few point blocks
     estimate_coefficients(concept, degree, "monte_carlo", 1000, SEED)  # warm caches
-    tracemalloc.start()
-    try:
-        estimate_coefficients(concept, degree, "monte_carlo", samples, SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: estimate_coefficients(concept, degree, "monte_carlo", samples, SEED))
     assert peak < samples * (concept.dimension + 1) * 8 + 4 * 2**20
 
 
@@ -422,14 +417,11 @@ def test_mc_coefficients_independent_of_blas_threads():
 def test_mc_coefficients_refuse_an_over_budget_chunk_before_allocating():
     # a 4-D ball at its epsilon = 0.5 plan degree: 58,905 coefficients x 2^17
     # samples would be a 57.5 GiB chunk buffer
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(NodeBudgetError):
             estimate_coefficients(ball(2.2, 4), 32, "monte_carlo", CHUNK_SIZE, SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+    assert traced_peak(refused) < 16 * 2**20
 
 
 def test_estimate_coefficients_validation():
@@ -1041,3 +1033,109 @@ def test_build_takes_complete_through_as_a_count(through):
         build(fhat, ApproximationPlan(0.5, 1.0, 0.5, 2), complete_through=through)
     want = build(fhat, ApproximationPlan(0.5, 1.0, 0.5, 3), complete_through=5)
     assert build(fhat, ApproximationPlan(0.5, 1.0, 0.5, 3), complete_through=np.int64(5)) == want
+
+
+# ---------------------------------------------------------------------------
+# streamed passes: blocks of points, slabs of the grid
+#
+# The references are the passes as they were before they went through their
+# points in blocks: the whole m^n grid at once, and one (m, n) draw per chunk.
+
+_INT3 = intersection(
+    [halfspace([1.0, 0.0, 0.0], 0.3), halfspace([0.0, 0.6, 0.8], 0.1),
+     halfspace([-0.48, 0.64, -0.6], 0.5)]
+)
+
+
+def _quadrature_whole_grid(c, degree, m):
+    n = c.dimension
+    B = hermite.gauss_hermite_products(m, degree)
+    tensor = np.asarray(c.batch(hermite.gauss_hermite_nodes(m, n)), dtype=np.float64)
+    tensor = tensor.reshape((m,) * n)
+    for _ in range(n):
+        tensor = np.tensordot(tensor, B, axes=([0], [1]))
+    return {a: float(tensor[a]) for a in multi_indices_upto(n, degree) if tensor[a] != 0.0}
+
+
+@pytest.mark.parametrize(
+    "concept, degree, m",
+    [(ball(1.5, 2), 66, 400), (_INT3, 20, 60), (halfspace([1.0], 0.3), 30, 400)],
+    ids=["ball-2d", "intersection-3d", "halfspace-1d"],
+)
+def test_quadrature_slabs_give_the_whole_grid_coefficients(concept, degree, m):
+    est = estimate_coefficients(concept, degree, "quadrature", m)
+    assert est.expansion.terms == _quadrature_whole_grid(concept, degree, m)
+
+
+def _errors_whole_chunks(c, p_values, samples, seed):
+    def values(rng, m):
+        x = rng.standard_normal((m, c.dimension))
+        diff = c.batch(x) - p_values(x)
+        return np.abs(diff), diff**2
+
+    l1, msq = mc_means(values, samples, seed)
+    root = math.sqrt(max(0.0, msq.mean))
+    return l1.mean, l1.stderr, root, msq.stderr / (2.0 * root)
+
+
+def _built_p_values(name):
+    # p's evaluator as bound_check builds it, at the audit's plans
+    if name == "ridge-2d":
+        c = halfspace([0.6, 0.8], 0.2)
+        aplan = plan(0.6, 0.3)
+        q = build(halfspace_expansion([1.0], 0.2, aplan.degree), aplan)
+        return c, approx._ridge_values(q, c.profile.w)
+    if name == "ball-2d":
+        c, aplan, route = ball(1.5, 2), plan(0.6, 0.3), {}
+    elif name == "intersection-3d":
+        c, aplan, route = _INT3, plan(0.7, 0.25), {"budget": 60}
+    else:
+        c, aplan = ball(2.2, 4), plan(0.9, 0.3)
+        route = {"method": "monte_carlo", "budget": 1 << 15, "seed": 1}
+    fhat = estimate_coefficients(c, aplan.degree, **route)
+    return c, approx._p_values(c, build(fhat.expansion, aplan, complete_through=aplan.degree))
+
+
+@pytest.mark.parametrize("name", ["ridge-2d", "ball-2d", "intersection-3d", "ball-4d"])
+def test_streamed_error_pass_matches_the_whole_chunk_draws(name):
+    # p is evaluated a block at a time, and expansion_eval_batch may round a
+    # split input differently in the last bits
+    c, p_values = _built_p_values(name)
+    samples = CHUNK_SIZE + 3001  # several blocks a chunk, and a short last chunk
+    l1, l2 = approx._mc_errors(c, p_values, samples, SEED)
+    got = (l1.mean, l1.stderr, l2.mean, l2.stderr)
+    want = _errors_whole_chunks(c, p_values, samples, SEED)
+    assert np.allclose(got, want, rtol=1e-15, atol=0), (got, want)
+    assert (l1.samples, l2.samples) == (samples, samples)
+
+
+def test_bound_check_in_100_dimensions_holds_a_few_mib():
+    # one 2^17 x 100 chunk of points would be 100 MiB; in blocks the error
+    # pass holds a block of points and the chunk's values (1 MiB a quantity)
+    w = np.full(100, 0.1)
+    c, aplan = halfspace(w / np.linalg.norm(w), 0.1), plan(0.5, 0.3)
+    bound_check(c, aplan, error_budget=1000, seed=SEED)  # warm caches
+    assert traced_peak(lambda: bound_check(c, aplan, error_budget=1 << 18, seed=SEED)) < 8 * 2**20
+
+
+def test_quadrature_coefficients_hold_the_value_tensor_and_one_slab():
+    # 125^3 = 1.95M nodes: the grid and its projection would be 47 MB each;
+    # the pass holds the m^n values (15.6 MB) and one slab
+    estimate_coefficients(_INT3, 6, "quadrature", 125)  # warm caches
+    peak = traced_peak(lambda: estimate_coefficients(_INT3, 6, "quadrature", 125))
+    assert peak < 125**3 * 8 + 4 * 2**20
+
+
+def test_quadrature_refuses_an_over_budget_grid_before_evaluating_f():
+    calls = []
+
+    def evaluator(points):
+        calls.append(points.shape)
+        return np.ones(points.shape[0])
+
+    c = Concept(3, evaluator)
+    with pytest.raises(NodeBudgetError):
+        estimate_coefficients(c, 4, "quadrature", 200)  # 200^3 nodes
+    assert calls == []
+    estimate_coefficients(c, 4, "quadrature", 20)
+    assert sum(shape[0] for shape in calls) == 20**3

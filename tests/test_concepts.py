@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from gaussl1 import (
     CapabilityError,
@@ -33,7 +34,7 @@ from gaussl1.concepts import (
     gauss_density,
 )
 from gaussl1.hermite import expansion
-from gaussl1.mc import derive_seed
+from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed, mc_fraction, mc_mean
 from gaussl1.quadrature1d import fixed_panels
 
 SEED = 20240229
@@ -884,3 +885,81 @@ def test_a_constant_ignores_its_input():
         c = constant_concept(3, value)
         assert np.array_equal(c.batch(rows), np.full(3, float(value)))
         assert np.array_equal(c.distance_to_set(rows), np.full(3, far))
+
+
+# -- streamed passes: the values of whole-chunk draws ------------------------------
+#
+# The references below are the whole-chunk passes as they were before the
+# passes drew and evaluated their points in blocks: one (m, n) draw of X and
+# one of Z per chunk.  The blocked passes evaluate only f, so they must give
+# the same bits.
+
+
+def _whole_chunk_pair(rng, m, n, rho):
+    x = rng.standard_normal((m, n))
+    z = rng.standard_normal((m, n))
+    return x, rho * x + math.sqrt(max(0.0, 1.0 - rho * rho)) * z
+
+
+def _gns_whole_chunks(c, delta, samples, seed):
+    def hits(rng, m):
+        x, y = _whole_chunk_pair(rng, m, c.dimension, 1.0 - delta)
+        return int(np.count_nonzero(c.batch(x) != c.batch(y)))
+
+    return mc_fraction(hits, samples, seed)
+
+
+def _distance_lhs_whole_chunks(c, rho, samples, seed):
+    def distance_values(rng, m):
+        x, y = _whole_chunk_pair(rng, m, c.dimension, rho)
+        return np.abs(c.batch(x) - c.batch(y))
+
+    return mc_mean(distance_values, samples, derive_seed(seed, 0))
+
+
+def _gsa_whole_chunks(c, ds, samples, seed):
+    counts = np.zeros(len(ds), dtype=np.int64)
+    for rng, m in chunk_rngs(seed, samples):
+        x = rng.standard_normal((m, c.dimension))
+        dist = np.asarray(c.distance_to_set(x), dtype=np.float64)
+        positive = dist > 0.0
+        for j, d in enumerate(ds):
+            counts[j] += int(np.count_nonzero(positive & (dist <= d)))
+    d1, d2 = ds
+    p = counts / samples
+    a = d2 / (d1 * (d2 - d1))
+    b = -d1 / (d2 * (d2 - d1))
+    mean = a * p[0] + b * p[1]
+    second_moment = a * a * p[0] + b * b * p[1] + 2 * a * b * p[0]
+    return mean, math.sqrt(max(0.0, second_moment - mean * mean) / samples)
+
+
+_STREAMED = {
+    "halfspace-2d": halfspace([0.6, 0.8], 0.2),
+    "intersection-3d": intersection(
+        [halfspace([1.0, 0.0, 0.0], 0.3), halfspace([0.0, 0.6, 0.8], 0.1),
+         halfspace([-0.48, 0.64, -0.6], 0.5)]
+    ),
+    "ball-4d": ball(2.2, 4),
+    "halfspace-20d": halfspace(list(np.full(20, 1.0 / math.sqrt(20.0))), -0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STREAMED))
+def test_streamed_pair_passes_equal_the_whole_chunk_draws(name):
+    # a full chunk of several blocks and a short last chunk
+    c, samples = _STREAMED[name], CHUNK_SIZE + 3001
+    got = gns_mc(c, 0.1, samples, SEED)
+    assert got == _gns_whole_chunks(c, 0.1, samples, SEED)
+    lhs = noise_distance_check(c, 0.8, samples, SEED).lhs
+    assert lhs == _distance_lhs_whole_chunks(c, 0.8, samples, SEED)
+    est = gsa_mc(c, [0.02, 0.01], samples, SEED + 1)
+    assert (est.mean, est.stderr) == _gsa_whole_chunks(c, (0.01, 0.02), samples, SEED + 1)
+
+
+def test_gns_mc_holds_one_chunk_of_x_and_a_block_of_pairs():
+    # a whole-chunk pair would hold x, z, rho x and y: four 20 MiB arrays
+    c = ball(4.5, 20)
+    gns_mc(c, 0.1, 1000, SEED)  # warm caches
+    x_bytes = CHUNK_SIZE * 20 * 8
+    assert traced_peak(lambda: gns_mc(c, 0.1, CHUNK_SIZE, SEED)) < x_bytes + 4 * 2**20

@@ -5,10 +5,10 @@ import json
 import math
 import re
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from gaussl1 import (
     DimensionMismatchError,
@@ -386,13 +386,7 @@ def test_expansion_eval_batch_memory_is_bounded_by_blocks():
     p = _random_expansion(rng, _indices(10, 6), 10)
     assert len(p.terms) == 8008
     points = rng.standard_normal((1 << 16, 10))
-    tracemalloc.start()
-    try:
-        expansion_eval_batch(p, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert traced_peak(lambda: expansion_eval_batch(p, points)) < 64 * 2**20
 
 
 # -- multivariate evaluation -------------------------------------------------

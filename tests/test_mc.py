@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from gaussl1 import ValidationError
-from gaussl1.mc import CHUNK_SIZE, Moments, chunk_rngs, mc_mean, mc_means
+from gaussl1.mc import (
+    CHUNK_SIZE,
+    Moments,
+    block_rows,
+    chunk_rngs,
+    mc_mean,
+    mc_means,
+    normal_blocks,
+)
 
 
 def _sampler(rng, m):
@@ -62,3 +71,41 @@ def test_moments_pool_chunks_into_the_whole_sample_statistics(shape):
     assert np.allclose(acc.mean, values.mean(axis=0), rtol=0, atol=1e-13)
     want = values.std(axis=0, ddof=1) / math.sqrt(1000)
     assert np.allclose(acc.stderr(), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "dimension, samples",
+    [
+        (1, CHUNK_SIZE + 3 * block_rows(1) + 5),  # a short last chunk of 3 blocks and 5 rows
+        (3, CHUNK_SIZE + block_rows(3) // 2),  # a short last chunk of half a block
+        (100, 2 * block_rows(100) + 7),  # one short chunk, a short last block
+    ],
+)
+def test_normal_blocks_are_the_one_draw(dimension, samples):
+    for index, (rng, count) in enumerate(chunk_rngs(11, samples)):
+        blocks = list(normal_blocks(rng, count, dimension))
+        assert [start for start, _ in blocks] == list(range(0, count, block_rows(dimension)))
+        one = np.random.default_rng(np.random.SeedSequence((11, index)))
+        whole = one.standard_normal((count, dimension))
+        assert np.array_equal(np.concatenate([x for _, x in blocks]), whole)
+        assert rng.random() == one.random()  # the streams end in the same state
+    assert count < CHUNK_SIZE  # the last chunk is short, and so is its last block
+    assert blocks[-1][1].shape[0] < block_rows(dimension)
+
+
+def test_block_rows_hold_about_one_block_of_cells():
+    assert block_rows(1) == block_rows(8) == 1 << 14
+    assert block_rows(100) == (1 << 17) // 100
+    assert block_rows(10**6) == 1
+
+
+def test_mc_means_hold_one_chunk_at_a_time():
+    # the sampler returns two fresh 1 MiB arrays a chunk, and mc_means copies
+    # one quantity at a time: about 3 MiB, not a second chunk's 3 MiB more
+    def sampler(rng, m):
+        x = rng.standard_normal(m)
+        return x, x * x
+
+    mc_means(sampler, 1000, 5)  # warm caches
+    chunk = CHUNK_SIZE * 8
+    assert traced_peak(lambda: mc_means(sampler, 4 * CHUNK_SIZE, 5)) < 3 * chunk + 2**19

@@ -7,7 +7,7 @@ import pytest
 
 from gaussl1 import ValidationError, apply_pointwise_mc, apply_to_expansion
 from gaussl1.hermite import expansion, hermite_eval, l2_norm, truncate
-from gaussl1.mc import derive_seed
+from gaussl1.mc import CHUNK_SIZE, derive_seed, mc_mean
 from gaussl1.noise import eigen_check, tail_bound_check, validate_noise_level
 
 SEED = 613
@@ -156,3 +156,37 @@ def test_tail_bound_report_serialization():
 def test_derive_seed_distinct_streams():
     seeds = {derive_seed(SEED, tag) for tag in range(16)}
     assert len(seeds) == 16
+
+
+def _pointwise_whole_chunks(f, rho, x, samples, seed):
+    # apply_pointwise_mc as it was before it drew its points in blocks: one
+    # (m, n) draw and one call of f per chunk
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    spread = math.sqrt(1.0 - rho * rho)
+
+    def sampler(rng, m):
+        y = rng.standard_normal((m, x.shape[0]))
+        return np.asarray(f(rho * x[None, :] + spread * y), dtype=np.float64)
+
+    return mc_mean(sampler, samples, seed)
+
+
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (lambda pts: hermite_eval(3, pts[:, 0]), 0.4),
+        (lambda pts: np.sign(pts @ np.array([0.6, -0.8]) + 0.1), [0.3, -0.2]),
+    ],
+    ids=["1-d", "2-d"],
+)
+def test_apply_pointwise_mc_equals_the_whole_chunk_draws(f, x):
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return f(pts)
+
+    samples = CHUNK_SIZE + 3001  # several blocks a chunk, and a short last chunk
+    got = apply_pointwise_mc(counted, 0.7, x, samples, SEED)
+    assert got == _pointwise_whole_chunks(f, 0.7, x, samples, SEED)
+    assert sum(calls) == samples and max(calls) < CHUNK_SIZE  # f saw blocks
