@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, NodeBudgetError, ToleranceError, ValidationError
-from .concepts import Concept, Profile, gns_mc, halfspace
+from .concepts import Concept, gns_mc, halfspace, profile_expansion
+from .concepts import profile_coefficients  # noqa: F401  (approx.profile_coefficients stays)
 from .hermite import (
     GAUSS_CUTOFF,
     MC_CHUNK_CELLS,
@@ -96,50 +97,6 @@ def plan(epsilon: float, gamma: float) -> ApproximationPlan:
 
 # ---------------------------------------------------------------------------
 # coefficient estimation
-
-
-def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
-    """Exact ``<g, H_k>`` for ``k <= degree`` of a piecewise-constant profile.
-
-    ``g`` equals ``values[i]`` between ``breakpoints[i - 1]`` and
-    ``breakpoints[i]``, the outer pieces running to -inf and +inf.  With the
-    jump ``J_j = values[j + 1] - values[j]`` at ``t_j``, integrating by parts
-    against ``H_k phi = -(H_{k-1} phi)' / sqrt(k)`` gives
-    ``<g, H_k> = sum_j J_j H_{k-1}(t_j) phi(t_j) / sqrt(k)`` for ``k >= 1``, and
-    ``<g, H_0> = (values[0] + values[-1]) / 2 - sum_j J_j erf(t_j / sqrt 2) / 2``.
-    ``degree`` must be an integer >= 0.
-    """
-    t = [float(b) for b in breakpoints]
-    v = [float(a) for a in values]
-    degree = check_integer("degree", degree, 0)
-    if len(v) != len(t) + 1 or not all(map(math.isfinite, t + v)) or sorted(set(t)) != t:
-        raise ValidationError(f"need finite increasing breakpoints and one value more: {t}, {v}")
-    jumps = [b - a for a, b in zip(v, v[1:])]
-    g = np.zeros(degree + 1)
-    steps = sum(J * math.erf(a / math.sqrt(2.0)) / 2.0 for J, a in zip(jumps, t))
-    g[0] = (v[0] + v[-1]) / 2.0 - steps
-    if degree and t:
-        terms = np.array(jumps) * hermite_upto(degree - 1, np.array(t))
-        terms *= [gauss_density(a) for a in t]
-        g[1:] = (terms / np.sqrt(np.arange(1.0, degree + 1))[:, None]).sum(axis=1)
-    return g
-
-
-def profile_expansion(profile: Profile, degree: int) -> HermiteExpansion:
-    """Exact Hermite coefficients of the ridge ``g(<w, x>)`` up to ``degree``.
-
-    The profile ``g`` has the coefficients :func:`profile_coefficients`
-    gives; for a unit ``w`` the multivariate coefficients follow from
-    ``H_k(<w, x>) = sum_{|alpha| = k} sqrt(k! / alpha!) w^alpha H_alpha(x)``.
-    """
-    g = profile_coefficients(profile.breakpoints, profile.values, degree)
-    lg = [math.lgamma(a + 1) for a in range(degree + 1)]
-    terms: dict[MultiIndex, float] = {}
-    for alpha in multi_indices_upto(len(profile.w), degree):
-        k = sum(alpha)
-        ratio = math.exp(0.5 * (math.lgamma(k + 1) - sum(lg[a] for a in alpha)))
-        terms[alpha] = g[k] * ratio * math.prod(wi**ai for wi, ai in zip(profile.w, alpha))
-    return expansion(len(profile.w), terms)
 
 
 def halfspace_expansion(w, c: float, degree: int) -> HermiteExpansion:
@@ -326,12 +283,6 @@ def _mc_errors(
     return l1, EstimateWithError(root, stderr, msq.samples, msq.seed)
 
 
-def _ridge_values(q: HermiteExpansion, w) -> Callable[[np.ndarray], np.ndarray]:
-    # p(x) = q(<w, x>) for a 1-D q: one projection, then the 1-D recurrence
-    w = np.asarray(w, dtype=np.float64)
-    return lambda x: expansion_eval_batch(q, (x @ w)[:, None])
-
-
 def _p_values(c: Concept, p: HermiteExpansion) -> Callable[[np.ndarray], np.ndarray]:
     # p's values at points of c's dimension, which must be p's
     if c.dimension != p.dimension:
@@ -341,16 +292,21 @@ def _p_values(c: Concept, p: HermiteExpansion) -> Callable[[np.ndarray], np.ndar
     return partial(expansion_eval_batch, p)
 
 
+# absolute tolerances of the dense-quadrature L1 and mean-square error passes
+L1_QUAD_TOL = 1e-6
+L2_QUAD_TOL = 1e-8
+
+
 def l1_error_quad_1d(
     c: Concept,
     p: HermiteExpansion,
     breakpoints: Sequence[float] | None = None,
-    abs_tol: float = 1e-6,
+    abs_tol: float = L1_QUAD_TOL,
 ) -> float:
     """Dense-quadrature Gaussian L1 error for one-dimensional concepts.
 
-    The integral straddles the concept's discontinuities (its profile's, or
-    else ``breakpoints`` supplied by the caller) and is cut
+    The integral straddles the concept's discontinuities (its profile's
+    :meth:`Profile.cuts`, or else ``breakpoints`` supplied by the caller) and is cut
     at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
     return _quad_error_1d(c, _p_values(c, p), p.degree_bound, np.abs, abs_tol, breakpoints)
@@ -360,7 +316,7 @@ def l2_error_quad_1d(
     c: Concept,
     p: HermiteExpansion,
     breakpoints: Sequence[float] | None = None,
-    abs_tol: float = 1e-8,
+    abs_tol: float = L2_QUAD_TOL,
 ) -> float:
     """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
     msq = _quad_error_1d(c, _p_values(c, p), p.degree_bound, np.square, abs_tol, breakpoints)
@@ -381,7 +337,7 @@ def _quad_error_1d(
     if breakpoints is None:
         if c.profile is None:
             raise CapabilityError("no profile gives the discontinuities; pass breakpoints")
-        breakpoints = [c.profile.w[0] * t for t in c.profile.breakpoints]
+        breakpoints = c.profile.cuts()
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return norm(c.batch(x[:, None]) - p_values(x[:, None])) * gauss_density(x)
@@ -492,12 +448,14 @@ def bound_check(
     A concept with a ridge profile ``f = g(<w, x>)`` has exact coefficients:
     since smoothing and truncation commute with rotations, ``p = q(<w, x>)``
     where ``q = (T_rho g)_{<=d}`` is built in one dimension from
-    :func:`profile_coefficients`, in any dimension (:func:`profile_expansion`
-    is the n-D export of the same coefficients).  Other concepts take tensor
+    :meth:`Profile.coefficients`, in any dimension, and evaluated by
+    :meth:`Profile.lift` (:func:`profile_expansion` is the n-D export of the
+    same coefficients).  Other concepts take tensor
     quadrature up to dimension 3 and Monte Carlo beyond (whose
     coefficient-noise ``slack`` can make the verdict ``inconclusive``).  A
     1-D concept with a profile has its error measured by dense quadrature
-    (stderr then reflects the quadrature tolerance); otherwise one
+    cut at :meth:`Profile.cuts` (stderr then reflects the quadrature
+    tolerance ``L1_QUAD_TOL``); otherwise one
     Monte-Carlo pass gives both the L1 and the L2 error, drawing and
     evaluating one block of points (:func:`mc.normal_blocks`) at a time, so
     it holds one block and a chunk's two value arrays, whatever the
@@ -526,11 +484,9 @@ def bound_check(
         g = gns_mc(c, delta, error_budget, derive_seed(seed, 2))
         gns, gns_stderr = g.mean, g.stderr
 
-    if c.profile is not None:
-        # the profile's 1-D series: p is built as q and evaluated as q(<w, x>)
-        series = profile_coefficients(c.profile.breakpoints, c.profile.values, aplan.degree)
-        ghat = expansion(1, {(k,): v for k, v in enumerate(series)})
-        est = CoefficientEstimate(ghat, aplan.degree, "exact", 0)
+    ridge = c.profile
+    if ridge is not None:  # p is built as the profile's 1-D q and evaluated as q(<w, x>)
+        est = CoefficientEstimate(ridge.coefficients(aplan.degree), aplan.degree, "exact", 0)
     elif c.dimension <= 3:
         est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
     else:
@@ -538,14 +494,12 @@ def bound_check(
             c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
         )
     p = build(est.expansion, aplan, complete_through=est.degree)
-    p_values = partial(expansion_eval_batch, p)
-    if c.profile is not None:  # p is the profile's 1-D q, evaluated as q(<w, x>)
-        p_values = _ridge_values(p, c.profile.w)
-    if c.dimension == 1 and c.profile is not None:
-        quad_tol = 1e-6
-        l1 = _quad_error_1d(c, p_values, p.degree_bound, np.abs, quad_tol)
-        l2 = math.sqrt(max(0.0, _quad_error_1d(c, p_values, p.degree_bound, np.square, 1e-8)))
-        measured_l1 = EstimateWithError(l1, quad_tol, 0, check_seed(seed), note="quadrature")
+    p_values = partial(expansion_eval_batch, p) if ridge is None else ridge.lift(p)
+    if c.dimension == 1 and ridge is not None:
+        l1 = _quad_error_1d(c, p_values, p.degree_bound, np.abs, L1_QUAD_TOL)
+        msq = _quad_error_1d(c, p_values, p.degree_bound, np.square, L2_QUAD_TOL)
+        l2 = math.sqrt(max(0.0, msq))
+        measured_l1 = EstimateWithError(l1, L1_QUAD_TOL, 0, check_seed(seed), note="quadrature")
         measured_l2 = EstimateWithError(l2, 0.0, 0, check_seed(seed), note="quadrature")
         error_method = "quadrature"
     else:

@@ -34,10 +34,20 @@ from .errors import (
     NodeBudgetError,
     ValidationError,
 )
-from .hermite import NODE_BUDGET, HermiteExpansion, expansion_eval_batch, gauss_density
+from .hermite import (
+    NODE_BUDGET,
+    HermiteExpansion,
+    MultiIndex,
+    expansion,
+    expansion_eval_batch,
+    gauss_density,
+    hermite_upto,
+    multi_indices_upto,
+)
 from .mc import (
     EstimateWithError,
     check_dimension,
+    check_integer,
     check_numeric,
     check_probability,
     check_samples,
@@ -56,11 +66,77 @@ from .quadrature1d import fixed_panels, integrate_adaptive
 class Profile:
     """A ridge ``f(x) = g(<w, x>)`` with a piecewise-constant profile ``g``:
     ``values[i]`` between ``breakpoints[i - 1]`` and ``breakpoints[i]``, the
-    outer pieces running to -inf and +inf."""
+    outer pieces running to -inf and +inf.
+
+    Smoothing and truncation commute with rotations, so a ridge reduces to
+    ``g`` under ``u = <w, x> ~ N(0, 1)``: its ``p = (T_rho f)_{<=d}`` is
+    ``q(<w, x>)`` for the 1-D ``q = (T_rho g)_{<=d}``.  Code outside this
+    module reads a ridge through the methods below, not through its fields.
+    """
 
     w: tuple[float, ...]
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
+
+    def coefficients(self, degree: int) -> HermiteExpansion:
+        """The exact 1-D series ``sum_k <g, H_k> H_k`` through ``degree``
+        (:func:`profile_coefficients`)."""
+        series = profile_coefficients(self.breakpoints, self.values, degree)
+        return expansion(1, {(k,): a for k, a in enumerate(series)})
+
+    def lift(self, q: HermiteExpansion) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> q(<w, x>)`` at ``(N, len(w))`` points for a 1-D ``q``: one
+        projection, then the 1-D recurrence."""
+        w = np.asarray(self.w, dtype=np.float64)
+        return lambda x: expansion_eval_batch(q, (x @ w)[:, None])
+
+    def cuts(self) -> list[float]:
+        """The jumps of a 1-D ridge in ``x``: ``u = w[0] x`` with ``w[0] = +-1``."""
+        return [self.w[0] * t for t in self.breakpoints]
+
+
+def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
+    """Exact ``<g, H_k>`` for ``k <= degree`` of a piecewise-constant profile.
+
+    ``g`` equals ``values[i]`` between ``breakpoints[i - 1]`` and
+    ``breakpoints[i]``, the outer pieces running to -inf and +inf.  With the
+    jump ``J_j = values[j + 1] - values[j]`` at ``t_j``, integrating by parts
+    against ``H_k phi = -(H_{k-1} phi)' / sqrt(k)`` gives
+    ``<g, H_k> = sum_j J_j H_{k-1}(t_j) phi(t_j) / sqrt(k)`` for ``k >= 1``, and
+    ``<g, H_0> = (values[0] + values[-1]) / 2 - sum_j J_j erf(t_j / sqrt 2) / 2``.
+    ``degree`` must be an integer >= 0.
+    """
+    t = [float(b) for b in breakpoints]
+    v = [float(a) for a in values]
+    degree = check_integer("degree", degree, 0)
+    if len(v) != len(t) + 1 or not all(map(math.isfinite, t + v)) or sorted(set(t)) != t:
+        raise ValidationError(f"need finite increasing breakpoints and one value more: {t}, {v}")
+    jumps = [b - a for a, b in zip(v, v[1:])]
+    g = np.zeros(degree + 1)
+    steps = sum(J * math.erf(a / math.sqrt(2.0)) / 2.0 for J, a in zip(jumps, t))
+    g[0] = (v[0] + v[-1]) / 2.0 - steps
+    if degree and t:
+        terms = np.array(jumps) * hermite_upto(degree - 1, np.array(t))
+        terms *= [gauss_density(a) for a in t]
+        g[1:] = (terms / np.sqrt(np.arange(1.0, degree + 1))[:, None]).sum(axis=1)
+    return g
+
+
+def profile_expansion(profile: Profile, degree: int) -> HermiteExpansion:
+    """Exact Hermite coefficients of the ridge ``g(<w, x>)`` up to ``degree``.
+
+    The profile ``g`` has the coefficients :func:`profile_coefficients`
+    gives; for a unit ``w`` the multivariate coefficients follow from
+    ``H_k(<w, x>) = sum_{|alpha| = k} sqrt(k! / alpha!) w^alpha H_alpha(x)``.
+    """
+    g = profile_coefficients(profile.breakpoints, profile.values, degree)
+    lg = [math.lgamma(a + 1) for a in range(degree + 1)]
+    terms: dict[MultiIndex, float] = {}
+    for alpha in multi_indices_upto(len(profile.w), degree):
+        k = sum(alpha)
+        ratio = math.exp(0.5 * (math.lgamma(k + 1) - sum(lg[a] for a in alpha)))
+        terms[alpha] = g[k] * ratio * math.prod(wi**ai for wi, ai in zip(profile.w, alpha))
+    return expansion(len(profile.w), terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +201,9 @@ def halfspace(w, c: float) -> Concept:
     offset = check_numeric("c", c)
     if math.isnan(offset):
         raise ValidationError("offset c must not be NaN")
-    profile = Profile(tuple(float(v) for v in w), (offset,), (1.0, -1.0))
+    # an infinite offset holds everywhere or nowhere, so it leaves no cut
+    cut = ((offset,), (1.0, -1.0)) if math.isfinite(offset) else ((), (math.copysign(1.0, offset),))
+    profile = Profile(tuple(float(v) for v in w), *cut)
     return _ridge(profile, "halfspace", {"w": list(profile.w), "c": offset})
 
 
@@ -232,8 +310,8 @@ _MAX_INTERSECTION_FACES = 10
 def intersection(halfspaces: Sequence[Concept]) -> Concept:
     """Intersection of halfspaces: +1 iff every component is +1.
 
-    In one dimension the intersection is a ridge (an interval, a half-line or
-    empty) and carries its profile with everything derived from it.  From two
+    In one dimension the intersection is a ridge (an interval, a half-line, the
+    line or empty) and carries its profile with everything derived from it.  From two
     dimensions on, an exact distance oracle (projection onto the polyhedron
     by active-set enumeration) is attached for up to 10 faces.
     """
@@ -251,10 +329,11 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
     cvec.setflags(write=False)
 
     params = {"halfspaces": [{"w": h.params["w"], "c": h.params["c"]} for h in halfspaces]}
-    if n == 1:  # read one point a piece
-        t = sorted(set(float(v) for v in cvec / W[:, 0]))
-        ends = np.array([t[0] - 1.0, *t, t[-1] + 1.0])
-        inside = (np.outer((ends[:-1] + ends[1:]) / 2.0, W[:, 0]) <= cvec).all(axis=1)
+    if n == 1:  # read one finite point a piece; an infinite offset holds everywhere or nowhere
+        t = sorted(set(float(v) for v in cvec / W[:, 0] if math.isfinite(v)))
+        ends = [t[0] - 1.0, *t, t[-1] + 1.0] if t else [-1.0, 1.0]
+        mids = [(a + b) / 2.0 for a, b in zip(ends, ends[1:])]
+        inside = (np.outer(mids, W[:, 0]) <= cvec).all(axis=1)
         values = tuple(1.0 if a else -1.0 for a in inside)
         return _ridge(Profile((1.0,), tuple(t), values), "intersection", params)
 

@@ -190,6 +190,9 @@ class HermiteExpansion:
     Canonical form: keys are multi-indices of length ``dimension``, stored
     coefficients are finite and non-zero.  Use :func:`expansion` to build one.
     ``dimension`` must be a whole number >= 1 and is stored as an ``int``.
+    A key passes :func:`check_multi_index` and is stored as a tuple of
+    ``int``: ``(2.0,)`` and ``(np.int64(2),)`` are ``(2,)``, as in
+    :func:`expansion` and :meth:`from_dict`.
     """
 
     dimension: int
@@ -197,13 +200,13 @@ class HermiteExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", check_dimension(self.dimension))
-        for alpha, c in self.terms.items():
+        terms = {check_multi_index(alpha): c for alpha, c in self.terms.items()}
+        object.__setattr__(self, "terms", terms)
+        for alpha, c in terms.items():
             if len(alpha) != self.dimension:
                 raise DimensionMismatchError(
                     f"term {alpha} has length {len(alpha)}, expected {self.dimension}"
                 )
-            if any(not isinstance(a, int) or a < 0 for a in alpha):
-                raise ValidationError(f"invalid multi-index {alpha}")
             if not check_numeric("coefficient", c, math.isfinite, alpha):
                 raise ValidationError(f"non-finite coefficient at {alpha}")
             if c == 0.0:
@@ -279,14 +282,16 @@ def expansion(dimension: int, terms: Mapping | Iterable) -> HermiteExpansion:
     items = terms.items() if isinstance(terms, Mapping) else terms
     canon: dict[MultiIndex, float] = {}
     for alpha, c in items:
-        alpha = check_multi_index(alpha)
+        alpha = tuple(alpha)  # equal keys such as (2,) and (2.0,) merge; the constructor checks kept ones
         c = check_numeric("coefficient", c, at=alpha)
         if not math.isfinite(c):
             raise ValidationError(f"non-finite coefficient at {alpha}")
         if c != 0.0:
             canon[alpha] = canon.get(alpha, 0.0) + c
-            if canon[alpha] == 0.0:
-                del canon[alpha]
+            if canon[alpha] != 0.0:
+                continue
+            del canon[alpha]
+        check_multi_index(alpha)  # a dropped key obeys the same rule
     return HermiteExpansion(dimension, canon)
 
 

@@ -32,7 +32,7 @@ from gaussl1 import (
     ptf,
     sign_coefficient,
 )
-from gaussl1 import approx, hermite
+from gaussl1 import approx, concepts, hermite
 from gaussl1.approx import l2_error, l2_error_quad_1d
 from gaussl1.concepts import Concept, gns_ball_closed_form, gns_halfspace_closed_form
 from gaussl1.hermite import (
@@ -732,12 +732,46 @@ def test_bound_check_on_a_ridge_enumerates_no_multi_indices(monkeypatch):
         return real(dimension, degree)
 
     monkeypatch.setattr(approx, "multi_indices_upto", one_dimensional)
+    monkeypatch.setattr(concepts, "multi_indices_upto", one_dimensional)
     monkeypatch.setattr(hermite, "multi_indices_upto", one_dimensional)
     w = np.full(6, 1.0 / math.sqrt(6.0))
     report = bound_check(halfspace(w, 0.1), plan(0.6, 0.3), error_budget=20_000, seed=SEED)
     assert report.coeff_method == "exact"
     with pytest.raises(AssertionError, match="dimension 6"):
         halfspace_expansion(w, 0.1, 4)
+
+
+@pytest.mark.parametrize(
+    "concept",
+    [halfspace([1.0], math.inf), halfspace([1.0], -math.inf), halfspace([-1.0], math.inf),
+     halfspace([-1.0], -math.inf), halfspace([0.6, 0.8], math.inf),
+     halfspace([0.6, 0.8], -math.inf)],
+    ids=["1d-inf", "1d-minus-inf", "1d-flipped-inf", "1d-flipped-minus-inf", "2d-inf",
+         "2d-minus-inf"],
+)
+def test_bound_check_on_a_halfspace_at_an_infinite_offset(concept):
+    # a constant: an infinite offset leaves no cut in the profile, so p is
+    # that constant exactly
+    report = bound_check(concept, plan(0.5, 0.3), error_budget=20_000, seed=SEED)
+    assert report.coeff_method == "exact"
+    assert report.error_method == ("quadrature" if concept.dimension == 1 else "monte_carlo")
+    assert report.measured_l1.mean == 0.0 and report.measured_l2.mean == 0.0
+    assert report.gns_term == 0.0 and report.verdict == "pass"
+
+
+def test_bound_check_on_an_interval_with_one_infinite_end():
+    # {x <= 0.5} written as an intersection with {-x <= inf}: the same report
+    one_sided = intersection([halfspace([1.0], 0.5), halfspace([-1.0], math.inf)])
+    aplan = plan(0.5, 0.3)
+    report = bound_check(one_sided, aplan, seed=SEED)
+    assert (report.coeff_method, report.error_method, report.verdict) == (
+        "exact", "quadrature", "pass")
+    assert report.to_dict() == bound_check(halfspace([1.0], 0.5), aplan, seed=SEED).to_dict()
+
+
+def test_halfspace_expansion_at_an_infinite_offset_is_a_constant():
+    assert halfspace_expansion([1.0], math.inf, 4) == expansion(1, {(0,): 1.0})
+    assert halfspace_expansion([0.6, 0.8], -math.inf, 3) == expansion(2, {(0, 0): -1.0})
 
 
 def test_monte_carlo_budgets_must_be_integers():
@@ -1084,7 +1118,7 @@ def _built_p_values(name):
         c = halfspace([0.6, 0.8], 0.2)
         aplan = plan(0.6, 0.3)
         q = build(halfspace_expansion([1.0], 0.2, aplan.degree), aplan)
-        return c, approx._ridge_values(q, c.profile.w)
+        return c, c.profile.lift(q)
     if name == "ball-2d":
         c, aplan, route = ball(1.5, 2), plan(0.6, 0.3), {}
     elif name == "intersection-3d":

@@ -288,6 +288,23 @@ def test_approx_inconclusive_verdict_exits_1(tmp_path):
     assert report["slack"] > report["measured_l1"]["mean"] - report["bound"]
 
 
+def test_approx_on_a_halfspace_at_an_infinite_offset_exits_0(tmp_path):
+    # the constant +1 read through its profile: an infinite offset leaves no
+    # cut, and the series is exactly H_0
+    concept = tmp_path / "hs-inf.json"
+    concept.write_text('{"kind": "halfspace", "w": [1.0], "c": Infinity}')
+    out = tmp_path / "hs-inf-report.json"
+    code = main(["approx", "--concept", str(concept), "--epsilon", "0.5",
+                 "--gamma", "0.3989422804014327", "--seed", "1", "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert (report["coeff_method"], report["error_method"]) == ("exact", "quadrature")
+    assert report["measured_l1"]["mean"] == 0.0 and report["gns_term"] == 0.0
+    assert (report["pass"], report["verdict"]) == (True, "pass")
+    assert main(["gns", "--concept", str(concept), "--delta", "0.1", "--samples", "20000",
+                 "--seed", "1", "--output", str(tmp_path / "hs-inf-gns.json")]) == 0
+
+
 def test_learn_json_and_csv(tmp_path):
     concept = _write_halfspace(tmp_path)
     out = tmp_path / "learn.json"

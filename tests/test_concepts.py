@@ -23,6 +23,7 @@ from gaussl1 import (
     load_concept,
     noise_distance_check,
     gns_gsa_bound_check,
+    profile_coefficients,
     ptf,
 )
 from gaussl1.concepts import (
@@ -33,7 +34,7 @@ from gaussl1.concepts import (
     eval_concept,
     gauss_density,
 )
-from gaussl1.hermite import expansion
+from gaussl1.hermite import expansion, expansion_eval_batch
 from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed, mc_fraction, mc_mean
 from gaussl1.quadrature1d import fixed_panels
 
@@ -868,6 +869,20 @@ def test_non_numeric_constructor_arguments_raise_validation_error(call, name):
         call()
 
 
+def test_a_1d_intersection_reads_an_infinite_offset_as_everywhere_or_nowhere():
+    # {x <= inf} holds for every x and {x <= -inf} for none; each piece is read
+    # at a finite point, so no cut at +-inf enters the profile
+    x = np.array([[-3.0], [0.0], [0.4], [3.0]])
+    line = intersection([halfspace([1.0], math.inf), halfspace([-1.0], math.inf)])
+    assert line.profile == constant_concept(1, 1).profile
+    assert np.array_equal(line.batch(x), np.ones(4)) and line.gns_closed_form(0.3) == 0.0
+    empty = intersection([halfspace([1.0], -math.inf), halfspace([1.0], 0.5)])
+    assert empty.profile.values == (-1.0, -1.0)
+    assert np.array_equal(empty.batch(x), -np.ones(4)) and empty.gns_closed_form(0.3) == 0.0
+    one_sided = intersection([halfspace([1.0], 0.5), halfspace([-1.0], math.inf)])
+    assert one_sided.profile == halfspace([1.0], 0.5).profile
+
+
 def test_empty_intersection_in_two_dimensions_is_infinitely_far():
     empty = intersection([halfspace([1.0, 0.0], -0.5), halfspace([-1.0, 0.0], -0.5)])
     x = np.random.default_rng(SEED).standard_normal((1000, 2))
@@ -885,6 +900,73 @@ def test_a_constant_ignores_its_input():
         c = constant_concept(3, value)
         assert np.array_equal(c.batch(rows), np.full(3, float(value)))
         assert np.array_equal(c.distance_to_set(rows), np.full(3, far))
+
+
+# -- the ridge reduction: Profile's methods ----------------------------------------
+#
+# The references are copies of the code each method replaced in approx: the
+# p evaluator q(<w, x>), the 1-D wrap of the profile series, and the x-space
+# cuts w[0] t of the 1-D error pass.
+
+
+def _ridge_values_before_lift(q, w):
+    w = np.asarray(w, dtype=np.float64)
+    return lambda x: expansion_eval_batch(q, (x @ w)[:, None])
+
+
+@pytest.mark.parametrize("n", [1, -1, 2, 3, 100], ids=["1d", "1d-flipped", "2d", "3d", "100d"])
+def test_profile_lift_keeps_the_bits_of_the_ridge_evaluator(n):
+    rng = np.random.default_rng(SEED + abs(n))
+    if abs(n) == 1:
+        w = [float(n)]
+    else:
+        w = rng.standard_normal(n)
+        w /= np.linalg.norm(w)
+    c = halfspace(w, 0.3)
+    q = expansion(1, {(k,): a for k, a in enumerate(rng.standard_normal(16))})
+    x = rng.standard_normal((300, len(w)))
+    got = c.profile.lift(q)(x)
+    assert _same_bits(got, _ridge_values_before_lift(q, c.profile.w)(x))
+
+
+@pytest.mark.parametrize(
+    "concept",
+    [halfspace([0.6, 0.8], -0.4), intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)]),
+     ball(1.3, 1), constant_concept(2, -1)],
+    ids=["halfspace", "interval", "ball-1d", "constant"],
+)
+def test_profile_coefficients_keep_the_bits_of_the_series(concept):
+    ridge = concept.profile
+    for degree in (0, 1, 7, 60):
+        series = profile_coefficients(ridge.breakpoints, ridge.values, degree)
+        want = expansion(1, {(k,): a for k, a in enumerate(series)})
+        got = ridge.coefficients(degree)
+        assert got == want and all(type(a[0]) is int for a in got.terms), (concept.kind, degree)
+
+
+def test_profile_cuts_are_the_flipped_breakpoints():
+    ridges = [halfspace([-1.0], 0.4), halfspace([1.0], -0.4), ball(1.3, 1),
+              intersection([halfspace([-1.0], 0.7), halfspace([-1.0], -0.1)]),
+              intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])]
+    for c in ridges:
+        ridge = c.profile
+        assert ridge.cuts() == [ridge.w[0] * t for t in ridge.breakpoints], c.params
+    assert constant_concept(1, 1).profile.cuts() == []
+
+
+def test_a_halfspace_at_an_infinite_offset_has_a_profile_without_cuts():
+    # sign(c - u) is +1 for every u at c = inf and -1 at c = -inf: no cut
+    for w in ([1.0], [-1.0], [0.6, 0.8]):
+        for c, value in ((math.inf, 1.0), (-math.inf, -1.0)):
+            h = halfspace(w, c)
+            ridge = h.profile
+            assert ridge == Profile(tuple(w), (), (value,)), (w, c)
+            assert h.params["c"] == c and h.gsa_closed_form == 0.0 and h.gns_closed_form(0.3) == 0.0
+            assert ridge.coefficients(9) == expansion(1, {(0,): value})
+            if len(w) == 1:
+                assert ridge.cuts() == []
+    with pytest.raises(ValidationError, match="finite increasing breakpoints"):
+        profile_coefficients([math.inf], [1.0, -1.0], 3)  # the raw series still refuses it
 
 
 # -- streamed passes: the values of whole-chunk draws ------------------------------

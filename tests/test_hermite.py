@@ -799,5 +799,11 @@ def test_non_integer_multi_index_entries_raise_validation_error(alpha):
         HermiteExpansion.from_dict(
             {"dimension": 1, "terms": [{"alpha": list(alpha), "coeff": 1.0}]}
         )
+    with pytest.raises(ValidationError, match="multi-index entries must be integers"):
+        HermiteExpansion(1, {alpha: 1.0})
     want = expansion(1, {(2,): 1.0})
     assert expansion(1, {(np.int64(2),): 1.0}) == expansion(1, {(2.0,): 1.0}) == want
+    # one rule for every way in: the constructor stores the same int tuple
+    for key in ((2.0,), (np.int64(2),)):
+        got = HermiteExpansion(1, {key: 1.0})
+        assert got == want and type(next(iter(got.terms))[0]) is int
