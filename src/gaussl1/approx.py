@@ -448,18 +448,19 @@ def bound_check(
     A concept with a ridge profile ``f = g(<w, x>)`` has exact coefficients:
     since smoothing and truncation commute with rotations, ``p = q(<w, x>)``
     where ``q = (T_rho g)_{<=d}`` is built in one dimension from
-    :meth:`Profile.coefficients`, in any dimension, and evaluated by
-    :meth:`Profile.lift` (:func:`profile_expansion` is the n-D export of the
-    same coefficients).  Other concepts take tensor
+    :meth:`Profile.coefficients`, in any dimension (:func:`profile_expansion`
+    is the n-D export of the same coefficients).  Other concepts take tensor
     quadrature up to dimension 3 and Monte Carlo beyond (whose
-    coefficient-noise ``slack`` can make the verdict ``inconclusive``).  A
-    1-D concept with a profile has its error measured by dense quadrature
-    cut at :meth:`Profile.cuts` (stderr then reflects the quadrature
-    tolerance ``L1_QUAD_TOL``); otherwise one
-    Monte-Carlo pass gives both the L1 and the L2 error, drawing and
-    evaluating one block of points (:func:`mc.normal_blocks`) at a time, so
-    it holds one block and a chunk's two value arrays, whatever the
-    dimension.  Either pass evaluates a ridge's ``p`` as ``q(<w, x>)``.  GNS uses a
+    coefficient-noise ``slack`` can make the verdict ``inconclusive``).
+    A ridge's L1 and L2 error, in any dimension, is the 1-D integral of
+    ``g(u) - q(u)`` against ``u ~ N(0, 1)``, by dense quadrature cut at the
+    jumps (stderr then reflects the quadrature tolerance ``L1_QUAD_TOL``): a
+    1-D ridge integrates itself in ``x``, cut at :meth:`Profile.cuts`, and an
+    n-D one its :meth:`Profile.reduced` line, so it draws no samples.
+    Otherwise one Monte-Carlo pass of ``error_budget`` samples gives both the
+    L1 and the L2 error, drawing and evaluating one block of points
+    (:func:`mc.normal_blocks`) at a time, so it holds one block and a chunk's
+    two value arrays, whatever the dimension.  GNS uses a
     supplied trusted value (outside ``[0, 1/2]`` it raises
     :class:`ValidationError`), the concept's closed form when present (every
     halfspace, ball and 1-D intersection has one), or a Monte-Carlo estimate.
@@ -494,15 +495,19 @@ def bound_check(
             c, aplan.degree, "monte_carlo", coeff_budget, derive_seed(seed, 1)
         )
     p = build(est.expansion, aplan, complete_through=est.degree)
-    p_values = partial(expansion_eval_batch, p) if ridge is None else ridge.lift(p)
-    if c.dimension == 1 and ridge is not None:
-        l1 = _quad_error_1d(c, p_values, p.degree_bound, np.abs, L1_QUAD_TOL)
-        msq = _quad_error_1d(c, p_values, p.degree_bound, np.square, L2_QUAD_TOL)
+    if ridge is not None:
+        # |g(<w, x>) - q(<w, x>)| has the law of |g(u) - q(u)|, u ~ N(0, 1); a
+        # 1-D ridge keeps its own x, whose cuts are w[0] t (bit for bit)
+        line = c if c.dimension == 1 else ridge.reduced()
+        p_values = line.profile.lift(p)
+        l1 = _quad_error_1d(line, p_values, p.degree_bound, np.abs, L1_QUAD_TOL)
+        msq = _quad_error_1d(line, p_values, p.degree_bound, np.square, L2_QUAD_TOL)
         l2 = math.sqrt(max(0.0, msq))
         measured_l1 = EstimateWithError(l1, L1_QUAD_TOL, 0, check_seed(seed), note="quadrature")
         measured_l2 = EstimateWithError(l2, 0.0, 0, check_seed(seed), note="quadrature")
         error_method = "quadrature"
     else:
+        p_values = partial(expansion_eval_batch, p)
         measured_l1, measured_l2 = _mc_errors(c, p_values, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 

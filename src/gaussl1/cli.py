@@ -266,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="build an approximation and audit its bound",
     )
     p.add_argument("--coeff-budget", type=int, default=None)
-    p.add_argument("--error-budget", type=int, default=10**6)
+    p.add_argument(
+        "--error-budget", type=int, default=10**6,
+        help="samples of the Monte-Carlo error pass (and of a GNS estimate without a closed "
+        "form) of a concept without a profile; a ridge's error is a 1-D integral",
+    )
     p.set_defaults(run=_cmd_approx)
 
     p = sub.add_parser("sign-study", parents=[output], help="sign truncation error vs degree")

@@ -78,6 +78,14 @@ class Profile:
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
+    def __post_init__(self):
+        # both exact routes read u = <w, x> as N(0, 1): a w of any other norm
+        # would get exact numbers for the wrong law
+        norm = float(np.linalg.norm(np.asarray(self.w, dtype=np.float64)))
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN entry fails too
+            raise ValidationError(f"w must be a unit vector; got |w| = {norm!r}")
+        _check_sign_profile(self.breakpoints, self.values)
+
     def coefficients(self, degree: int) -> HermiteExpansion:
         """The exact 1-D series ``sum_k <g, H_k> H_k`` through ``degree``
         (:func:`profile_coefficients`)."""
@@ -93,6 +101,23 @@ class Profile:
     def cuts(self) -> list[float]:
         """The jumps of a 1-D ridge in ``x``: ``u = w[0] x`` with ``w[0] = +-1``."""
         return [self.w[0] * t for t in self.breakpoints]
+
+    def reduced(self) -> Concept:
+        """The profile's own 1-D ridge ``g(u)``, ``w = (1,)``: with ``u = <w, x>
+        ~ N(0, 1)``, any norm of ``g(<w, x>) - q(<w, x>)`` is that of ``g(u) - q(u)``."""
+        return _ridge(Profile((1.0,), self.breakpoints, self.values), "ridge", {})
+
+
+def _check_sign_profile(breakpoints, values) -> tuple[list[float], list[float]]:
+    """Finite, strictly increasing breakpoints and one +-1 value more, as floats."""
+    t = [float(b) for b in breakpoints]
+    v = [float(a) for a in values]
+    if (len(v) != len(t) + 1 or any(abs(a) != 1.0 for a in v)
+            or not all(map(math.isfinite, t)) or sorted(set(t)) != t):
+        raise ValidationError(
+            f"need finite increasing breakpoints and one +-1 value more: {t}, {v}"
+        )
+    return t, v
 
 
 def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
@@ -195,9 +220,6 @@ def halfspace(w, c: float) -> Concept:
     w = check_numeric("w", w, lambda a: np.asarray(a, dtype=np.float64))
     if w.ndim != 1 or w.size < 1:
         raise ValidationError("w must be a non-empty vector")
-    norm = float(np.linalg.norm(w))
-    if not abs(norm - 1.0) <= 1e-12:  # a NaN entry fails too
-        raise ValidationError(f"w must be a unit vector; got |w| = {norm!r}")
     offset = check_numeric("c", c)
     if math.isnan(offset):
         raise ValidationError("offset c must not be NaN")
@@ -489,8 +511,11 @@ def gns_halfspace_closed_form(delta: float, offset: float = 0.0) -> float:
 
         GNS_delta = (1 / pi) int_0^{arccos(1 - delta)} exp(-c^2 / (1 + cos t)) dt.
 
-    At ``delta = 1`` the value is ``2 Phi(c) Phi(-c)``.
+    At ``delta = 1`` the value is ``2 Phi(c) Phi(-c)``, and an infinite ``c``
+    leaves no cut: a constant, 0 at every ``delta``.
     """
+    if math.isinf(offset):
+        return gns_profile_closed_form(delta, (), (1.0,))
     return gns_profile_closed_form(delta, (offset,), (1.0, -1.0))
 
 
@@ -513,10 +538,7 @@ def gns_profile_closed_form(delta: float, breakpoints, values) -> float:
     single jump at the origin gives ``arccos(1 - delta) / pi``.
     """
     delta = check_probability("delta", delta)
-    t = [float(b) for b in breakpoints]
-    v = [float(a) for a in values]
-    if len(v) != len(t) + 1 or any(abs(a) != 1.0 for a in v) or sorted(set(t)) != t:
-        raise ValidationError(f"need increasing breakpoints and one +-1 value more: {t}, {v}")
+    t, v = _check_sign_profile(breakpoints, values)
     jumps = [(a, (y - x) / 2.0) for a, x, y in zip(t, v, v[1:]) if x != y]
     if not jumps:
         return 0.0

@@ -136,8 +136,16 @@ def hermite_zeros_upto(k: int) -> np.ndarray:
 # multi-indices
 
 
+def _entries(alpha) -> tuple:
+    # the entries of a multi-index key as given; 2 or None is no sequence at all
+    try:
+        return tuple(alpha)
+    except TypeError:
+        raise ValidationError(f"multi-index entries must be integers, got {alpha!r}") from None
+
+
 def check_multi_index(alpha) -> MultiIndex:
-    entries = tuple(alpha)
+    entries = _entries(alpha)
     try:
         alpha = tuple(int(a) for a in entries)
     except (TypeError, ValueError, OverflowError):  # NaN, infinities, strings
@@ -282,7 +290,7 @@ def expansion(dimension: int, terms: Mapping | Iterable) -> HermiteExpansion:
     items = terms.items() if isinstance(terms, Mapping) else terms
     canon: dict[MultiIndex, float] = {}
     for alpha, c in items:
-        alpha = tuple(alpha)  # equal keys such as (2,) and (2.0,) merge; the constructor checks kept ones
+        alpha = _entries(alpha)  # equal keys such as (2,) and (2.0,) merge; the constructor checks kept ones
         c = check_numeric("coefficient", c, at=alpha)
         if not math.isfinite(c):
             raise ValidationError(f"non-finite coefficient at {alpha}")

@@ -32,7 +32,7 @@ from gaussl1 import (
     ptf,
     sign_coefficient,
 )
-from gaussl1 import approx, concepts, hermite
+from gaussl1 import approx, concepts, hermite, mc
 from gaussl1.approx import l2_error, l2_error_quad_1d
 from gaussl1.concepts import Concept, gns_ball_closed_form, gns_halfspace_closed_form
 from gaussl1.hermite import (
@@ -623,14 +623,22 @@ def test_bound_check_halfspace_example():
 
 def test_bound_check_2d_matches_1d():
     # the construction is rotation invariant: a tilted origin halfspace in
-    # two dimensions has the same error as the axis one in one dimension
+    # two dimensions has the same error as the axis one in one dimension.
+    # The 2-D error is its profile's 1-D integral ("quadrature"), so the
+    # reports are equal; a Monte-Carlo pass of the lifted p in 2-D is the
+    # independent cross-check
     aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=10)
     r1 = bound_check(halfspace([1.0], 0.0), aplan, seed=SEED)
     s = 1.0 / math.sqrt(2.0)
-    r2 = bound_check(halfspace([s, s], 0.0), aplan, error_budget=10**6, seed=SEED)
-    assert r2.error_method == "monte_carlo"
-    gap = abs(r2.measured_l1.mean - r1.measured_l1.mean)
-    assert gap <= 4.0 * r2.measured_l1.stderr + 1e-6
+    c2 = halfspace([s, s], 0.0)
+    r2 = bound_check(c2, aplan, error_budget=10**6, seed=SEED)
+    assert r2.error_method == "quadrature"
+    assert r2.to_dict() == r1.to_dict()
+    p = build(approx.profile_expansion(c2.profile, aplan.degree), aplan,
+              complete_through=aplan.degree)
+    sampled = l1_error(c2, p, 10**6, derive_seed(SEED, 3))
+    gap = abs(sampled.mean - r1.measured_l1.mean)
+    assert gap <= 4.0 * sampled.stderr + 1e-6
     assert r2.passed
 
 
@@ -662,23 +670,27 @@ def test_bound_check_one_pass_l2_matches_l2_error():
 
 @pytest.mark.parametrize("w", [[0.6, 0.8], [2 / 3, -1 / 3, 2 / 3], [0.0, -0.8, 0.6]])
 def test_bound_check_ridge_pass_matches_the_lifted_polynomial(w):
-    # an n-D ridge's pass evaluates p = q(<w, x>); the lifted n-D expansion is
-    # the same polynomial, so over the same stream both give the same
-    # estimates up to rounding
+    # an n-D ridge's error is its profile's 1-D integral ("quadrature"), so
+    # the Monte-Carlo pass of p = q(<w, x>) is run directly here.  The lifted
+    # n-D expansion is the same polynomial, so over the same stream both give
+    # the same estimates up to rounding, and those agree with the integral
     c = halfspace(w, 0.2)
     aplan = plan(0.6, 0.3)
     report = bound_check(c, aplan, error_budget=150_000, seed=SEED)
-    assert (report.coeff_method, report.error_method) == ("exact", "monte_carlo")
+    assert (report.coeff_method, report.error_method) == ("exact", "quadrature")
+    q = build(c.profile.coefficients(aplan.degree), aplan, complete_through=aplan.degree)
     lifted = approx.profile_expansion(c.profile, aplan.degree)
     p = build(lifted, aplan, complete_through=aplan.degree)
     stream = derive_seed(SEED, 3)
-    for got, want in (
-        (report.measured_l1, l1_error(c, p, 150_000, stream)),
-        (report.measured_l2, l2_error(c, p, 150_000, stream)),
+    ridge_pass = approx._mc_errors(c, c.profile.lift(q), 150_000, stream)
+    for got, want in zip(
+        ridge_pass, (l1_error(c, p, 150_000, stream), l2_error(c, p, 150_000, stream))
     ):
         assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=0.0)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-14, abs=0.0)
         assert (got.samples, got.seed) == (want.samples, want.seed) == (150_000, stream)
+    for exact, sampled in zip((report.measured_l1, report.measured_l2), ridge_pass):
+        assert abs(exact.mean - sampled.mean) <= 4.0 * sampled.stderr
 
 
 def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
@@ -706,8 +718,10 @@ def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
 @pytest.mark.parametrize("epsilon, gamma, offset", [(0.6, 0.3, 0.4), (0.5, None, 0.0)])
 def test_bound_check_high_dimensional_halfspaces(n, epsilon, gamma, offset):
     # degree 15, and degree 44 at epsilon = 0.5 with Gamma = phi(0): the n-D
-    # lift has more than NODE_BUDGET terms, but q(<w, x>) costs
-    # O(samples (n + d)), and E|f - p| is that of the same profile in 1-D
+    # lift has more than NODE_BUDGET terms, and E|f - p| is that of the same
+    # profile in 1-D, which the report integrates ("quadrature").  A
+    # Monte-Carlo pass of q(<w, x>) in n-D, O(samples (n + d)) work, is the
+    # independent cross-check
     w = np.random.default_rng([SEED, n]).standard_normal(n)
     c = halfspace(w / np.linalg.norm(w), offset)
     aplan = plan(epsilon, gauss_density(0.0) if gamma is None else gamma)
@@ -715,12 +729,14 @@ def test_bound_check_high_dimensional_halfspaces(n, epsilon, gamma, offset):
     with pytest.raises(NodeBudgetError):
         approx.profile_expansion(c.profile, aplan.degree)
     report = bound_check(c, aplan, error_budget=200_000, seed=SEED)
-    assert (report.coeff_method, report.error_method) == ("exact", "monte_carlo")
+    assert (report.coeff_method, report.error_method) == ("exact", "quadrature")
     assert report.passed
     p1 = build(halfspace_expansion([1.0], offset, aplan.degree), aplan,
                complete_through=aplan.degree)
     reference = l1_error_quad_1d(halfspace([1.0], offset), p1)
     assert abs(report.measured_l1.mean - reference) <= 4.0 * report.measured_l1.stderr
+    sampled, _ = approx._mc_errors(c, c.profile.lift(p1), 200_000, derive_seed(SEED, 3))
+    assert abs(sampled.mean - reference) <= 4.0 * sampled.stderr
 
 
 def test_bound_check_on_a_ridge_enumerates_no_multi_indices(monkeypatch):
@@ -741,6 +757,36 @@ def test_bound_check_on_a_ridge_enumerates_no_multi_indices(monkeypatch):
         halfspace_expansion(w, 0.1, 4)
 
 
+def test_bound_check_on_a_ridge_draws_no_samples(monkeypatch):
+    # a ridge's error is its profile's 1-D integral in any dimension: no
+    # stream is split into chunks and no normal block is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a ridge's bound check drew samples")
+
+    for module in (approx, concepts, mc):
+        monkeypatch.setattr(module, "normal_blocks", no_draws)
+        monkeypatch.setattr(module, "chunk_rngs", no_draws)
+    rng = np.random.default_rng([SEED, 3])
+    for n in (2, 20, 100):
+        w = rng.standard_normal(n)
+        report = bound_check(halfspace(w / np.linalg.norm(w), 0.3), plan(0.6, 0.3), seed=SEED)
+        assert (report.error_method, report.measured_l1.samples) == ("quadrature", 0)
+        assert report.passed
+    report = bound_check(constant_concept(4, 1), plan(0.6, 0.3), seed=SEED)
+    assert (report.error_method, report.measured_l1.mean) == ("quadrature", 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 10, 100])
+def test_bound_check_on_an_nd_halfspace_reports_the_1d_one(n):
+    # smoothing, truncation and the Gaussian law commute with rotations, so a
+    # halfspace along any unit w reports what the axis one in 1-D reports
+    w = np.random.default_rng([SEED, 4, n]).standard_normal(n)
+    w /= np.linalg.norm(w)
+    for offset, aplan in ((0.3, plan(0.6, 0.3)), (-0.45, plan(0.5, gauss_density(0.0)))):
+        got = bound_check(halfspace(w, offset), aplan, seed=SEED).to_dict()
+        assert got == bound_check(halfspace([1.0], offset), aplan, seed=SEED).to_dict()
+
+
 @pytest.mark.parametrize(
     "concept",
     [halfspace([1.0], math.inf), halfspace([1.0], -math.inf), halfspace([-1.0], math.inf),
@@ -751,10 +797,10 @@ def test_bound_check_on_a_ridge_enumerates_no_multi_indices(monkeypatch):
 )
 def test_bound_check_on_a_halfspace_at_an_infinite_offset(concept):
     # a constant: an infinite offset leaves no cut in the profile, so p is
-    # that constant exactly
+    # that constant exactly; in 2-D too the error is the profile's 1-D integral
     report = bound_check(concept, plan(0.5, 0.3), error_budget=20_000, seed=SEED)
     assert report.coeff_method == "exact"
-    assert report.error_method == ("quadrature" if concept.dimension == 1 else "monte_carlo")
+    assert report.error_method == "quadrature"
     assert report.measured_l1.mean == 0.0 and report.measured_l2.mean == 0.0
     assert report.gns_term == 0.0 and report.verdict == "pass"
 
@@ -948,7 +994,8 @@ def test_bound_check_rejects_a_gns_value_outside_its_range():
 
 def test_bound_check_routes_on_the_profile_not_the_kind():
     # a custom concept that carries a ridge profile takes the exact route,
-    # and reports what the halfspace with the same profile reports
+    # and reports what the halfspace with the same profile reports; from 2-D
+    # on, its error too is the profile's 1-D integral, on its reduced line
     aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=10)
     for w in ([1.0], [0.6, -0.8]):
         hs = halfspace(w, 0.3)
@@ -958,11 +1005,15 @@ def test_bound_check_routes_on_the_profile_not_the_kind():
         got = bound_check(custom, aplan, error_budget=20_000, seed=SEED)
         want = bound_check(hs, aplan, error_budget=20_000, seed=SEED)
         assert got.coeff_method == "exact"
-        assert got.error_method == ("quadrature" if len(w) == 1 else "monte_carlo")
+        assert got.error_method == "quadrature"
         assert got == want
-        p = build(halfspace_expansion(w, 0.3, 10), aplan)
         if len(w) == 1:
+            p = build(halfspace_expansion(w, 0.3, 10), aplan)
             assert l1_error_quad_1d(custom, p, abs_tol=1e-6) == got.measured_l1.mean
+        else:
+            q = build(halfspace_expansion([1.0], 0.3, 10), aplan)
+            line = custom.profile.reduced()
+            assert l1_error_quad_1d(line, q, abs_tol=1e-6) == got.measured_l1.mean
 
 
 def test_bound_check_constant_in_four_dimensions_is_exact():
@@ -1145,11 +1196,15 @@ def test_streamed_error_pass_matches_the_whole_chunk_draws(name):
 
 def test_bound_check_in_100_dimensions_holds_a_few_mib():
     # one 2^17 x 100 chunk of points would be 100 MiB; in blocks the error
-    # pass holds a block of points and the chunk's values (1 MiB a quantity)
-    w = np.full(100, 0.1)
-    c, aplan = halfspace(w / np.linalg.norm(w), 0.1), plan(0.5, 0.3)
-    bound_check(c, aplan, error_budget=1000, seed=SEED)  # warm caches
-    assert traced_peak(lambda: bound_check(c, aplan, error_budget=1 << 18, seed=SEED)) < 8 * 2**20
+    # pass holds a block of points and the chunk's values (1 MiB a quantity).
+    # A ridge's bound check draws no samples, so this runs the Monte-Carlo
+    # pass of concepts without a profile directly: a 1-D q on the last axis
+    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=2)
+    q = build(halfspace_expansion([1.0], 0.1, 2), aplan)
+    p = expansion(100, {(0,) * 99 + alpha: a for alpha, a in q.terms.items()})
+    c = halfspace([0.0] * 99 + [1.0], 0.1)
+    l1_error(c, p, 1000, SEED)  # warm caches
+    assert traced_peak(lambda: l1_error(c, p, 1 << 18, SEED)) < 8 * 2**20
 
 
 def test_quadrature_coefficients_hold_the_value_tensor_and_one_slab():

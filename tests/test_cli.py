@@ -259,7 +259,8 @@ def test_approx_2d_ball_at_the_plan_degree(tmp_path):
 
 def test_approx_20d_halfspace_at_the_plan_degree(tmp_path):
     # degree 44 in 20-D: the n-D lift has C(64, 44) terms, past the
-    # multi-index budget; the pass evaluates q(<w, x>) instead
+    # multi-index budget; p is q(<w, x>), and its error is the profile's
+    # 1-D integral ("quadrature"), which draws no samples
     concept = _write_halfspace(tmp_path, w=[1.0 / math.sqrt(20.0)] * 20)
     out = tmp_path / "hs20-report.json"
     code = main(["approx", "--concept", concept, "--epsilon", "0.5",
@@ -268,8 +269,8 @@ def test_approx_20d_halfspace_at_the_plan_degree(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())["report"]
     assert report["plan"]["degree"] == 44
-    assert (report["coeff_method"], report["error_method"]) == ("exact", "monte_carlo")
-    assert report["measured_l1"]["samples"] == 200000
+    assert (report["coeff_method"], report["error_method"]) == ("exact", "quadrature")
+    assert report["measured_l1"]["samples"] == 0
     assert report["pass"] is True
 
 

@@ -273,6 +273,41 @@ def test_profiles_of_the_constructors():
     assert _RIDGES["repeated"].profile == Profile((1.0,), (0.5, 1.0), (1.0, -1.0, -1.0))
 
 
+def test_a_profile_validates_itself():
+    # both exact routes read u = <w, x> as N(0, 1) and g as +-1: a w of
+    # norm 2 would get exact numbers for the wrong law
+    with pytest.raises(ValidationError, match=r"w must be a unit vector; got \|w\| = 2.0"):
+        Profile((2.0,), (0.0,), (1.0, -1.0))
+    for w in ((), (0.6, 0.8 + 1e-11), (math.nan, 1.0)):
+        with pytest.raises(ValidationError, match="unit vector"):
+            Profile(w, (0.0,), (1.0, -1.0))
+    for breakpoints, values in (
+        ((0.1,), (1.0, 0.5)),  # not +-1
+        ((0.1,), (1.0,)),  # one value short
+        ((), (1.0, -1.0)),  # one value too many
+        ((0.5, 0.1), (1.0, -1.0, 1.0)),  # decreasing
+        ((0.1, 0.1), (1.0, -1.0, 1.0)),  # repeated
+        ((math.inf,), (1.0, -1.0)),  # not finite
+        ((math.nan,), (1.0, -1.0)),
+    ):
+        with pytest.raises(ValidationError, match="finite increasing breakpoints"):
+            Profile((0.6, 0.8), breakpoints, values)
+    assert Profile((0.6, 0.8 + 1e-13), (), (-1.0,)).values == (-1.0,)
+
+
+@pytest.mark.parametrize("name", sorted(_RIDGES))
+def test_a_ridge_reduces_to_its_profile_on_the_line(name):
+    # g(u) with w = (1,): the same profile, read at u itself
+    c = _RIDGES[name]
+    line = c.profile.reduced()
+    assert line.dimension == 1
+    assert line.profile == Profile((1.0,), c.profile.breakpoints, c.profile.values)
+    assert line.gns_closed_form(0.3) == c.gns_closed_form(0.3)
+    u = np.random.default_rng(SEED).standard_normal((20_000, 1))
+    g = np.asarray(c.profile.values)[np.searchsorted(c.profile.breakpoints, u[:, 0])]
+    assert np.array_equal(line.batch(u), g)
+
+
 def test_only_ridges_carry_a_profile():
     poly = intersection([halfspace([1.0, 0.0], 1.0), halfspace([0.0, 1.0], 1.0)])
     square = ptf(expansion(1, {(2,): 1.0, (0,): -0.5}))
@@ -463,8 +498,11 @@ def test_gns_profile_trivial_cases_and_validation():
         ((0.1,), (1.0,)),  # one value short
         ((0.5, 0.1), (1.0, -1.0, 1.0)),  # decreasing
         ((0.1, 0.1), (1.0, -1.0, 1.0)),  # repeated
+        ((-math.inf, 0.5), (-1.0, 1.0, -1.0)),  # an infinite cut, either end
+        ((0.5, math.inf), (-1.0, 1.0, -1.0)),
+        ((math.nan,), (1.0, -1.0)),
     ):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite increasing breakpoints"):
             gns_profile_closed_form(0.5, breakpoints, values)
     with pytest.raises(ValidationError):
         gns_profile_closed_form(1.5, (0.1,), (1.0, -1.0))

@@ -789,16 +789,16 @@ def test_numpy_integer_counts_equal_their_int_counterparts():
 
 @pytest.mark.parametrize(
     "alpha",
-    [(math.nan,), ("x",), (math.inf,), (1.5,), ("1",)],
-    ids=["nan", "str", "inf", "half", "digit"],
+    [(math.nan,), ("x",), (math.inf,), (1.5,), ("1",), 2, None],
+    ids=["nan", "str", "inf", "half", "digit", "int", "none"],
 )
 def test_non_integer_multi_index_entries_raise_validation_error(alpha):
+    # a key that is no sequence at all, such as 2 or None, is refused too
     with pytest.raises(ValidationError, match="multi-index entries must be integers"):
         expansion(1, {alpha: 1.0})
+    wire = list(alpha) if isinstance(alpha, tuple) else alpha
     with pytest.raises(ValidationError):
-        HermiteExpansion.from_dict(
-            {"dimension": 1, "terms": [{"alpha": list(alpha), "coeff": 1.0}]}
-        )
+        HermiteExpansion.from_dict({"dimension": 1, "terms": [{"alpha": wire, "coeff": 1.0}]})
     with pytest.raises(ValidationError, match="multi-index entries must be integers"):
         HermiteExpansion(1, {alpha: 1.0})
     want = expansion(1, {(2,): 1.0})
