@@ -318,6 +318,19 @@ def _block_length(cells_per_point: int) -> int:
     return max(1, BLOCK_CELLS // max(1, cells_per_point))
 
 
+def _prefix_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct prefixes ``alpha[:-1]`` of the ``(terms, n)`` multi-index
+    array ``index``, in order of first appearance, as their rows of the
+    stacked table viewed as ``(k + 1) n`` rows, where ``H_{alpha_i}(x_i)`` is
+    row ``alpha_i n + i``: shape ``(prefixes, n - 1)``, one prefix (the empty
+    one) when ``n = 1``.  Also returns each term's prefix number."""
+    n = index.shape[1]
+    numbers: dict[tuple, int] = {}
+    prefix = [numbers.setdefault(key, len(numbers)) for key in map(tuple, index[:, :-1].tolist())]
+    rows = np.array(list(numbers), dtype=np.intp).reshape(len(numbers), n - 1)
+    return rows * n + np.arange(n - 1), np.array(prefix, dtype=np.intp)
+
+
 def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     """Evaluate ``p`` at ``points`` of shape ``(N, dimension)`` -> ``(N,)``.
 
@@ -345,27 +358,21 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     if not p.terms:
         return values
     n = p.dimension
-    dmax = [max(alpha[i] for alpha in p.terms) for i in range(n)]
-    k = max(dmax)
-    rows: dict[MultiIndex, int] = {}
-    for alpha in p.terms:
-        rows.setdefault(alpha[:-1], len(rows))
-    coef = np.zeros((len(rows), dmax[-1] + 1))
-    for alpha, c in p.terms.items():
-        coef[rows[alpha[:-1]], alpha[-1]] = c
-    # row of H_{alpha_i}(x_i) in the stacked table viewed as (k + 1) n rows
-    prefix_rows = np.array(list(rows), dtype=np.intp).reshape(len(rows), n - 1) * n
-    prefix_rows += np.arange(n - 1)
+    index = np.array(list(p.terms), dtype=np.intp)
+    prefix_rows, prefix = _prefix_rows(index)
+    k, top = int(index.max()), int(index[:, -1].max())
+    coef = np.zeros((len(prefix_rows), top + 1))
+    coef[prefix, index[:, -1]] = list(p.terms.values())
     table_rows = n * (k + 1)
-    chunk = min(len(rows), table_rows)
+    chunk = min(len(prefix_rows), table_rows)
     chunks = [
         (coef[lo : lo + chunk], prefix_rows[lo : lo + chunk].T.copy())
-        for lo in range(0, len(rows), chunk)
+        for lo in range(0, len(prefix_rows), chunk)
     ]
     block = _block_length(table_rows + chunk)
     for start in range(0, points.shape[0], block):
         table = hermite_upto(k, points[start : start + block].T)
-        last = table[: dmax[-1] + 1, -1]
+        last = table[: top + 1, -1]
         table = table.reshape(table_rows, -1)
         out = values[start : start + block]
         for chunk_coef, axis_rows in chunks:
@@ -374,33 +381,6 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
                 partial *= np.take(table, rows_i, axis=0)
             out += partial.sum(axis=0)
     return values
-
-
-def _prefix_levels(index: np.ndarray, k: int):
-    """The distinct prefixes ``alpha[:i + 1]`` over the leading ``n - 1`` axes
-    of the ``(terms, n)`` multi-index array ``index``, all entries <= ``k``.
-
-    Returns ``levels``, one ``(parents, rows)`` pair per leading axis in axis
-    order: prefix ``j`` of axis ``i`` is prefix ``parents[j]`` of axis
-    ``i - 1`` (axis 0 has the one empty parent) times row ``rows[j]`` of the
-    stacked table viewed as ``(k + 1) n`` rows, where ``H_{alpha_i}(x_i)`` is
-    row ``alpha_i n + i``.  Also returns each term's prefix number on the
-    last leading axis and the count of those prefixes (one when ``n = 1``).
-    """
-    n = index.shape[1]
-    # a prefix alpha[:i + 1] has the key (number of alpha[:i]) (k + 1) + alpha_i;
-    # the distinct keys of each axis are numbered in order
-    prefix, count = np.zeros(index.shape[0], dtype=np.intp), 1
-    levels = []
-    for i in range(n - 1):
-        key = prefix * (k + 1) + index[:, i]
-        seen = np.zeros(count * (k + 1), dtype=bool)
-        seen[key] = True
-        prefix = (np.cumsum(seen) - 1)[key]
-        key = np.flatnonzero(seen)
-        count = key.size
-        levels.append((key // (k + 1), key % (k + 1) * n + i))
-    return levels, prefix, count
 
 
 def _check_basis_args(points, alphas) -> tuple[np.ndarray, np.ndarray, int]:
@@ -423,25 +403,21 @@ def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     per-axis degree ``k`` (``n (k + 1)`` rows, so unequal per-axis degrees pay
     for the rows above each axis' own), then the columns in a transposed
     (basis x points) scratch buffer, whose rows are contiguous, copied into
-    the output.  Each distinct prefix ``alpha[:i + 1]`` of a leading axis is
-    formed once per block, as its parent prefix times ``H_{alpha_i}(x_i)``,
-    and the last axis extends the prefixes to every column.  Each entry is
-    thus the product of its table values in axis order, so the matrix is
+    the output.  The scratch starts as every column's table row on axis 0
+    and is multiplied by its row on each next axis in turn, so each entry is
+    the product of its table values in axis order: the matrix is
     bit-identical to the column-by-column construction and deterministic for
     a given input array.
     """
     points, index, k = _check_basis_args(points, alphas)
     n = points.shape[1]
-    levels, prefix, _ = _prefix_levels(index, k)
-    # on the last axis every column extends its own prefix
-    (_, rows_0), *steps = levels + [(prefix, index[:, -1] * n + n - 1)]
+    rows = (index * n + np.arange(n)).T.copy()
     out = np.empty((points.shape[0], len(alphas)))
     block = _block_length(len(alphas) + n * (k + 1))
     for start in range(0, points.shape[0], block):
         table = hermite_upto(k, points[start : start + block].T).reshape(n * (k + 1), -1)
-        scratch = np.take(table, rows_0, axis=0)
-        for parents, rows_i in steps:
-            scratch = np.take(scratch, parents, axis=0)
+        scratch = np.take(table, rows[0], axis=0)
+        for rows_i in rows[1:]:
             scratch *= np.take(table, rows_i, axis=0)
         out[start : start + block] = scratch.T
     return out
@@ -456,13 +432,14 @@ def basis_sums(
 
     The points go in blocks of about :data:`BLOCK_CELLS` cells, so the pass
     holds one block whatever ``N`` and the number of terms are.  Per block
-    the stacked table is built as in :func:`basis_matrix`, and each distinct
-    prefix over the leading ``n - 1`` axes is formed once, as ``w`` times its
-    table values in axis order.  Two matrix products with the last axis' rows
-    then give every prefix's sums at every last-axis degree: one of the
-    prefixes with ``H_j``, one of their squares with ``H_j^2``.  The sums are
-    deterministic for given input arrays; they differ from the sums of the
-    basis matrix's columns in the last bits (about 1e-15 relative).
+    the stacked table is built as in :func:`basis_matrix`, and the row of
+    each distinct prefix ``alpha[:-1]`` is ``w`` times its table values on
+    the leading ``n - 1`` axes, multiplied in axis order.  Two matrix
+    products with the last axis' rows then give every prefix's sums at every
+    last-axis degree: one of the prefix rows with ``H_j``, one of their
+    squares with ``H_j^2``.  The sums are deterministic for given input
+    arrays; they differ from the sums of the basis matrix's columns in the
+    last bits (about 1e-15 relative).
     """
     points, index, k = _check_basis_args(points, alphas)
     weights = np.asarray(weights, dtype=np.float64)
@@ -471,21 +448,22 @@ def basis_sums(
             f"weights shape {weights.shape} does not match {points.shape[0]} points"
         )
     n = points.shape[1]
-    levels, prefix, count = _prefix_levels(index, k)
+    prefix_rows, prefix = _prefix_rows(index)
+    count = len(prefix_rows)
     last = index[:, -1]
     top = int(last.max(initial=0))
     sums = np.zeros((count, top + 1))
     sumsq = np.zeros((count, top + 1))
-    # per point: the table, and at most three prefix rows at once (two levels
-    # and a gathered table row, or the prefixes and their squares)
+    # per point: the table and three rows per prefix, which hold the prefixes
+    # with a gathered table row or with their squares; the squared last-axis
+    # rows go uncounted
     block = _block_length(n * (k + 1) + 3 * count)
     for start in range(0, points.shape[0], block):
         table = hermite_upto(k, points[start : start + block].T)
         last_rows = table[: top + 1, -1]
         table = table.reshape(n * (k + 1), -1)
-        scratch = weights[None, start : start + block]
-        for parents, rows_i in levels:
-            scratch = np.take(scratch, parents, axis=0)
+        scratch = np.repeat(weights[None, start : start + block], count, axis=0)
+        for rows_i in prefix_rows.T:
             scratch *= np.take(table, rows_i, axis=0)
         sums += scratch @ last_rows.T
         sumsq += np.square(scratch) @ np.square(last_rows).T

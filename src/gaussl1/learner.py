@@ -35,7 +35,7 @@ from .mc import EstimateWithError, check_integer, check_probability, check_seed,
 
 @dataclass(frozen=True)
 class LabeledData:
-    """Samples ``x`` of shape ``(m, n)`` with labels ``y`` in {-1, +1}."""
+    """Finite samples ``x`` of shape ``(m, n)`` with labels ``y`` in {-1, +1}."""
 
     x: np.ndarray
     y: np.ndarray
@@ -51,6 +51,8 @@ class LabeledData:
             raise ValidationError("need at least one sample")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValidationError("labels must be +1 or -1")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("samples x must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -11,6 +11,7 @@ subintervals stay cheap.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -59,13 +60,16 @@ def integrate_adaptive(
     ``initial_intervals``, an integer >= 1, additionally splits every seed
     interval uniformly (useful for integrands with a known oscillation
     scale).  Raises :class:`ToleranceError` if the interval budget is
-    exhausted first.
+    exhausted first, and :class:`ValidationError` at once unless ``a < b``
+    are finite and ``abs_tol > 0`` is finite.
     """
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"integration endpoints must be finite, got [{a}, {b}]")
     if not b > a:
         raise ValidationError(f"empty integration interval [{a}, {b}]")
-    if abs_tol <= 0:
-        raise ValidationError(f"abs_tol must be > 0, got {abs_tol}")
+    if not 0 < abs_tol < math.inf:
+        raise ValidationError(f"abs_tol must be finite and > 0, got {abs_tol}")
     edges = [a]
     for t in sorted(set(float(t) for t in breakpoints)):
         if a < t < b:

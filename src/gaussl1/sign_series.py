@@ -241,8 +241,8 @@ def sine_integral(z: float, tol: float = 1e-12) -> float:
     z = float(z)
     if z < 0.0 or not math.isfinite(z):
         raise ValidationError(f"z must be finite and >= 0, got {z}")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     if z == 0.0:
         return 0.0
     head = min(z, 4.0)

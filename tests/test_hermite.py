@@ -339,6 +339,68 @@ def test_basis_sums_are_the_basis_matrix_contractions(dimension, alphas):
     assert np.array_equal(weights, before)  # read, never written
 
 
+def _level_tree_sums(points, alphas, weights):
+    # the kernel before flat prefix products: the prefixes alpha[:i + 1] of
+    # each leading axis numbered in sorted order, each formed once per block
+    # as its parent prefix times one table row
+    n = points.shape[1]
+    index = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
+    k = int(index.max())
+    prefix, count, levels = np.zeros(len(alphas), dtype=np.intp), 1, []
+    for i in range(n - 1):
+        key = prefix * (k + 1) + index[:, i]
+        seen = np.zeros(count * (k + 1), dtype=bool)
+        seen[key] = True
+        prefix = (np.cumsum(seen) - 1)[key]
+        key = np.flatnonzero(seen)
+        count = key.size
+        levels.append((key // (k + 1), key % (k + 1) * n + i))
+    last = index[:, -1]
+    top = int(last.max())
+    sums = np.zeros((count, top + 1))
+    sumsq = np.zeros((count, top + 1))
+    block = _block_length(n * (k + 1) + 3 * count)
+    for start in range(0, points.shape[0], block):
+        table = hermite_upto(k, points[start : start + block].T)
+        last_rows = table[: top + 1, -1]
+        table = table.reshape(n * (k + 1), -1)
+        scratch = weights[None, start : start + block]
+        for parents, rows_i in levels:
+            scratch = np.take(scratch, parents, axis=0)
+            scratch *= np.take(table, rows_i, axis=0)
+        sums += scratch @ last_rows.T
+        sumsq += np.square(scratch) @ np.square(last_rows).T
+    return sums[prefix, last], sumsq[prefix, last]
+
+
+@pytest.mark.parametrize("signs", [True, False], ids=["signs", "gaussian"])
+@pytest.mark.parametrize(
+    "dimension, alphas",
+    [
+        (1, _indices(1, 30)),
+        (4, multi_indices_upto(4, 4)),
+        (3, [(a, 0, c) for a in range(8) for c in range(3)]),
+        (2, [(0, 5), (0, 0), (0, 2)]),
+    ],
+    ids=["1d", "4d", "lopsided-3d", "one-prefix-2d"],
+)
+def test_basis_sums_bit_identical_to_level_tree_kernel(dimension, alphas, signs):
+    # the Monte-Carlo coefficients pass the +-1 values of a concept as the
+    # weights; the prefix rows are w times their table values in axis order
+    # either way, so the sums keep every bit for any weights
+    rng = np.random.default_rng(26 + dimension)
+    k = max(max(a) for a in alphas)
+    prefixes = len({a[:-1] for a in alphas})
+    size = 2 * _block_length(dimension * (k + 1) + 3 * prefixes) + 13  # three blocks
+    points = rng.standard_normal((size, dimension))
+    weights = rng.standard_normal(size)
+    if signs:
+        weights = np.sign(weights)
+    got = basis_sums(points, alphas, weights)
+    want = _level_tree_sums(points, alphas, weights)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_basis_sums_check_their_shapes():
     points = np.zeros((4, 2))
     with pytest.raises(DimensionMismatchError):

@@ -90,6 +90,16 @@ def test_labeled_data_validation():
     assert d.size == 4 and d.dimension == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_labeled_data_rejects_non_finite_samples(bad):
+    # a NaN sample used to run a whole fit before failing on a non-finite
+    # coefficient, and choose_threshold returned a threshold from NaN scores
+    x = np.zeros((4, 2))
+    x[2, 1] = bad
+    with pytest.raises(ValidationError, match="x must be finite"):
+        LabeledData(x, np.array([1.0, -1.0, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # the L1 fit
 

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Legendre quadrature against closed-form integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,12 @@ import pytest
 from gaussl1 import quadrature1d
 from gaussl1.errors import EvaluationError, ToleranceError, ValidationError
 from gaussl1.quadrature1d import fixed_panels, integrate_adaptive
+from gaussl1.sign_series import (
+    sine_integral,
+    truncation_eval_integral,
+    truncation_integral_envelopes,
+    truncation_l1_error,
+)
 
 
 def test_polynomial_exactness():
@@ -56,6 +63,39 @@ def test_validation():
         integrate_adaptive(np.exp, 2.0, 1.0)
     with pytest.raises(ValidationError):
         integrate_adaptive(np.exp, 0.0, 1.0, abs_tol=0.0)
+
+
+def _never_called(t):
+    raise AssertionError("the integrand was evaluated")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_adaptive(_never_called, 0.0, 1.0, abs_tol=math.nan),
+        lambda: integrate_adaptive(_never_called, 0.0, 1.0, abs_tol=math.inf),
+        lambda: integrate_adaptive(_never_called, 0.0, math.inf),
+        lambda: integrate_adaptive(_never_called, -math.inf, 1.0),
+        lambda: integrate_adaptive(_never_called, math.nan, 1.0),
+        lambda: sine_integral(6.0, tol=math.nan),
+        lambda: sine_integral(6.0, tol=math.inf),
+        lambda: truncation_l1_error(101, abs_tol=math.nan),
+        lambda: truncation_eval_integral(101, 0.5, tol=math.nan),
+        lambda: truncation_integral_envelopes(101, 1.0, abs_tol=math.nan),
+    ],
+    ids=[
+        "nan-tol", "inf-tol", "inf-b", "inf-a", "nan-a", "sine-nan-tol", "sine-inf-tol",
+        "l1-error-nan-tol", "eval-integral-nan-tol", "envelopes-nan-tol",
+    ],
+)
+def test_non_finite_tolerance_or_endpoint_fails_fast(call):
+    # a NaN tolerance used to pass the `<= 0` test and bisect to the
+    # 200,000-interval cap before a ToleranceError; an infinite endpoint
+    # evaluated the integrand at NaN nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            call()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
