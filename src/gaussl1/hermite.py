@@ -491,7 +491,8 @@ def l2_norm(p: HermiteExpansion) -> float:
 class QuadratureRule:
     """Nodes/weights integrating against the N(0, I_n) density.
 
-    ``nodes`` has shape ``(N, dimension)``; weights are positive and sum to 1.
+    ``nodes`` has shape ``(N, dimension)``; weights are non-negative, 0 where
+    they fall below the double range, and sum to 1.
     """
 
     dimension: int
@@ -504,56 +505,45 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=64)
-def _gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Golub-Welsch: nodes are eigenvalues of the Jacobi matrix of the
-    # orthonormal basis (zero diagonal, off-diagonal sqrt(k)); the weight of
-    # node i is the squared first component of its unit eigenvector.
-    if m == 1:
-        return np.zeros(1), np.ones(1)
-    offdiag = np.sqrt(np.arange(1.0, m))
-    nodes, vectors = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
-    weights = vectors[0, :] ** 2
-    # enforce the exact +/- symmetry of the rule
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    weights = weights / weights.sum()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-@lru_cache(maxsize=8)
-def _christoffel_ratio(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    # basis (zero diagonal, off-diagonal sqrt(k)), refined by one Newton step
+    # x -= H_m / (sqrt(m) H_{m-1}) on the damped recurrence, skipped where
+    # H_{m-1} e^{-x^2/4} underflows to 0, then made exactly +/- symmetric.
     # The weight of node x is 1 / sum_{j<m} H_j(x)^2 (Christoffel).  With the
-    # damped g_j = e^{-x^2/4} H_j(x) of the recurrence, w H_k = g_k r for the
-    # ratio r = e^{-x^2/4} / sum_{j<m} g_j^2: every factor is accurate in
-    # relative terms, where the Golub-Welsch weights are so only in absolute
-    # terms.  Where the damping underflows (m >= 1000) r is 0, which is w H_k
-    # to double precision there.
-    x = _gauss_hermite_1d(m)[0]
+    # damped g_j = e^{-x^2/4} H_j(x), w H_k = g_k r for the ratio
+    # r = e^{-x^2/4} / sum_{j<m} g_j^2, and w = damp * r: every factor is
+    # accurate in relative terms.  Where the damping underflows (m >= 1000)
+    # r is 0, which is w H_k to double precision there.
+    offdiag = np.sqrt(np.arange(1.0, m))
+    x = np.linalg.eigvalsh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     damp = np.exp(-0.25 * x * x)
-    g = _recurrence(m - 1, x, start=damp, table=True)
+    below = math.sqrt(m) * _recurrence(m - 1, x, start=damp)
+    x -= np.divide(_recurrence(m, x, start=damp), below, out=np.zeros(m), where=below != 0.0)
+    nodes = 0.5 * (x - x[::-1])
+    damp = np.exp(-0.25 * nodes * nodes)
+    g = _recurrence(m - 1, nodes, start=damp, table=True)
     total = np.einsum("ji,ji->i", g, g)
     ratio = np.divide(damp, total, out=np.zeros(m), where=total > 0.0)
-    damp.setflags(write=False)
-    ratio.setflags(write=False)
-    return damp, ratio
+    for array in (nodes, damp, ratio):
+        array.setflags(write=False)
+    return nodes, damp, ratio
 
 
 def gauss_hermite_products(points_per_axis: int, degree: int) -> np.ndarray:
     """``B[k, i] = w_i H_k(x_i)`` for ``k <= degree`` over the nodes and
     weights of the 1-D :func:`gauss_hermite_rule`, the matrix that contracts
-    node values into Hermite coefficients.
+    node values into Hermite coefficients.  Row 0 is the rule's weights, bit
+    for bit.
 
-    It is formed from the damped recurrence and the Christoffel numbers, so
+    It is formed from the damped recurrence and the Christoffel ratio, so
     that ``B H^T = I`` holds to rounding for ``degree < points_per_axis``;
-    the product of the weights with ``H_k`` would multiply their absolute
-    rounding error by ``|H_k(x_i)|``, past 1e100 at the outer nodes.
+    the weights times a separately computed ``H_k`` would lose the outer
+    nodes, where the weights underflow and ``H_k^2`` passes 1e300.
     """
-    gauss_hermite_nodes(points_per_axis)  # validates first
+    x = _node_axes(points_per_axis, 1)[0]  # validates first
     degree = check_integer("degree", degree, 0)
-    damp, ratio = _christoffel_ratio(points_per_axis)
-    x = _gauss_hermite_1d(points_per_axis)[0]
+    _, damp, ratio = _gauss_hermite_1d(points_per_axis)
     return _recurrence(degree, x, start=damp, table=True) * ratio
 
 
@@ -598,14 +588,19 @@ def gauss_hermite_rule(points_per_axis: int, dimension: int = 1) -> QuadratureRu
 
     Exact for polynomials of per-axis degree <= ``2 * points_per_axis - 1``.
     Nodes are in "ij" order (last axis fastest); weights multiply in axis
-    order.  ``points_per_axis`` must be an integer >= 1 and ``dimension``
-    integral and >= 1, else :class:`ValidationError`; a float such as ``2.5``
-    is never truncated.  Raises :class:`NodeBudgetError` when the tensor
+    order.  The 1-D weights are the Christoffel numbers
+    ``1 / sum_{j<m} H_j(x_i)^2``, row 0 of :func:`gauss_hermite_products` bit
+    for bit: accurate in relative terms, and 0 where they fall below the
+    double range (the outer nodes from ``m`` about 400).
+    ``points_per_axis`` must be an integer >= 1 and ``dimension`` integral
+    and >= 1, else :class:`ValidationError`; a float such as ``2.5`` is never
+    truncated.  Raises :class:`NodeBudgetError` when the tensor
     grid, or in 1-D the ``m x m`` Jacobi matrix the nodes are computed from,
     would exceed ``NODE_BUDGET`` cells (use the Monte-Carlo paths instead).
     """
     nodes = gauss_hermite_nodes(points_per_axis, dimension)  # validates first
-    axes = [_gauss_hermite_1d(points_per_axis)[1]] * nodes.shape[1]
+    _, damp, ratio = _gauss_hermite_1d(points_per_axis)
+    axes = [damp * ratio] * nodes.shape[1]
     return QuadratureRule(nodes.shape[1], nodes, reduce(np.multiply.outer, axes, 1.0).reshape(-1))
 
 

@@ -125,6 +125,8 @@ def truncation_eval_integral(d: int, x: float, tol: float = 1e-9) -> float:
     """
     d = _check_odd_degree(d)
     x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"x must be finite, got {x}")
     if x == 0.0:
         return 0.0
     prefactor = math.sqrt(2.0 * d / math.pi) * hermite_zero(d - 1)
@@ -192,7 +194,7 @@ def remainder_grid(d: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``d`` must be an integer >= 1."""
     d = check_integer("degree", d, 1)
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > math.sqrt(d)):
+    if not np.all(np.abs(x) <= math.sqrt(d)):  # NaN fails too
         raise ValidationError("remainder is only tracked for |x| <= sqrt(d)")
     # the damped start row keeps H_d(x) e^{-x^2/4} finite for |x| up to ~sqrt(d)
     scaled = _recurrence(d, x, start=np.exp(-0.25 * x * x)) * (math.pi * d / 2.0) ** 0.25
@@ -219,6 +221,8 @@ def christoffel_darboux_residual(d: int, x: float) -> float:
     """
     d = check_integer("degree", d, 1)
     x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"x must be finite, got {x}")
     if x == 0.0:
         raise ValidationError("the identity is anchored at 0; x must be non-zero")
     values = hermite_upto(d, x)

@@ -39,7 +39,6 @@ from gaussl1.hermite import (
     basis_matrix,
     expansion,
     gauss_density,
-    gauss_hermite_rule,
     hermite_upto,
     l2_norm,
     multi_indices_upto,
@@ -1057,8 +1056,13 @@ def test_parseval_guard_rejects_the_weight_times_hermite_products(monkeypatch):
     # their rounding error, multiplied by |H_k| at the outer nodes, makes
     # coefficients of mass ~1e27
     def unstable(m, degree):
-        rule = gauss_hermite_rule(m)
-        return hermite_upto(degree, rule.nodes[:, 0]) * rule.weights[None, :]
+        offdiag = np.sqrt(np.arange(1.0, m))
+        nodes, vectors = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
+        weights = vectors[0, :] ** 2
+        nodes = 0.5 * (nodes - nodes[::-1])
+        weights = 0.5 * (weights + weights[::-1])
+        weights = weights / weights.sum()
+        return hermite_upto(degree, nodes) * weights[None, :]
 
     c = ball(1.5, 2)
     aplan = plan(0.5, c.gsa_closed_form)

@@ -5,6 +5,8 @@ import json
 import math
 import re
 import time
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -726,24 +728,82 @@ def test_gauss_hermite_nodes_are_the_rule_nodes():
         gauss_hermite_nodes(0)
 
 
-def test_gauss_hermite_1d_matches_scipy_golub_welsch():
-    from scipy.linalg import eigh_tridiagonal
+def _exact_gauss_hermite_half(m: int) -> tuple[list[Decimal], list[Decimal]]:
+    # the non-negative nodes and their weights at 40 digits: two Newton steps
+    # x -= H_m / (sqrt(m) H_{m-1}) on the orthonormal recurrence from the
+    # Jacobi matrix's eigenvalues, then the Christoffel weight 1 / sum_{j<m} H_j^2
+    offdiag = np.sqrt(np.arange(1.0, m))
+    start = np.linalg.eigvalsh(np.diag(offdiag, 1) + np.diag(offdiag, -1))[m // 2 :]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        roots = [Decimal(j).sqrt() for j in range(m + 1)]
 
-    # all rules first: alternating numpy's and scipy's BLAS thread pools
-    # call by call makes both spin against each other
-    rules = [_gauss_hermite_1d(m) for m in range(1, 401)]
-    for m, (nodes, weights) in enumerate(rules, start=1):
-        # the same Golub-Welsch rule through scipy's tridiagonal eigensolver
-        if m == 1:
-            want_nodes, want_weights = np.zeros(1), np.ones(1)
-        else:
-            want_nodes, vectors = eigh_tridiagonal(np.zeros(m), np.sqrt(np.arange(1.0, m)))
-            want_weights = vectors[0, :] ** 2
-            want_nodes = 0.5 * (want_nodes - want_nodes[::-1])
-            want_weights = 0.5 * (want_weights + want_weights[::-1])
-            want_weights = want_weights / want_weights.sum()
-        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0.0)
+        def table(x):
+            h = [Decimal(1), x]
+            for j in range(1, m):
+                h.append((x * h[j] - roots[j] * h[j - 1]) / roots[j + 1])
+            return h
+
+        nodes, weights = [], []
+        for x in map(Decimal, start.tolist()):
+            for _ in range(2):
+                h = table(x)
+                x -= h[m] / (roots[m] * h[m - 1])
+            nodes.append(x)
+            weights.append(1 / sum(v * v for v in table(x)[:m]))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("m", [2, 3, 13, 60, 150, 400])
+def test_gauss_hermite_rule_matches_an_exact_reference(m):
+    # the Golub-Welsch weights, the squared first components of the
+    # eigenvectors, were off by 63x at m = 60 and by 1e181 at m = 400
+    want_nodes, want_weights = _exact_gauss_hermite_half(m)
+    rule = gauss_hermite_rule(m)
+    nodes, weights = rule.nodes[m // 2 :, 0], rule.weights[m // 2 :]
+    np.testing.assert_allclose(nodes, [float(x) for x in want_nodes], rtol=0.0, atol=1e-14)
+    kept = [w > Decimal("1e-300") for w in want_weights]
+    assert kept[0]
+    np.testing.assert_allclose(
+        weights[kept], [float(w) for w, k in zip(want_weights, kept) if k], rtol=1e-12, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("m", [50, 100, 200])
+def test_gauss_hermite_rule_weights_satisfy_the_gram_identity(m):
+    # (H w) H^T = I through degree m - 1; the Golub-Welsch weights missed by
+    # 2e-3 at m = 50, 7e25 at m = 100 and 4e81 at m = 200.  Not m = 400: its
+    # outer weights (1e-330) underflow and H_k^2 passes 1e300 there, so no
+    # separate w and H meet it; the products test covers that size.
+    rule = gauss_hermite_rule(m)
+    H = hermite_upto(m - 1, rule.nodes[:, 0])
+    gram = (H * rule.weights) @ H.T
+    assert np.abs(gram - np.eye(m)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 13, 400, 1414])
+def test_gauss_hermite_rule_weights_are_row_0_of_the_products(m):
+    weights = gauss_hermite_rule(m).weights
+    for degree in (0, 5):
+        assert np.array_equal(weights, gauss_hermite_products(m, degree)[0])
+
+
+def test_gauss_hermite_rule_at_the_1d_budget_edge():
+    # m = 1414: H_{m-1} e^{-x^2/4} underflows at the outer nodes, where the
+    # Newton step is skipped instead of dividing by 0
+    m = 1414
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fresh = _gauss_hermite_1d.__wrapped__(m)
+    rule = gauss_hermite_rule(m)
+    nodes = rule.nodes[:, 0]
+    for got, want in zip(fresh, _gauss_hermite_1d(m)):
+        assert np.array_equal(got, want)
+    assert np.all(np.isfinite(nodes))
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.all(rule.weights >= 0.0)
+    assert math.fsum(rule.weights.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [50, 100, 200, 400])

@@ -270,6 +270,26 @@ def test_christoffel_darboux_validation():
         christoffel_darboux_residual(0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: truncation_eval_integral(101, math.inf),
+        lambda: truncation_eval_integral(101, -math.inf),
+        lambda: truncation_eval_integral(101, math.nan),
+        lambda: plancherel_rotach_remainder(101, math.nan),
+        lambda: remainder_grid(101, np.array([0.5, math.nan])),
+        lambda: christoffel_darboux_residual(50, math.inf),
+        lambda: christoffel_darboux_residual(50, math.nan),
+    ],
+    ids=["integral-inf", "integral-neg-inf", "integral-nan", "remainder-nan", "grid-nan",
+         "darboux-inf", "darboux-nan"],
+)
+def test_non_finite_arguments_raise_validation_error(call):
+    # a bare OverflowError or ValueError, or a NaN result, is no answer
+    with pytest.raises(ValidationError):
+        call()
+
+
 # -- sine integral -------------------------------------------------------------
 
 
