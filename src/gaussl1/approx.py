@@ -80,7 +80,9 @@ class ApproximationPlan:
 
 
 def plan(epsilon: float, gamma: float) -> ApproximationPlan:
-    """Choose the noise level and degree for a surface-area budget ``gamma``."""
+    """Choose the noise level and degree for a surface-area budget ``gamma``;
+    an ``epsilon^2`` that underflows, or a ``16 pi gamma^2`` or degree outside
+    the float range, raises :class:`ValidationError`."""
     epsilon = float(epsilon)
     gamma = float(gamma)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -89,10 +91,14 @@ def plan(epsilon: float, gamma: float) -> ApproximationPlan:
         raise ValidationError(f"gamma must be >= 0, got {gamma}")
     if gamma == 0.0:
         return ApproximationPlan(epsilon, gamma, 0.0, 0)
-    scale = 16.0 * math.pi * gamma * gamma
-    rho = max(0.0, 1.0 - epsilon * epsilon / scale)
-    degree = max(0, math.ceil(scale * math.log(2.0 / epsilon) / (epsilon * epsilon) - 1.0))
-    return ApproximationPlan(epsilon, gamma, rho, degree)
+    scale, square = 16.0 * math.pi * gamma * gamma, epsilon * epsilon
+    degree = scale * math.log(2.0 / epsilon) / square - 1.0 if square > 0.0 else math.inf
+    if not (0.0 < scale < math.inf and math.isfinite(degree)):
+        raise ValidationError(
+            f"epsilon = {epsilon!r} and gamma = {gamma!r} take the plan out of the float range"
+        )
+    rho = max(0.0, 1.0 - square / scale)
+    return ApproximationPlan(epsilon, gamma, rho, max(0, math.ceil(degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +315,7 @@ def l1_error_quad_1d(
     :meth:`Profile.cuts`, or else ``breakpoints`` supplied by the caller) and is cut
     at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
     """
-    return _quad_error_1d(c, _p_values(c, p), p.degree_bound, np.abs, abs_tol, breakpoints)
+    return _quad_error_1d(c, p, np.abs, abs_tol, breakpoints)
 
 
 def l2_error_quad_1d(
@@ -319,19 +325,19 @@ def l2_error_quad_1d(
     abs_tol: float = L2_QUAD_TOL,
 ) -> float:
     """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
-    msq = _quad_error_1d(c, _p_values(c, p), p.degree_bound, np.square, abs_tol, breakpoints)
+    msq = _quad_error_1d(c, p, np.square, abs_tol, breakpoints)
     return math.sqrt(max(0.0, msq))
 
 
 def _quad_error_1d(
     c: Concept,
-    p_values: Callable[[np.ndarray], np.ndarray],
-    degree: int,
+    p: HermiteExpansion,
     norm: Callable[[np.ndarray], np.ndarray],
     abs_tol: float,
-    breakpoints: Sequence[float] | None = None,
+    breakpoints: Sequence[float] | None,
 ) -> float:
-    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF] for p of degree <= degree
+    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF]
+    p_values = _p_values(c, p)
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
     if breakpoints is None:
@@ -342,7 +348,7 @@ def _quad_error_1d(
     def integrand(x: np.ndarray) -> np.ndarray:
         return norm(c.batch(x[:, None]) - p_values(x[:, None])) * gauss_density(x)
 
-    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
+    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
     return integrate_adaptive(
         integrand,
         -GAUSS_CUTOFF,
@@ -441,7 +447,6 @@ def bound_check(
     coeff_budget: int | None = None,
     error_budget: int = 10**6,
     seed: int = 0,
-    gns_value: float | None = None,
 ) -> ApproxReport:
     """Build ``p = (T_rho f)_{<=d}`` and test its L1 error against the bound.
 
@@ -452,18 +457,18 @@ def bound_check(
     is the n-D export of the same coefficients).  Other concepts take tensor
     quadrature up to dimension 3 and Monte Carlo beyond (whose
     coefficient-noise ``slack`` can make the verdict ``inconclusive``).
-    A ridge's L1 and L2 error, in any dimension, is the 1-D integral of
-    ``g(u) - q(u)`` against ``u ~ N(0, 1)``, by dense quadrature cut at the
-    jumps (stderr then reflects the quadrature tolerance ``L1_QUAD_TOL``): a
-    1-D ridge integrates itself in ``x``, cut at :meth:`Profile.cuts`, and an
-    n-D one its :meth:`Profile.reduced` line, so it draws no samples.
-    Otherwise one Monte-Carlo pass of ``error_budget`` samples gives both the
-    L1 and the L2 error, drawing and evaluating one block of points
-    (:func:`mc.normal_blocks`) at a time, so it holds one block and a chunk's
-    two value arrays, whatever the dimension.  GNS uses a
-    supplied trusted value (outside ``[0, 1/2]`` it raises
-    :class:`ValidationError`), the concept's closed form when present (every
-    halfspace, ball and 1-D intersection has one), or a Monte-Carlo estimate.
+    A ridge's L1 and L2 error, 1-D included, is the integral of ``g(u) -
+    q(u)`` against ``u ~ N(0, 1)`` on its :meth:`Profile.reduced` line
+    (:func:`l1_error_quad_1d`, :func:`l2_error_quad_1d`), so it draws no
+    samples, depends only on the profile, and has as stderr the quadrature
+    tolerance ``L1_QUAD_TOL``.  Otherwise one Monte-Carlo pass of ``error_budget``
+    samples gives both the L1 and the L2 error, drawing and evaluating one
+    block of points (:func:`mc.normal_blocks`) at a time, so it holds one
+    block and a chunk's two value arrays, whatever the dimension.  GNS is the
+    concept's closed form when present (every halfspace, ball and 1-D
+    intersection has one; ``dataclasses.replace(c, gns_closed_form=...)``
+    supplies another), whose value outside ``[0, 1/2]`` raises
+    :class:`ValidationError`, or else a Monte-Carlo estimate.
     A non-integral or smaller than 2 ``error_budget``, or a ``coeff_budget``
     that is neither ``None`` nor an integer >= 1, raises
     :class:`ValidationError` on every route.
@@ -475,18 +480,16 @@ def bound_check(
     validate_noise_level(aplan.rho)
     delta = 1.0 - aplan.rho
 
-    if gns_value is not None:
-        gns, gns_stderr = float(gns_value), 0.0
-        if not 0.0 <= gns <= 0.5:  # GNS at delta <= 1 lies in [0, 1/2]; NaN fails too
-            raise ValidationError(f"gns_value must lie in [0, 1/2], got {gns_value!r}")
-    elif c.gns_closed_form is not None:
+    if c.gns_closed_form is not None:
         gns, gns_stderr = c.gns_closed_form(delta), 0.0
+        if not 0.0 <= gns <= 0.5:  # GNS at delta <= 1 lies in [0, 1/2]; NaN fails too
+            raise ValidationError(f"the GNS closed form must lie in [0, 1/2], got {gns!r}")
     else:
         g = gns_mc(c, delta, error_budget, derive_seed(seed, 2))
         gns, gns_stderr = g.mean, g.stderr
 
     ridge = c.profile
-    if ridge is not None:  # p is built as the profile's 1-D q and evaluated as q(<w, x>)
+    if ridge is not None:  # p is built as the profile's 1-D q, standing for q(<w, x>)
         est = CoefficientEstimate(ridge.coefficients(aplan.degree), aplan.degree, "exact", 0)
     elif c.dimension <= 3:
         est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
@@ -496,18 +499,14 @@ def bound_check(
         )
     p = build(est.expansion, aplan, complete_through=est.degree)
     if ridge is not None:
-        # |g(<w, x>) - q(<w, x>)| has the law of |g(u) - q(u)|, u ~ N(0, 1); a
-        # 1-D ridge keeps its own x, whose cuts are w[0] t (bit for bit)
-        line = c if c.dimension == 1 else ridge.reduced()
-        p_values = line.profile.lift(p)
-        l1 = _quad_error_1d(line, p_values, p.degree_bound, np.abs, L1_QUAD_TOL)
-        msq = _quad_error_1d(line, p_values, p.degree_bound, np.square, L2_QUAD_TOL)
-        l2 = math.sqrt(max(0.0, msq))
+        # |g(<w, x>) - q(<w, x>)| has the law of |g(u) - q(u)|, u ~ N(0, 1)
+        line = ridge.reduced()
+        l1, l2 = l1_error_quad_1d(line, p), l2_error_quad_1d(line, p)
         measured_l1 = EstimateWithError(l1, L1_QUAD_TOL, 0, check_seed(seed), note="quadrature")
         measured_l2 = EstimateWithError(l2, 0.0, 0, check_seed(seed), note="quadrature")
         error_method = "quadrature"
     else:
-        p_values = partial(expansion_eval_batch, p)
+        p_values = _p_values(c, p)
         measured_l1, measured_l2 = _mc_errors(c, p_values, error_budget, derive_seed(seed, 3))
         error_method = "monte_carlo"
 

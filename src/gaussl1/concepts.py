@@ -129,13 +129,16 @@ def profile_coefficients(breakpoints, values, degree: int) -> np.ndarray:
     against ``H_k phi = -(H_{k-1} phi)' / sqrt(k)`` gives
     ``<g, H_k> = sum_j J_j H_{k-1}(t_j) phi(t_j) / sqrt(k)`` for ``k >= 1``, and
     ``<g, H_0> = (values[0] + values[-1]) / 2 - sum_j J_j erf(t_j / sqrt 2) / 2``.
-    ``degree`` must be an integer >= 0.
+    ``degree`` must be an integer >= 0, and more than ``NODE_BUDGET``
+    coefficients raise :class:`NodeBudgetError` before any is allocated.
     """
     t = [float(b) for b in breakpoints]
     v = [float(a) for a in values]
     degree = check_integer("degree", degree, 0)
     if len(v) != len(t) + 1 or not all(map(math.isfinite, t + v)) or sorted(set(t)) != t:
         raise ValidationError(f"need finite increasing breakpoints and one value more: {t}, {v}")
+    if degree + 1 > NODE_BUDGET:
+        raise NodeBudgetError(f"more than {NODE_BUDGET} coefficients up to degree {degree}")
     jumps = [b - a for a, b in zip(v, v[1:])]
     g = np.zeros(degree + 1)
     steps = sum(J * math.erf(a / math.sqrt(2.0)) / 2.0 for J, a in zip(jumps, t))
@@ -679,13 +682,15 @@ def gsa_mc(
 ) -> EstimateWithError:
     """Shell-volume estimate of the Gaussian surface area of ``{f = +1}``.
 
-    For each ``delta`` the shell mass ``P[0 < dist(X, K) <= delta] / delta``
-    is estimated with common samples; a linear (Richardson-style)
-    extrapolation of the two smallest deltas to ``delta -> 0`` is returned,
-    with the standard error propagated through the extrapolation.  A low hit
-    count (< 100 in the smallest shell) is flagged in ``note``.  The points
-    are drawn and measured one block (:func:`mc.normal_blocks`) at a time, so
-    the pass holds one block of points and distances.
+    For the two smallest ``delta`` the shell mass ``P[0 < dist(X, K) <=
+    delta] / delta`` is estimated with common samples; their linear
+    (Richardson-style) extrapolation to ``delta -> 0`` is returned, with the
+    standard error propagated through the extrapolation.  Deltas so small that
+    the extrapolation leaves the float range raise :class:`ValidationError`
+    before any sample is drawn.  A low hit count (< 100 in the smallest
+    shell) is flagged in ``note``.  The points are drawn and measured one
+    block (:func:`mc.normal_blocks`) at a time, so the pass holds one block
+    of points and distances.
     """
     if c.distance_to_set is None:
         raise CapabilityError(
@@ -698,29 +703,36 @@ def gsa_mc(
     if len(ds) < 2 or len(set(ds)) != len(ds):
         raise ValidationError("need at least two distinct deltas")
 
-    n = check_samples(samples)
-    counts = np.zeros(len(ds), dtype=np.int64)
+    d1, d2 = ds[0], ds[1]
+    # line through (d1, p1/d1), (d2, p2/d2) extrapolated to delta = 0; deltas
+    # near the bottom of the float range underflow a denominator or overflow
+    den1, den2 = d1 * (d2 - d1), d2 * (d2 - d1)
+    a = d2 / den1 if den1 else math.inf
+    b = -d1 / den2 if den2 else math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(
+            f"deltas {d1!r} and {d2!r} take the extrapolation out of the float range"
+        )
 
+    n = check_samples(samples)
+    # only the two smallest shells enter the estimate
+    counts = np.zeros(2, dtype=np.int64)
     for rng, m in chunk_rngs(seed, n):
         for _, x in normal_blocks(rng, m, c.dimension):
             dist = np.asarray(c.distance_to_set(x), dtype=np.float64)
             positive = dist > 0.0
-            for j, d in enumerate(ds):
+            for j, d in enumerate((d1, d2)):
                 counts[j] += int(np.count_nonzero(positive & (dist <= d)))
 
-    d1, d2 = ds[0], ds[1]
     p = counts / n
-    # line through (d1, p1/d1), (d2, p2/d2) extrapolated to delta = 0
-    a = d2 / (d1 * (d2 - d1))
-    b = -d1 / (d2 * (d2 - d1))
     mean = a * p[0] + b * p[1]
     # shells are nested, so E[I1 I2] = p1
     second_moment = a * a * p[0] + b * b * p[1] + 2 * a * b * p[0]
     var = max(0.0, second_moment - mean * mean)
     stderr = math.sqrt(var / n)
     note = None
-    if counts.min() < 100:
-        note = f"low shell hit count (min {int(counts.min())}); estimate is imprecise"
+    if counts[0] < 100:  # shells are nested, so the smallest holds the fewest
+        note = f"low shell hit count (min {int(counts[0])}); estimate is imprecise"
     return EstimateWithError(mean, stderr, n, check_seed(seed), note=note)
 
 

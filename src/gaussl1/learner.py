@@ -136,7 +136,9 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     factor with.  Deterministic: the labels are solved as ``y[0] * y``, so
     negating them negates the coefficients exactly.  ``degree`` must be an
     integer >= 0; a basis of more than ``MC_CHUNK_CELLS`` cells (samples x
-    terms) raises :class:`NodeBudgetError` before it is allocated.
+    terms) raises :class:`NodeBudgetError` before it is allocated, and one
+    that the set-up finds singular on the samples raises
+    :class:`ValidationError`.
     """
     config = config or FitConfig()
     degree = check_integer("degree", degree, 0)
@@ -164,8 +166,11 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     # Column-major for the solver
     R = [np.linalg.qr(A[b], mode="r") for b in blocks]
     R = R[0] if len(R) == 1 else np.linalg.qr(np.vstack(R), mode="r")
-    Q = np.matmul(A, np.linalg.inv(R), out=np.empty(A.shape, order="F"))
-    C = np.linalg.cholesky(Q.T @ Q).T
+    try:  # a rank-deficient basis leaves R singular or Q^T Q indefinite
+        Q = np.matmul(A, np.linalg.inv(R), out=np.empty(A.shape, order="F"))
+        C = np.linalg.cholesky(Q.T @ Q).T
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"the degree-{degree} basis is singular on these samples") from exc
     R = C @ R
     C = np.linalg.inv(C)
     for b in blocks:

@@ -1,5 +1,6 @@
 """Tests for the plan / coefficient / build / error-measurement pipeline."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -95,6 +96,20 @@ def test_plan_validation():
         plan(0.5, -1.0)
     with pytest.raises(ValidationError):
         plan(0.5, math.inf)
+
+
+@pytest.mark.parametrize("epsilon, gamma", [(1e-300, 1.0), (0.5, 1e200), (0.5, 1e-300)])
+def test_plan_outside_the_float_range_raises(epsilon, gamma):
+    # epsilon^2 underflows, the degree overflows, 16 pi gamma^2 underflows
+    with pytest.raises(ValidationError, match="epsilon = .* and gamma = "):
+        plan(epsilon, gamma)
+
+
+def test_plan_keeps_a_huge_epsilon_and_a_huge_degree():
+    # epsilon^2 = inf still makes the trivial plan, and a degree past 2^63
+    # still plans: the budgets of its consumers refuse it
+    assert plan(1e200, 1.0) == ApproximationPlan(1e200, 1.0, 0.0, 0)
+    assert plan(1e-9, 0.4).degree == 172241013253229510656
 
 
 def test_plan_monotonicity():
@@ -288,6 +303,21 @@ def test_profile_coefficients_of_a_constant_and_of_a_halfspace():
 def test_profile_coefficients_validation(breakpoints, values, degree):
     with pytest.raises(ValidationError):
         profile_coefficients(breakpoints, values, degree)
+
+
+@pytest.mark.parametrize("degree", [hermite.NODE_BUDGET, 10**20])
+def test_profile_coefficients_past_the_node_budget_raise_before_allocating(degree):
+    # degree + 1 coefficients past NODE_BUDGET, as multi_indices_upto(1, degree)
+    with pytest.raises(NodeBudgetError, match="coefficients"):
+        profile_coefficients([0.0], [1.0, -1.0], degree)
+
+
+def test_bound_check_on_a_ridge_past_the_node_budget_raises():
+    # epsilon = 1e-9 plans degree 1.7e20 for a halfspace: the exact route
+    # refuses it before it allocates the series
+    for w in ([1.0], [0.6, 0.8]):
+        with pytest.raises(NodeBudgetError):
+            bound_check(halfspace(w, 0.0), plan(1e-9, 0.4), seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -693,15 +723,13 @@ def test_bound_check_ridge_pass_matches_the_lifted_polynomial(w):
 
 
 def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
-    # q(-x) negates H_k(x) exactly for odd k, so a 1-D ridge whose q is
-    # evaluated at <w, x> measures what the lifted 1-D expansion measures, bit
-    # for bit: a halfspace with w = -1, and the ball, interval and constant
+    # a 1-D ridge along w = (1,) is measured on its reduced line, which is its
+    # own x, so it reports what the lifted 1-D expansion measures, bit for
+    # bit: the ball, interval and constant.  A halfspace with w = -1 reports
+    # what its w = +1 twin reports (test_bound_check_on_an_nd_halfspace_...)
     degree12 = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=12)
     interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])
     for f, aplan in (
-        (halfspace([-1.0], 0.3), plan(0.6, 0.3)),
-        (halfspace([-1.0], -0.45), plan(0.5, gauss_density(0.0))),
-        (halfspace([-1.0], 1.7), degree12),
         (ball(1.2, 1), plan(0.6, 0.3)),
         (interval, degree12),
         (constant_concept(1, -1), plan(0.6, 0.3)),
@@ -775,12 +803,16 @@ def test_bound_check_on_a_ridge_draws_no_samples(monkeypatch):
     assert (report.error_method, report.measured_l1.mean) == ("quadrature", 0.0)
 
 
-@pytest.mark.parametrize("n", [2, 10, 100])
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
 def test_bound_check_on_an_nd_halfspace_reports_the_1d_one(n):
     # smoothing, truncation and the Gaussian law commute with rotations, so a
-    # halfspace along any unit w reports what the axis one in 1-D reports
-    w = np.random.default_rng([SEED, 4, n]).standard_normal(n)
-    w /= np.linalg.norm(w)
+    # halfspace along any unit w reports what the axis one in 1-D reports; in
+    # 1-D that is the flipped halfspace w = (-1,)
+    if n == 1:
+        w = np.array([-1.0])
+    else:
+        w = np.random.default_rng([SEED, 4, n]).standard_normal(n)
+        w /= np.linalg.norm(w)
     for offset, aplan in ((0.3, plan(0.6, 0.3)), (-0.45, plan(0.5, gauss_density(0.0)))):
         got = bound_check(halfspace(w, offset), aplan, seed=SEED).to_dict()
         assert got == bound_check(halfspace([1.0], offset), aplan, seed=SEED).to_dict()
@@ -875,12 +907,7 @@ def test_bound_check_ball_gns_is_exact():
     aplan = ApproximationPlan(epsilon=0.9, gamma=0.3, rho=0.6, degree=2)
     for c, budget in ((ball(1.4, 2), 40), (ball(2.0, 4), 20_000)):
         report = bound_check(c, aplan, coeff_budget=budget, error_budget=50_000, seed=SEED)
-        trusted = bound_check(
-            c, aplan, coeff_budget=budget, error_budget=50_000, seed=SEED,
-            gns_value=c.gns_closed_form(1.0 - aplan.rho),
-        )
         assert report.gns_stderr == 0.0
-        assert report == trusted
         radius, n = c.params["radius"], c.params["dimension"]
         assert report.gns_term == 2.0 * gns_ball_closed_form(1.0 - aplan.rho, radius, n)
 
@@ -905,15 +932,6 @@ def test_bound_check_end_to_end_accuracy():
         assert report.bound <= eps + 1e-12
         assert report.measured_l1.mean <= eps
         assert report.passed
-
-
-def test_bound_check_gns_override():
-    # a trusted external GNS value replaces the closed form / MC estimate
-    c = halfspace([1.0], 0.0)
-    aplan = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=10)
-    report = bound_check(c, aplan, seed=SEED, gns_value=0.25)
-    assert report.gns_term == 0.5
-    assert report.gns_stderr == 0.0
 
 
 def test_bound_check_mc_coefficient_slack():
@@ -944,12 +962,13 @@ def test_bound_check_error_within_only_the_slack_is_inconclusive():
 
 def test_bound_check_verdict_is_pass_or_fail_without_slack():
     # deterministic coefficients have no slack: within the allowance is a
-    # pass, past it (here: a GNS value far below the true one) a fail
+    # pass, past it (here: a closed-form GNS far below the true one) a fail
     c = halfspace([1.0], 0.0)
     aplan = plan(0.6, 0.3)
     report = bound_check(c, aplan, seed=SEED)
     assert (report.slack, report.verdict, report.passed) == (0.0, "pass", True)
-    report = bound_check(c, aplan, seed=SEED, gns_value=0.0)
+    report = bound_check(dataclasses.replace(c, gns_closed_form=lambda delta: 0.0), aplan,
+                         seed=SEED)
     assert report.measured_l1.mean > report.bound + 4.0 * report.measured_l1.stderr
     assert (report.verdict, report.passed) == ("fail", False)
 
@@ -980,14 +999,18 @@ def test_bound_check_1d_profiles_are_exact():
 
 
 def test_bound_check_rejects_a_gns_value_outside_its_range():
-    # GNS at delta <= 1 lies in [0, 1/2]: a larger value would inflate the bound
-    c = ball(1.4, 2)
+    # GNS at delta <= 1 lies in [0, 1/2]: a concept whose closed form returns
+    # a larger value would inflate the bound
     aplan = ApproximationPlan(epsilon=0.9, gamma=0.3, rho=0.6, degree=2)
+
+    def with_gns(value):
+        return dataclasses.replace(ball(1.4, 2), gns_closed_form=lambda delta: value)
+
     for bad in (10.0, 0.5000001, -1e-12, float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match="gns_value"):
-            bound_check(c, aplan, coeff_budget=40, error_budget=1000, seed=SEED, gns_value=bad)
+        with pytest.raises(ValidationError, match="GNS closed form"):
+            bound_check(with_gns(bad), aplan, coeff_budget=40, error_budget=1000, seed=SEED)
     for ok in (0.0, 0.5):
-        report = bound_check(c, aplan, coeff_budget=40, error_budget=1000, seed=SEED, gns_value=ok)
+        report = bound_check(with_gns(ok), aplan, coeff_budget=40, error_budget=1000, seed=SEED)
         assert report.gns_term == 2.0 * ok
 
 

@@ -70,6 +70,21 @@ def test_plan_invalid_epsilon_exit_2(capsys):
     assert "epsilon" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["plan", "--epsilon", "1e-300", "--gamma", "1"],
+     ["plan", "--epsilon", "0.5", "--gamma", "1e200"],
+     ["approx", "--concept", "{hs}", "--epsilon", "0.5", "--gamma", "1e-300", "--seed", "1"]],
+    ids=["epsilon-squared-underflows", "degree-overflows", "scale-underflows"],
+)
+def test_plan_outside_the_float_range_exit_2(tmp_path, capsys, command):
+    hs = _write_halfspace(tmp_path)
+    assert main([arg.format(hs=hs) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gaussl1: invalid input: epsilon = ")
+    assert "gamma = " in err
+
+
 def test_plan_output_file_and_sidecar(tmp_path):
     out = tmp_path / "plan.json"
     assert main(["plan", "--epsilon", "0.5", "--gamma", "1.0", "--output", str(out)]) == 0
@@ -200,8 +215,25 @@ def test_gsa_non_numeric_deltas_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gsa_deltas_outside_the_float_range_exit_2(tmp_path, capsys):
+    concept = _write_halfspace(tmp_path)
+    code = main(["gsa", "--concept", concept, "--deltas", "1e-200,2e-200",
+                 "--samples", "1000", "--seed", "3"])
+    assert code == 2
+    assert "invalid input: deltas 1e-200 and 2e-200" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # approx / learn
+
+
+def test_approx_past_the_node_budget_exit_2(tmp_path, capsys):
+    # epsilon = 1e-9 plans degree 1.7e20: the exact route refuses the series
+    concept = _write_halfspace(tmp_path)
+    code = main(["approx", "--concept", concept, "--epsilon", "1e-9", "--gamma", "0.4",
+                 "--seed", "1"])
+    assert code == 2
+    assert "gaussl1: invalid input: more than 2000000 coefficients" in capsys.readouterr().err
 
 
 def test_approx_json_and_csv(tmp_path):

@@ -607,6 +607,21 @@ def test_gsa_mc_rejects_non_finite_deltas(deltas):
         gsa_mc(halfspace([1.0], 0.0), deltas, 100, SEED)
 
 
+def test_gsa_mc_rejects_deltas_that_leave_the_float_range():
+    # d1 (d2 - d1) underflows to 0, or d2 / (d1 (d2 - d1)) overflows
+    for deltas in ([1e-200, 2e-200], [1e-310, 1.0]):
+        with pytest.raises(ValidationError, match="deltas"):
+            gsa_mc(halfspace([1.0], 0.0), deltas, 1000, SEED)
+
+
+def test_gsa_mc_reads_only_the_two_smallest_deltas():
+    # larger shells do not enter the estimate, its stderr or its note
+    hs = halfspace([1.0], 0.0)
+    for samples in (1000, 10**5):
+        want = gsa_mc(hs, [0.02, 0.04], samples, SEED)
+        assert gsa_mc(hs, [0.5, 0.04, 0.02, 0.3], samples, SEED) == want
+
+
 def test_gsa_mc_deterministic():
     hs = halfspace([1.0], 0.0)
     assert gsa_mc(hs, [0.04, 0.02], 10**5, SEED) == gsa_mc(hs, [0.04, 0.02], 10**5, SEED)

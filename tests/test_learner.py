@@ -31,6 +31,16 @@ from gaussl1.learner import LabeledData, l1_fit_oracle
 SEED = 987123
 
 
+def test_fit_l1_on_a_singular_basis_raises_validation_error():
+    # all-zero samples, and a constant second coordinate, leave the degree-2
+    # basis rank deficient: the QR set-up fails, as a typed error
+    y = np.where(np.arange(10) % 2, 1.0, -1.0)
+    x = np.random.default_rng(SEED).standard_normal(10)
+    for samples in (np.zeros((10, 1)), np.column_stack([x, np.full(10, 0.7)])):
+        with pytest.raises(ValidationError, match="degree-2 basis is singular"):
+            fit_l1(LabeledData(samples, y), 2)
+
+
 # ---------------------------------------------------------------------------
 # data generation
 
