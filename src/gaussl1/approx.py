@@ -33,6 +33,7 @@ from .concepts import profile_coefficients  # noqa: F401  (approx.profile_coeffi
 from .hermite import (
     GAUSS_CUTOFF,
     MC_CHUNK_CELLS,
+    NODE_BUDGET,
     HermiteExpansion,
     MultiIndex,
     basis_sums,
@@ -298,9 +299,7 @@ def _p_values(c: Concept, p: HermiteExpansion) -> Callable[[np.ndarray], np.ndar
     return partial(expansion_eval_batch, p)
 
 
-# absolute tolerances of the dense-quadrature L1 and mean-square error passes
-L1_QUAD_TOL = 1e-6
-L2_QUAD_TOL = 1e-8
+L1_QUAD_TOL = 1e-6  # absolute tolerance of the dense-quadrature L1 error pass
 
 
 def l1_error_quad_1d(
@@ -309,34 +308,14 @@ def l1_error_quad_1d(
     breakpoints: Sequence[float] | None = None,
     abs_tol: float = L1_QUAD_TOL,
 ) -> float:
-    """Dense-quadrature Gaussian L1 error for one-dimensional concepts.
+    """Dense-quadrature Gaussian L1 error ``E|f - p|`` for one-dimensional concepts.
 
     The integral straddles the concept's discontinuities (its profile's
     :meth:`Profile.cuts`, or else ``breakpoints`` supplied by the caller) and is cut
-    at ``|x| = GAUSS_CUTOFF`` where the Gaussian weight is negligible.
+    at ``|x| = GAUSS_CUTOFF``, where ``|f - p| phi`` is negligible.  A first
+    sweep past its work budget (:func:`_quad_pieces`) raises
+    :class:`NodeBudgetError` before ``f`` or ``p`` is evaluated.
     """
-    return _quad_error_1d(c, p, np.abs, abs_tol, breakpoints)
-
-
-def l2_error_quad_1d(
-    c: Concept,
-    p: HermiteExpansion,
-    breakpoints: Sequence[float] | None = None,
-    abs_tol: float = L2_QUAD_TOL,
-) -> float:
-    """Dense-quadrature Gaussian L2 error, same conventions as the L1 path."""
-    msq = _quad_error_1d(c, p, np.square, abs_tol, breakpoints)
-    return math.sqrt(max(0.0, msq))
-
-
-def _quad_error_1d(
-    c: Concept,
-    p: HermiteExpansion,
-    norm: Callable[[np.ndarray], np.ndarray],
-    abs_tol: float,
-    breakpoints: Sequence[float] | None,
-) -> float:
-    # int norm(f - p) phi over [-GAUSS_CUTOFF, GAUSS_CUTOFF]
     p_values = _p_values(c, p)
     if c.dimension != 1:
         raise ValidationError("quadrature error path applies to dimension 1 only")
@@ -344,19 +323,29 @@ def _quad_error_1d(
         if c.profile is None:
             raise CapabilityError("no profile gives the discontinuities; pass breakpoints")
         breakpoints = c.profile.cuts()
+    breakpoints = list(breakpoints)
+    pieces = _quad_pieces(p.degree_bound, breakpoints)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return norm(c.batch(x[:, None]) - p_values(x[:, None])) * gauss_density(x)
+        return np.abs(c.batch(x[:, None]) - p_values(x[:, None])) * gauss_density(x)
 
-    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(p.degree_bound + 1) / math.pi)))
     return integrate_adaptive(
-        integrand,
-        -GAUSS_CUTOFF,
-        GAUSS_CUTOFF,
-        abs_tol=abs_tol,
-        breakpoints=list(breakpoints),
-        initial_intervals=pieces,
+        integrand, -GAUSS_CUTOFF, GAUSS_CUTOFF,
+        abs_tol=abs_tol, breakpoints=breakpoints, initial_intervals=pieces,
     )
+
+
+def _quad_pieces(degree: int, breakpoints: list[float]) -> int:
+    # initial pieces per seed interval of the L1 quadrature of a degree-`degree`
+    # p; a first sweep of more than MC_CHUNK_CELLS cells (seed intervals x
+    # pieces x 31 nodes x (degree + 1) Hermite values) raises NodeBudgetError
+    pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
+    seeds = 1 + len({float(t) for t in breakpoints if -GAUSS_CUTOFF < float(t) < GAUSS_CUTOFF})
+    cells = seeds * pieces * 31 * (degree + 1)
+    if cells > MC_CHUNK_CELLS:
+        raise NodeBudgetError(f"the L1 quadrature of a degree-{degree} polynomial needs {cells} "
+                              f"cells in its first sweep, more than the budget of {MC_CHUNK_CELLS}")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +446,17 @@ def bound_check(
     is the n-D export of the same coefficients).  Other concepts take tensor
     quadrature up to dimension 3 and Monte Carlo beyond (whose
     coefficient-noise ``slack`` can make the verdict ``inconclusive``).
-    A ridge's L1 and L2 error, 1-D included, is the integral of ``g(u) -
-    q(u)`` against ``u ~ N(0, 1)`` on its :meth:`Profile.reduced` line
-    (:func:`l1_error_quad_1d`, :func:`l2_error_quad_1d`), so it draws no
-    samples, depends only on the profile, and has as stderr the quadrature
-    tolerance ``L1_QUAD_TOL``.  Otherwise one Monte-Carlo pass of ``error_budget``
-    samples gives both the L1 and the L2 error, drawing and evaluating one
-    block of points (:func:`mc.normal_blocks`) at a time, so it holds one
-    block and a chunk's two value arrays, whatever the dimension.  GNS is the
+    A ridge's L1 error, 1-D included, is the integral of ``|g(u) - q(u)|``
+    against ``u ~ N(0, 1)`` on its :meth:`Profile.reduced` line
+    (:func:`l1_error_quad_1d`, stderr ``L1_QUAD_TOL``), and its L2 error is
+    exact by Parseval, ``||f - p||^2 = 1 - 2 <f, p> + ||p||^2`` (stderr 0).
+    So a ridge's report draws no samples and depends only on the profile; a
+    plan degree past the L1 quadrature's work budget raises
+    :class:`NodeBudgetError` before any coefficient is computed.  Otherwise
+    one Monte-Carlo pass of ``error_budget`` samples gives both the L1 and
+    the L2 error, drawing and evaluating one block of points
+    (:func:`mc.normal_blocks`) at a time, so it holds one block and a chunk's
+    two value arrays, whatever the dimension.  GNS is the
     concept's closed form when present (every halfspace, ball and 1-D
     intersection has one; ``dataclasses.replace(c, gns_closed_form=...)``
     supplies another), whose value outside ``[0, 1/2]`` raises
@@ -473,7 +465,7 @@ def bound_check(
     that is neither ``None`` nor an integer >= 1, raises
     :class:`ValidationError` on every route.
     """
-    check_seed(seed)
+    seed = check_seed(seed)
     check_samples(error_budget)
     if coeff_budget is not None:
         check_integer("coeff_budget", coeff_budget, 1)
@@ -490,6 +482,11 @@ def bound_check(
 
     ridge = c.profile
     if ridge is not None:  # p is built as the profile's 1-D q, standing for q(<w, x>)
+        line = ridge.reduced()
+        # a plan past the L1 quadrature's budget is refused before its coefficients
+        # are made; one past NODE_BUDGET is refused by the coefficients themselves
+        if aplan.degree < NODE_BUDGET:
+            _quad_pieces(aplan.degree, line.profile.cuts())
         est = CoefficientEstimate(ridge.coefficients(aplan.degree), aplan.degree, "exact", 0)
     elif c.dimension <= 3:
         est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)
@@ -500,10 +497,12 @@ def bound_check(
     p = build(est.expansion, aplan, complete_through=est.degree)
     if ridge is not None:
         # |g(<w, x>) - q(<w, x>)| has the law of |g(u) - q(u)|, u ~ N(0, 1)
-        line = ridge.reduced()
-        l1, l2 = l1_error_quad_1d(line, p), l2_error_quad_1d(line, p)
-        measured_l1 = EstimateWithError(l1, L1_QUAD_TOL, 0, check_seed(seed), note="quadrature")
-        measured_l2 = EstimateWithError(l2, 0.0, 0, check_seed(seed), note="quadrature")
+        l1 = l1_error_quad_1d(line, p)
+        measured_l1 = EstimateWithError(l1, L1_QUAD_TOL, 0, seed, note="quadrature")
+        # Parseval, E f^2 = 1: ||f - p||^2 = 1 - 2 <f, p> + ||p||^2 in exact coefficients
+        cross = [-2.0 * est.expansion.terms.get(a, 0.0) * v for a, v in p.terms.items()]
+        msq = math.fsum([1.0, *cross, *(v * v for v in p.terms.values())])
+        measured_l2 = EstimateWithError(math.sqrt(max(0.0, msq)), 0.0, 0, seed, note="exact")
         error_method = "quadrature"
     else:
         p_values = _p_values(c, p)
@@ -520,5 +519,5 @@ def bound_check(
         gns_stderr=gns_stderr,
         tail_term=aplan.rho ** (aplan.degree + 1),
         slack=_coefficient_slack(est),
-        seed=int(seed),
+        seed=seed,
     )

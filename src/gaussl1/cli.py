@@ -115,9 +115,9 @@ def _cmd_approx(args, argv) -> int:
 
 
 def _cmd_sign_study(args, argv) -> int:
-    degrees = [d for d in range(1, args.dmax + 1, 2)]
+    dmax = check_integer("dmax", args.dmax, 1)
     rows = []
-    for d in degrees:
+    for d in range(1, dmax + 1, 2):
         err = sign_series.truncation_l1_error(d)
         res = sign_series.parseval_residual(d)
         rows.append((d, err, res))

@@ -686,9 +686,9 @@ def gsa_mc(
     delta] / delta`` is estimated with common samples; their linear
     (Richardson-style) extrapolation to ``delta -> 0`` is returned, with the
     standard error propagated through the extrapolation.  Deltas so small that
-    the extrapolation leaves the float range raise :class:`ValidationError`
-    before any sample is drawn.  A low hit count (< 100 in the smallest
-    shell) is flagged in ``note``.  The points are drawn and measured one
+    the extrapolation or its variance leaves the float range raise
+    :class:`ValidationError` before any sample is drawn.  A low hit count
+    (< 100 in the smallest shell) is flagged in ``note``.  The points are drawn and measured one
     block (:func:`mc.normal_blocks`) at a time, so the pass holds one block
     of points and distances.
     """
@@ -706,10 +706,11 @@ def gsa_mc(
     d1, d2 = ds[0], ds[1]
     # line through (d1, p1/d1), (d2, p2/d2) extrapolated to delta = 0; deltas
     # near the bottom of the float range underflow a denominator or overflow
+    # a weight or a second-moment weight
     den1, den2 = d1 * (d2 - d1), d2 * (d2 - d1)
     a = d2 / den1 if den1 else math.inf
     b = -d1 / den2 if den2 else math.inf
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not all(math.isfinite(v) for v in (a, b, a * a, b * b, 2 * a * b)):
         raise ValidationError(
             f"deltas {d1!r} and {d2!r} take the extrapolation out of the float range"
         )

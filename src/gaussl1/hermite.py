@@ -47,8 +47,10 @@ MC_CHUNK_CELLS = 1 << 27
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Upper limit for Gaussian-weighted integrals; the excluded tail is far
-# below every tolerance used in the package.
+# Upper limit for Gaussian-weighted integrals with one power of phi, such as
+# |f - p| phi: their excluded tail is far below every tolerance used in the
+# package.  It is not safe for (f - p)^2 phi, whose mass at degree d reaches
+# out to |x| ~ 2 sqrt(d), past 12 from d = 36 on.
 GAUSS_CUTOFF = 12.0
 
 

@@ -34,7 +34,7 @@ from gaussl1 import (
     sign_coefficient,
 )
 from gaussl1 import approx, concepts, hermite, mc
-from gaussl1.approx import l2_error, l2_error_quad_1d
+from gaussl1.approx import l2_error
 from gaussl1.concepts import Concept, gns_ball_closed_form, gns_halfspace_closed_form
 from gaussl1.hermite import (
     basis_matrix,
@@ -587,8 +587,6 @@ def test_l2_error_matches_parseval():
     p = build(full, aplan)
     inner = sum(full.terms.get(a, 0.0) * v for a, v in p.terms.items())
     want = math.sqrt(1.0 - 2.0 * inner + l2_norm(p) ** 2)
-    got = l2_error_quad_1d(c, p)
-    assert got == pytest.approx(want, abs=1e-6)
     mc = l2_error(c, p, 400_000, SEED)
     assert abs(mc.mean - want) <= 4.0 * mc.stderr + 1e-6
 
@@ -678,7 +676,6 @@ def test_quad_error_cuts_at_the_profile_breakpoints_in_x():
     cases = ((halfspace([-1.0], 0.3), [-0.3]), (ball(1.2, 1), [-1.2, 1.2]), (interval, [-0.3, 0.5]))
     for c, cuts in cases:
         assert l1_error_quad_1d(c, p) == l1_error_quad_1d(c, p, breakpoints=cuts)
-        assert l2_error_quad_1d(c, p) == l2_error_quad_1d(c, p, breakpoints=cuts)
 
 
 def test_bound_check_one_pass_l2_matches_l2_error():
@@ -725,7 +722,8 @@ def test_bound_check_ridge_pass_matches_the_lifted_polynomial(w):
 def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
     # a 1-D ridge along w = (1,) is measured on its reduced line, which is its
     # own x, so it reports what the lifted 1-D expansion measures, bit for
-    # bit: the ball, interval and constant.  A halfspace with w = -1 reports
+    # bit, its L2 by Parseval in the lifted coefficients: the ball, interval
+    # and constant.  A halfspace with w = -1 reports
     # what its w = +1 twin reports (test_bound_check_on_an_nd_halfspace_...)
     degree12 = ApproximationPlan(epsilon=0.7, gamma=0.4, rho=0.9, degree=12)
     interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)])
@@ -735,10 +733,51 @@ def test_bound_check_flipped_1d_ridge_equals_the_lifted_polynomial():
         (constant_concept(1, -1), plan(0.6, 0.3)),
     ):
         report = bound_check(f, aplan, seed=SEED)
-        p = build(approx.profile_expansion(f.profile, aplan.degree), aplan,
-                  complete_through=aplan.degree)
+        fhat = approx.profile_expansion(f.profile, aplan.degree)
+        p = build(fhat, aplan, complete_through=aplan.degree)
         assert report.measured_l1.mean == l1_error_quad_1d(f, p, abs_tol=1e-6)
-        assert report.measured_l2.mean == l2_error_quad_1d(f, p)
+        msq = math.fsum([1.0, *(-2.0 * fhat.terms.get(a, 0.0) * v for a, v in p.terms.items()),
+                         *(v * v for v in p.terms.values())])
+        assert report.measured_l2.mean == math.sqrt(max(0.0, msq))
+        assert (report.measured_l2.stderr, report.measured_l2.note) == (0.0, "exact")
+
+
+@pytest.mark.parametrize("concept, aplan", [
+    (halfspace([1.0], 0.0), plan(0.5, 1.0 / math.sqrt(2.0 * math.pi))),
+    (intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.3)]), plan(0.5, 0.6)),
+])
+def test_bound_check_l2_is_the_whole_line_integral(concept, aplan):
+    # at degrees 44 and 100 the mass of (g - q)^2 phi reaches past |u| = 12,
+    # so the check integrates the whole line [-40, 40], on which phi(40)
+    # underflows; the report's Parseval value agrees to rounding
+    assert aplan.degree in (44, 100)
+    report = bound_check(concept, aplan, seed=SEED)
+    p = build(concept.profile.coefficients(aplan.degree), aplan, complete_through=aplan.degree)
+    msq = integrate_adaptive(
+        lambda u: (concept.batch(u[:, None]) - hermite.expansion_eval_batch(p, u[:, None])) ** 2
+        * gauss_density(u),
+        -40.0, 40.0, abs_tol=1e-13, breakpoints=concept.profile.cuts(),
+        initial_intervals=int(math.ceil(80.0 * math.sqrt(aplan.degree + 1) / math.pi)),
+    )
+    assert abs(report.measured_l2.mean - math.sqrt(msq)) <= 1e-12
+    assert (report.measured_l2.stderr, report.measured_l2.samples) == (0.0, 0)
+    assert report.measured_l2.note == "exact"
+
+
+def test_bound_check_refuses_an_error_quadrature_past_its_budget():
+    # a one-cut profile admits degrees up to 4311: plan(0.1, 0.4), degree
+    # 2409, runs, and plan(0.01, 0.4), degree 426115 and inside NODE_BUDGET,
+    # is refused before any coefficient is computed
+    c = halfspace([1.0], 0.0)
+    assert plan(0.1, 0.4).degree == 2409
+    assert bound_check(c, plan(0.1, 0.4), seed=SEED).passed
+    assert plan(0.01, 0.4).degree == 426115
+    start = time.perf_counter()
+    with pytest.raises(NodeBudgetError, match="budget of 134217728"):
+        bound_check(c, plan(0.01, 0.4), seed=SEED)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(NodeBudgetError):
+        l1_error_quad_1d(c, expansion(1, {(4312,): 1e-3}))
 
 
 @pytest.mark.parametrize("n", [10, 100])

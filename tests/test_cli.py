@@ -223,6 +223,14 @@ def test_gsa_deltas_outside_the_float_range_exit_2(tmp_path, capsys):
     assert "invalid input: deltas 1e-200 and 2e-200" in capsys.readouterr().err
 
 
+def test_gsa_deltas_whose_second_moment_overflows_exit_2(tmp_path, capsys):
+    concept = _write_halfspace(tmp_path)
+    code = main(["gsa", "--concept", concept, "--deltas", "1e-160,2e-160",
+                 "--samples", "1000", "--seed", "3"])
+    assert code == 2
+    assert "invalid input: deltas 1e-160 and 2e-160" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # approx / learn
 
@@ -234,6 +242,18 @@ def test_approx_past_the_node_budget_exit_2(tmp_path, capsys):
                  "--seed", "1"])
     assert code == 2
     assert "gaussl1: invalid input: more than 2000000 coefficients" in capsys.readouterr().err
+
+
+def test_approx_past_the_error_quadrature_budget_exit_2(tmp_path, capsys):
+    # epsilon = 0.01 plans degree 426115: inside NODE_BUDGET, but the ridge's
+    # L1 quadrature refuses it before its first sweep
+    concept = _write_halfspace(tmp_path)
+    out = tmp_path / "approx.json"
+    code = main(["approx", "--concept", concept, "--epsilon", "0.01", "--gamma", "0.4",
+                 "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert "more than the budget of 134217728" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_approx_json_and_csv(tmp_path):
@@ -368,6 +388,14 @@ def test_sign_study_csv(tmp_path):
     want = sign_series.truncation_l1_error(5)
     got = float(rows[2][1])
     assert got == want
+
+
+@pytest.mark.parametrize("dmax", ["0", "-3"])
+def test_sign_study_validates_dmax(tmp_path, capsys, dmax):
+    out = tmp_path / "sign.csv"
+    assert main(["sign-study", "--dmax", dmax, "--output", str(out)]) == 2
+    assert "dmax" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_asymptotics_csv_and_report(tmp_path):

@@ -1,6 +1,7 @@
 """Concept classes, their geometric functionals, and the MC estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +613,15 @@ def test_gsa_mc_rejects_deltas_that_leave_the_float_range():
     for deltas in ([1e-200, 2e-200], [1e-310, 1.0]):
         with pytest.raises(ValidationError, match="deltas"):
             gsa_mc(halfspace([1.0], 0.0), deltas, 1000, SEED)
+
+
+def test_gsa_mc_rejects_deltas_whose_second_moment_overflows():
+    # the weight a = d2 / (d1 (d2 - d1)) is about 2e160, finite, but a * a
+    # overflows: the stderr would read 0, so the deltas are refused up front
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="1e-160 and 2e-160"):
+            gsa_mc(halfspace([1.0], 0.0), [1e-160, 2e-160], 1000, 3)
 
 
 def test_gsa_mc_reads_only_the_two_smallest_deltas():
