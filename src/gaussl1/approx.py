@@ -44,7 +44,6 @@ from .hermite import (
     gauss_hermite_slabs,
     hermite_upto,
     multi_indices_upto,
-    truncate,
 )
 from .mc import (
     CHUNK_SIZE,
@@ -58,7 +57,7 @@ from .mc import (
     mc_means,
     normal_blocks,
 )
-from .noise import apply_to_expansion, validate_noise_level
+from .noise import validate_noise_level
 from .quadrature1d import integrate_adaptive
 
 
@@ -201,7 +200,7 @@ def _coefficients_quadrature(c: Concept, degree: int, m: int) -> CoefficientEsti
     tensor = values.T.reshape((m,) * n)
     for _ in range(n):
         tensor = np.tensordot(tensor, B, axes=([0], [1]))
-    terms = {a: float(tensor[a]) for a in multi_indices_upto(n, degree) if tensor[a] != 0.0}
+    terms = {a: tensor[a] for a in multi_indices_upto(n, degree)}
     return CoefficientEstimate(expansion(n, terms), degree, "quadrature", m)
 
 
@@ -224,11 +223,9 @@ def _coefficients_mc(
         # m2 = sumsq - m mean^2, which rounding can take below 0; a constant
         # f = +-1 sums its degree-0 term exactly, so that m2 is exactly 0
         moments.merge(m, mean, np.maximum(sumsq - m * mean * mean, 0.0))
-    terms = {a: float(v) for a, v in zip(alphas, moments.mean) if v != 0.0}
     stderr = {a: float(s) for a, s in zip(alphas, moments.stderr())}
-    return CoefficientEstimate(
-        expansion(c.dimension, terms), degree, "monte_carlo", samples, check_seed(seed), stderr
-    )
+    p = expansion(c.dimension, zip(alphas, moments.mean))
+    return CoefficientEstimate(p, degree, "monte_carlo", samples, check_seed(seed), stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def build(
     expansions drop exact zeros, so callers whose estimate genuinely covered
     all terms declare it via ``complete_through``, an integer >= 0.
     """
-    validate_noise_level(aplan.rho)
+    rho = validate_noise_level(aplan.rho)
     if complete_through is None:
         known = fhat.degree_bound
     else:
@@ -255,7 +252,9 @@ def build(
         raise ValidationError(
             f"coefficients known only through degree {known}, plan needs {aplan.degree}"
         )
-    return truncate(apply_to_expansion(fhat, aplan.rho), aplan.degree)
+    degree = check_integer("degree", aplan.degree, 0)
+    kept = {a: c * rho**k for a, c in fhat.terms.items() if (k := sum(a)) <= degree}
+    return expansion(fhat.dimension, kept)
 
 
 def l1_error(c: Concept, p: HermiteExpansion, samples: int, seed: int) -> EstimateWithError:
@@ -483,10 +482,12 @@ def bound_check(
     ridge = c.profile
     if ridge is not None:  # p is built as the profile's 1-D q, standing for q(<w, x>)
         line = ridge.reduced()
+        cuts = line.profile.cuts()
         # a plan past the L1 quadrature's budget is refused before its coefficients
-        # are made; one past NODE_BUDGET is refused by the coefficients themselves
-        if aplan.degree < NODE_BUDGET:
-            _quad_pieces(aplan.degree, line.profile.cuts())
+        # are made; one past NODE_BUDGET is refused by the coefficients themselves.
+        # A profile without cuts is constant, so its p has degree 0 at any plan
+        if cuts and aplan.degree < NODE_BUDGET:
+            _quad_pieces(aplan.degree, cuts)
         est = CoefficientEstimate(ridge.coefficients(aplan.degree), aplan.degree, "exact", 0)
     elif c.dimension <= 3:
         est = estimate_coefficients(c, aplan.degree, "quadrature", coeff_budget)

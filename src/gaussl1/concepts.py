@@ -45,6 +45,7 @@ from .hermite import (
     multi_indices_upto,
 )
 from .mc import (
+    BLOCK_CELLS,
     EstimateWithError,
     check_dimension,
     check_integer,
@@ -442,7 +443,20 @@ def constant_concept(dimension: int, value: int) -> Concept:
 
 
 def ptf(p: HermiteExpansion) -> Concept:
-    """Polynomial threshold function ``sign(p(x))`` (ties to +1)."""
+    """Polynomial threshold function ``sign(p(x))`` (ties to +1).
+
+    ``p`` is evaluated in blocks whose stacked table holds ``dimension x
+    (largest per-axis degree + 1)`` cells a point; a ``p`` whose one point
+    needs more than :data:`mc.BLOCK_CELLS` raises :class:`NodeBudgetError`
+    before any evaluation.
+    """
+    top = max((max(alpha) for alpha in p.terms), default=0)
+    cells = p.dimension * (top + 1)
+    if cells > BLOCK_CELLS:
+        raise NodeBudgetError(
+            f"a PTF of dimension {p.dimension} and per-axis degree {top} needs {cells} "
+            f"table cells a point, more than the block size of {BLOCK_CELLS}"
+        )
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         return _signs(expansion_eval_batch(p, points) >= 0.0)

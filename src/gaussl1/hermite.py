@@ -198,7 +198,7 @@ class HermiteExpansion:
     """Sparse expansion ``sum_alpha c_alpha H_alpha`` in ``dimension`` variables.
 
     Canonical form: keys are multi-indices of length ``dimension``, stored
-    coefficients are finite and non-zero.  Use :func:`expansion` to build one.
+    coefficients are non-zero finite floats.  Use :func:`expansion` to build one.
     ``dimension`` must be a whole number >= 1 and is stored as an ``int``.
     A key passes :func:`check_multi_index` and is stored as a tuple of
     ``int``: ``(2.0,)`` and ``(np.int64(2),)`` are ``(2,)``, as in
@@ -217,7 +217,8 @@ class HermiteExpansion:
                 raise DimensionMismatchError(
                     f"term {alpha} has length {len(alpha)}, expected {self.dimension}"
                 )
-            if not check_numeric("coefficient", c, math.isfinite, alpha):
+            c = terms[alpha] = check_numeric("coefficient", c, at=alpha)
+            if not math.isfinite(c):
                 raise ValidationError(f"non-finite coefficient at {alpha}")
             if c == 0.0:
                 raise ValidationError(f"zero coefficient stored at {alpha}")
@@ -268,18 +269,13 @@ class HermiteExpansion:
     def from_dict(cls, data: Mapping) -> "HermiteExpansion":
         try:
             dimension = data["dimension"]
-            terms = {
-                check_multi_index(item["alpha"]): check_numeric(
-                    "coefficient", item["coeff"], at=item["alpha"]
-                )
-                for item in data["terms"]
-            }
+            terms = {tuple(item["alpha"]): item["coeff"] for item in data["terms"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed expansion payload: {exc}") from exc
         if len(terms) != len(data["terms"]):
             raise ValidationError("duplicate multi-index in expansion payload")
-        # the wire format is the canonical form; explicit zeros are rejected
-        # by the constructor below rather than silently dropped
+        # the wire format is the canonical form: the constructor checks every
+        # term and rejects explicit zeros rather than silently dropping them
         return cls(dimension, terms)
 
     @classmethod
@@ -292,10 +288,10 @@ def expansion(dimension: int, terms: Mapping | Iterable) -> HermiteExpansion:
     items = terms.items() if isinstance(terms, Mapping) else terms
     canon: dict[MultiIndex, float] = {}
     for alpha, c in items:
-        alpha = _entries(alpha)  # equal keys such as (2,) and (2.0,) merge; the constructor checks kept ones
+        # equal keys such as (2,) and (2.0,) merge; the constructor checks the
+        # kept terms, a non-finite sum included
+        alpha = _entries(alpha)
         c = check_numeric("coefficient", c, at=alpha)
-        if not math.isfinite(c):
-            raise ValidationError(f"non-finite coefficient at {alpha}")
         if c != 0.0:
             canon[alpha] = canon.get(alpha, 0.0) + c
             if canon[alpha] != 0.0:

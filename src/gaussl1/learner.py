@@ -146,7 +146,7 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
     if degree == 0:
         c0 = _median_toward_zero(data.y)
         coeffs = np.asarray([c0])
-        p = expansion(data.dimension, {alphas[0]: c0} if c0 != 0.0 else {})
+        p = expansion(data.dimension, {alphas[0]: c0})
         return FitResult(p, tuple(alphas), coeffs, float(np.abs(data.y - c0).mean()), True, 0, 0.0)
     m, n_terms = data.size, len(alphas)
     if m < n_terms:
@@ -244,8 +244,7 @@ def fit_l1(data: LabeledData, degree: int, config: FitConfig | None = None) -> F
         msg = f"L1 fit certified gap {gap:.2e} > tol {config.tol:.1e} after {steps} steps"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     coeffs *= data.y[0]
-    terms = {alpha: float(v) for alpha, v in zip(alphas, coeffs) if v != 0.0}
-    p = expansion(data.dimension, terms)
+    p = expansion(data.dimension, zip(alphas, coeffs))
     return FitResult(p, tuple(alphas), coeffs, loss, gap <= config.tol, steps, gap)
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .hermite import HermiteExpansion, expansion, hermite_eval, l2_norm, truncate
+from .hermite import HermiteExpansion, expansion, hermite_eval, l2_norm
 from .mc import EstimateWithError, check_integer, check_probability, mc_mean
 from . import mc
 
@@ -59,6 +59,7 @@ def apply_pointwise_mc(
     so the pass holds one block of points and one chunk's values.
     """
     rho = validate_noise_level(rho)
+    samples = mc.check_samples(samples)  # on the exact route too
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     if rho == 1.0:
@@ -171,8 +172,7 @@ def tail_bound_check(p: HermiteExpansion, rho: float, d: int) -> TailBoundReport
     ``d`` must be an integer >= 0."""
     rho = validate_noise_level(rho)
     d = check_integer("degree", d, 0)
-    smoothed = apply_to_expansion(p, rho)
-    tail = smoothed - truncate(smoothed, d)
-    lhs = l2_norm(tail) ** 2
+    tail = {a: c * rho**k for a, c in p.terms.items() if (k := sum(a)) > d}
+    lhs = l2_norm(expansion(p.dimension, tail)) ** 2
     rhs = rho ** (2 * d + 2) * l2_norm(p) ** 2
     return TailBoundReport(lhs, rhs, rho, d)

@@ -60,8 +60,9 @@ def integrate_adaptive(
     ``initial_intervals``, an integer >= 1, additionally splits every seed
     interval uniformly (useful for integrands with a known oscillation
     scale).  Raises :class:`ToleranceError` if the interval budget is
-    exhausted first, and :class:`ValidationError` at once unless ``a < b``
-    are finite and ``abs_tol > 0`` is finite.
+    exhausted first (at once when the seed intervals alone exceed it), and
+    :class:`ValidationError` at once unless ``a < b`` are finite and
+    ``abs_tol > 0`` is finite.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -77,6 +78,10 @@ def integrate_adaptive(
     edges.append(b)
     lo_list, hi_list = [], []
     pieces = check_integer("initial_intervals", initial_intervals, 1)
+    processed = (len(edges) - 1) * pieces
+    exceeded = f"adaptive quadrature exceeded {max_intervals} intervals for abs_tol={abs_tol}"
+    if processed > max_intervals:  # before f is evaluated on any seed interval
+        raise ToleranceError(exceeded)
     for left, right in zip(edges[:-1], edges[1:]):
         cuts = np.linspace(left, right, pieces + 1)
         lo_list.extend(cuts[:-1])
@@ -86,7 +91,6 @@ def integrate_adaptive(
 
     span = b - a
     total = 0.0
-    processed = len(lo)
     # width floor: below this an interval is accepted regardless (fp limit)
     width_floor = span * 1e-13
     floor_error = 0.0
@@ -107,10 +111,7 @@ def integrate_adaptive(
             hi = np.concatenate([mid, hi])
             processed += lo.size
             if processed > max_intervals:
-                raise ToleranceError(
-                    f"adaptive quadrature exceeded {max_intervals} intervals "
-                    f"for abs_tol={abs_tol}"
-                )
+                raise ToleranceError(exceeded)
     if floor_error > abs_tol:
         raise ToleranceError(
             f"requested abs_tol={abs_tol} unreachable (floor error {floor_error:.3e})"

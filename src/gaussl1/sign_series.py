@@ -320,15 +320,16 @@ class IntegralEnvelopeReport:
 def truncation_integral_envelopes(
     d: int, tau: float, abs_tol: float = 1e-9
 ) -> IntegralEnvelopeReport:
-    """Evaluate both envelope integrals for odd ``d`` and ``tau >= 1``.
+    """Evaluate both envelope integrals for odd ``d`` and a finite ``tau >= 1``.
 
     The small-t branch applies only for ``tau <= d^{1/6}`` and is reported as
-    ``None`` outside that range.
+    ``None`` outside that range.  The large-t integral is cut at
+    ``GAUSS_CUTOFF``, so from ``tau >= GAUSS_CUTOFF`` on it is 0.0.
     """
     d = _check_odd_degree(d)
     tau = float(tau)
-    if tau < 1.0:
-        raise ValidationError(f"tau must be >= 1, got {tau}")
+    if not (math.isfinite(tau) and tau >= 1.0):
+        raise ValidationError(f"tau must be finite and >= 1, got {tau}")
     pieces = max(8, int(math.ceil(GAUSS_CUTOFF * math.sqrt(d) / math.pi)))
 
     small_value = small_bound = None
@@ -346,8 +347,10 @@ def truncation_integral_envelopes(
         upper = 0.5 * np.array([math.erfc(v) for v in (t / math.sqrt(2.0)).tolist()])
         return _hermite_over_t(d, t, absolute=True) * upper
 
-    large_value = integrate_adaptive(
-        tail_integrand, tau, GAUSS_CUTOFF, abs_tol=abs_tol, initial_intervals=pieces
-    )
+    large_value = 0.0
+    if tau < GAUSS_CUTOFF:
+        large_value = integrate_adaptive(
+            tail_integrand, tau, GAUSS_CUTOFF, abs_tol=abs_tol, initial_intervals=pieces
+        )
     large_bound = math.exp(-tau * tau / 4.0)
     return IntegralEnvelopeReport(d, tau, small_value, small_bound, large_value, large_bound)

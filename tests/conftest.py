@@ -13,3 +13,19 @@ def traced_peak(fn: Callable[[], object]) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_constructions(monkeypatch) -> list:
+    """The :class:`HermiteExpansion` instances constructed from now on, in
+    order: ``__post_init__`` is wrapped to record each one."""
+    from gaussl1.hermite import HermiteExpansion
+
+    made = []
+    post_init = HermiteExpansion.__post_init__
+
+    def counted(self):
+        post_init(self)
+        made.append(self)
+
+    monkeypatch.setattr(HermiteExpansion, "__post_init__", counted)
+    return made

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import count_constructions, traced_peak
 
 from gaussl1 import (
     ApproximationPlan,
@@ -546,6 +546,17 @@ def test_build_validates_noise_level():
     fhat = expansion(1, {(0,): 1.0})
     with pytest.raises(ValidationError):
         build(fhat, ApproximationPlan(0.5, 1.0, 1.5, 0))
+
+
+def test_build_constructs_one_expansion(monkeypatch):
+    # p = (T_rho fhat)_{<=d} is one coefficient-wise map: scale, keep, build once
+    fhat = halfspace_expansion([0.6, -0.8], 0.4, 15)
+    aplan = ApproximationPlan(0.5, 1.0, 0.9, 10)
+    made = count_constructions(monkeypatch)
+    p = build(fhat, aplan, complete_through=15)
+    assert made == [p] and made[0] is p
+    want = {a: c * 0.9 ** sum(a) for a, c in fhat.terms.items() if sum(a) <= 10}
+    assert p.terms == want and list(p.terms) == list(want)
 
 
 # ---------------------------------------------------------------------------
@@ -1294,3 +1305,32 @@ def test_quadrature_refuses_an_over_budget_grid_before_evaluating_f():
     assert calls == []
     estimate_coefficients(c, 4, "quadrature", 20)
     assert sum(shape[0] for shape in calls) == 20**3
+
+
+def test_bound_check_estimates_gns_by_monte_carlo_without_a_closed_form():
+    # a 3-D intersection has no GNS closed form: bound_check samples GNS with
+    # the error budget and the seed's child stream 2
+    c = intersection([halfspace([1.0, 0.0, 0.0], 0.3), halfspace([0.0, 0.6, 0.8], 0.2),
+                      halfspace([0.0, -0.8, 0.6], 0.5)])
+    assert c.gns_closed_form is None and c.profile is None
+    aplan = plan(0.7, 0.25)
+    report = bound_check(c, aplan, coeff_budget=20, error_budget=20000, seed=SEED)
+    g = concepts.gns_mc(c, 1.0 - aplan.rho, 20000, derive_seed(SEED, 2))
+    assert report.gns_stderr > 0.0 and report.gns_stderr == g.stderr
+    assert report.gns_term == 2 * g.mean
+
+
+@pytest.mark.parametrize(
+    "concept",
+    [constant_concept(1, 1.0), constant_concept(3, -1.0), halfspace([1.0], math.inf),
+     halfspace([0.6, 0.8], -math.inf)],
+    ids=["constant", "constant-3d", "halfspace-inf", "halfspace-2d-minus-inf"],
+)
+def test_bound_check_passes_a_constant_ridge_past_the_quadrature_budget(concept):
+    # plan degree 11867 is past a one-cut profile's L1 quadrature budget, but
+    # a profile without cuts gives a p of degree 0, whose L1 error is 0
+    aplan = plan(0.05, 0.4)
+    assert aplan.degree == 11867
+    report = bound_check(concept, aplan, seed=SEED)
+    assert report.verdict == "pass"
+    assert report.measured_l1.mean == 0.0 and report.measured_l2.mean == 0.0

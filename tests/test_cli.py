@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,39 @@ def test_approx_past_the_error_quadrature_budget_exit_2(tmp_path, capsys):
     assert code == 2
     assert "more than the budget of 134217728" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"kind": "constant", "dimension": 1, "value": 1},
+     {"kind": "halfspace", "w": [1.0], "c": math.inf}],
+    ids=["constant", "halfspace-inf"],
+)
+def test_approx_passes_a_constant_ridge_past_the_quadrature_budget(tmp_path, payload):
+    # plan degree 11867: a one-cut ridge is refused, but p of a constant is +-1
+    concept = tmp_path / "const.json"
+    concept.write_text(json.dumps(payload))
+    out = tmp_path / "approx.json"
+    code = main(["approx", "--concept", str(concept), "--epsilon", "0.05", "--gamma", "0.4",
+                 "--seed", "1", "--output", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["plan"]["degree"] == 11867 and report["verdict"] == "pass"
+    assert report["measured_l1"]["mean"] == 0.0
+
+
+def test_gns_on_a_ptf_past_one_block_a_point_exit_2_at_once(tmp_path, capsys):
+    # degree 200,000 ran a 200,001-step recurrence per point, past 20 s at
+    # 1000 samples; two samples keep a regression short (degree 10^9, which
+    # asks 7.45 GiB a point, is tested without evaluation in test_concepts)
+    concept = tmp_path / "ptf.json"
+    concept.write_text(json.dumps(
+        {"kind": "ptf", "dimension": 1, "terms": [{"alpha": [200_000], "coeff": 1.0}]}))
+    start = time.perf_counter()
+    code = main(["gns", "--concept", str(concept), "--delta", "0.1", "--samples", "2",
+                 "--seed", "1"])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "more than the block size of 131072" in capsys.readouterr().err
 
 
 def test_approx_json_and_csv(tmp_path):

@@ -77,6 +77,20 @@ def test_ptf_eval():
     assert eval_concept(c, [1.0]) == 1  # p = 0 ties to +1
 
 
+@pytest.mark.parametrize("degree", [200_000, 10**9])
+def test_ptf_past_one_block_a_point_fails_before_any_evaluation(degree):
+    # one point's stacked table, dimension x (per-axis degree + 1) cells, must
+    # fit the block of every Hermite kernel; 10^9 would ask 7.45 GiB a point
+    p = expansion(1, {(degree,): 1.0})
+    with pytest.raises(NodeBudgetError, match=f"needs {degree + 1} table cells a point"):
+        ptf(p)
+    with pytest.raises(NodeBudgetError, match="131072"):
+        concept_from_dict({"kind": "ptf", "dimension": 1,
+                           "terms": [{"alpha": [degree], "coeff": 1.0}]})
+    # a table of exactly one block builds
+    assert ptf(expansion(2, {(65535, 0): 1.0, (0, 0): -0.5})).dimension == 2
+
+
 def test_constant_concept():
     c = constant_concept(3, -1)
     pts = np.zeros((4, 3))

@@ -567,6 +567,21 @@ def test_non_numeric_coefficient_raises_validation_error(build, coefficient):
         build(2, {(1, 0): 1.0, (0, 2): coefficient})
 
 
+def test_expansion_deletes_a_merged_sum_that_cancels():
+    assert expansion(1, [((1,), 0.5), ((1,), -0.5)]).terms == {}
+    # the deleted key is still checked
+    with pytest.raises(ValidationError, match="multi-index entries must be integers"):
+        expansion(1, [((1.5,), 1.0), ((1.5,), -1.0)])
+
+
+def test_constructor_stores_float_coefficients():
+    p = HermiteExpansion(2, {(1, 0): np.float32(0.5), (0, 1): 2, (0, 0): np.int64(-3)})
+    assert p.terms == {(1, 0): 0.5, (0, 1): 2.0, (0, 0): -3.0}
+    assert all(type(c) is float for c in p.terms.values())
+    q = HermiteExpansion.from_dict({"dimension": 1, "terms": [{"alpha": [1.0], "coeff": 1}]})
+    assert q.terms == {(1,): 1.0} and type(q.terms[(1,)]) is float
+
+
 def test_expansion_is_the_constructed_expansion():
     p = expansion(2, [((1, 0), 2.0), ((0, 3), -1.0), ((1, 0), 0.5), (np.array([2, 2]), 0.0)])
     q = HermiteExpansion(2, {(1, 0): 2.5, (0, 3): -1.0})

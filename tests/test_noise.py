@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import count_constructions
 
 from gaussl1 import ValidationError, apply_pointwise_mc, apply_to_expansion
 from gaussl1.hermite import expansion, hermite_eval, l2_norm, truncate
@@ -190,3 +191,19 @@ def test_apply_pointwise_mc_equals_the_whole_chunk_draws(f, x):
     got = apply_pointwise_mc(counted, 0.7, x, samples, SEED)
     assert got == _pointwise_whole_chunks(f, 0.7, x, samples, SEED)
     assert sum(calls) == samples and max(calls) < CHUNK_SIZE  # f saw blocks
+
+
+def test_tail_bound_check_constructs_one_expansion(monkeypatch):
+    p = expansion(2, {(0, 0): 0.5, (1, 0): -1.0, (2, 1): 0.75, (0, 4): 0.25})
+    made = count_constructions(monkeypatch)
+    report = tail_bound_check(p, 0.8, 2)
+    assert len(made) == 1 and made[0].terms == {(2, 1): 0.75 * 0.8**3, (0, 4): 0.25 * 0.8**4}
+    assert report.lhs == l2_norm(made[0]) ** 2
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+@pytest.mark.parametrize("samples", [0, 1, 2.5, "10"])
+def test_apply_pointwise_mc_checks_samples_on_both_routes(rho, samples):
+    # rho = 1 returns f(x) exactly, but a bad sample count is still refused
+    with pytest.raises(ValidationError, match="samples"):
+        apply_pointwise_mc(lambda pts: pts[:, 0], rho, 0.3, samples, SEED)

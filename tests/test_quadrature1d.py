@@ -166,3 +166,19 @@ def test_initial_intervals_is_a_count_taken_as_given(count):
 def test_initial_intervals_accepts_numpy_integers():
     want = integrate_adaptive(np.cos, 0.0, 1.0, initial_intervals=3)
     assert integrate_adaptive(np.cos, 0.0, 1.0, initial_intervals=np.int64(3)) == want
+
+
+def test_seed_intervals_past_the_budget_raise_before_any_evaluation(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep was evaluated")
+
+    monkeypatch.setattr(quadrature1d, "_batch_estimates", no_sweep)
+    with pytest.raises(ToleranceError, match="exceeded 1000 intervals"):
+        integrate_adaptive(_never_called, 0.0, 1.0, initial_intervals=300_000, max_intervals=1000)
+    # two seed intervals of 501 pieces each
+    with pytest.raises(ToleranceError, match="exceeded 1000 intervals"):
+        integrate_adaptive(_never_called, 0.0, 1.0, breakpoints=[0.5], initial_intervals=501,
+                           max_intervals=1000)
+    # sine_integral(1e6) seeds 318,310 half periods, past the default 200,000
+    with pytest.raises(ToleranceError, match="exceeded 200000 intervals"):
+        sine_integral(1e6)

@@ -374,6 +374,21 @@ def test_envelope_validation():
         truncation_integral_envelopes(101, 0.5)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.5])
+def test_envelope_tau_must_be_finite_and_at_least_one(tau):
+    with pytest.raises(ValidationError, match="tau must be finite and >= 1"):
+        truncation_integral_envelopes(11, tau)
+
+
+@pytest.mark.parametrize("tau", [GAUSS_CUTOFF, 12.5, 40.0])
+def test_envelope_large_t_value_is_zero_past_the_cutoff(tau):
+    # every Gaussian-weighted integral is cut at GAUSS_CUTOFF: nothing is left
+    report = truncation_integral_envelopes(11, tau)
+    assert report.large_t_value == 0.0
+    assert report.large_t_bound == math.exp(-tau * tau / 4.0)
+    assert report.small_t_value is None and report.passed
+
+
 def test_envelope_report_serialization():
     d = truncation_integral_envelopes(101, 1.0).to_dict()
     assert d["pass"] is True
