@@ -151,12 +151,14 @@ def estimate_coefficients(
     """Estimate all coefficients of ``c`` up to total degree ``degree``.
 
     ``method="quadrature"`` uses a tensorized Gauss-Hermite rule with
-    ``budget > degree`` points per axis (default 400; dimensions above 3 are
-    rejected -- the tensor grid would be astronomically large; a rule past
-    ``NODE_BUDGET`` raises :class:`NodeBudgetError` before ``f`` is
-    evaluated).  ``f`` is evaluated on one slab of the grid at a time
-    (:func:`gauss_hermite_slabs`), so the pass holds the ``m^n`` value tensor
-    plus one slab, not the ``m^n x n`` grid.
+    ``budget > degree`` points per axis (default the largest ``m <= 400``
+    whose ``m^max(n, 2)`` cells fit ``NODE_BUDGET``: 400 in 1-D and 2-D, 125
+    in 3-D; dimensions above 3 raise :class:`CapabilityError` -- the tensor
+    grid would be astronomically large; a rule past ``NODE_BUDGET`` raises
+    :class:`NodeBudgetError` before ``f`` is evaluated).  ``f`` is evaluated
+    on one slab of the grid at a time (:func:`gauss_hermite_slabs`), so the
+    pass holds the ``m^n`` value tensor plus one slab, not the ``m^n x n``
+    grid.
     ``method="monte_carlo"`` averages ``f(X) H_alpha(X)`` over ``budget``
     common samples (default 10^6) and records per-coefficient stderr.  Each
     chunk of samples is summed by :func:`basis_sums`, which holds one block
@@ -167,13 +169,15 @@ def estimate_coefficients(
     """
     degree = check_integer("degree", degree, 0)
     if method == "quadrature":
-        m = 400 if budget is None else check_integer("quadrature budget", budget, 1)
-        if degree >= m:  # H_m vanishes at every node of the m-point rule
-            raise ValidationError(f"degree {degree} needs more than {m} quadrature points per axis")
+        m = None if budget is None else check_integer("quadrature budget", budget, 1)
         if c.dimension > 3:
             raise CapabilityError(
                 "tensor quadrature is limited to dimension <= 3; use monte_carlo"
             )
+        if m is None:  # the largest rule whose m^max(n, 2) cells fit NODE_BUDGET, at most 400
+            m = next(m for m in range(400, 0, -1) if m ** max(c.dimension, 2) <= NODE_BUDGET)
+        if degree >= m:  # H_m vanishes at every node of the m-point rule
+            raise ValidationError(f"degree {degree} needs more than {m} quadrature points per axis")
         return _coefficients_quadrature(c, degree, m)
     if method == "monte_carlo":
         n_samples = 10**6 if budget is None else budget
@@ -311,8 +315,10 @@ def l1_error_quad_1d(
 
     The integral straddles the concept's discontinuities (its profile's
     :meth:`Profile.cuts`, or else ``breakpoints`` supplied by the caller) and is cut
-    at ``|x| = GAUSS_CUTOFF``, where ``|f - p| phi`` is negligible.  A first
-    sweep past its work budget (:func:`_quad_pieces`) raises
+    at ``|x| = GAUSS_CUTOFF``, where ``|f - p| phi`` is negligible.  ``p`` is
+    evaluated by the weighted recurrence of :func:`expansion_eval_batch`, a
+    few rows a node, so the work is nodes x (degree + 1) recurrence steps: a
+    first sweep past that work budget (:func:`_quad_pieces`) raises
     :class:`NodeBudgetError` before ``f`` or ``p`` is evaluated.
     """
     p_values = _p_values(c, p)
@@ -336,8 +342,11 @@ def l1_error_quad_1d(
 
 def _quad_pieces(degree: int, breakpoints: list[float]) -> int:
     # initial pieces per seed interval of the L1 quadrature of a degree-`degree`
-    # p; a first sweep of more than MC_CHUNK_CELLS cells (seed intervals x
-    # pieces x 31 nodes x (degree + 1) Hermite values) raises NodeBudgetError
+    # p; a first sweep of more than MC_CHUNK_CELLS cells of work (seed intervals
+    # x pieces x 31 nodes x (degree + 1) recurrence steps) raises
+    # NodeBudgetError.  It bounds work, not memory: the recurrence holds a few
+    # rows a node, and one cut admits degrees up to 4311, which bound_check
+    # audits in about 0.5 s
     pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
     seeds = 1 + len({float(t) for t in breakpoints if -GAUSS_CUTOFF < float(t) < GAUSS_CUTOFF})
     cells = seeds * pieces * 31 * (degree + 1)
@@ -443,14 +452,17 @@ def bound_check(
     where ``q = (T_rho g)_{<=d}`` is built in one dimension from
     :meth:`Profile.coefficients`, in any dimension (:func:`profile_expansion`
     is the n-D export of the same coefficients).  Other concepts take tensor
-    quadrature up to dimension 3 and Monte Carlo beyond (whose
-    coefficient-noise ``slack`` can make the verdict ``inconclusive``).
+    quadrature up to dimension 3 (by default the largest rule within
+    ``NODE_BUDGET``, see :func:`estimate_coefficients`) and Monte Carlo
+    beyond (whose coefficient-noise ``slack`` can make the verdict
+    ``inconclusive``).
     A ridge's L1 error, 1-D included, is the integral of ``|g(u) - q(u)|``
     against ``u ~ N(0, 1)`` on its :meth:`Profile.reduced` line
     (:func:`l1_error_quad_1d`, stderr ``L1_QUAD_TOL``), and its L2 error is
     exact by Parseval, ``||f - p||^2 = 1 - 2 <f, p> + ||p||^2`` (stderr 0).
-    So a ridge's report draws no samples and depends only on the profile; a
-    plan degree past the L1 quadrature's work budget raises
+    So a ridge's report draws no samples and depends only on the profile; its
+    time is linear in the degree up to the L1 quadrature's work budget (one
+    cut admits degree 4311), and a plan degree past that budget raises
     :class:`NodeBudgetError` before any coefficient is computed.  Otherwise
     one Monte-Carlo pass of ``error_budget`` samples gives both the L1 and
     the L2 error, drawing and evaluating one block of points

@@ -445,10 +445,12 @@ def constant_concept(dimension: int, value: int) -> Concept:
 def ptf(p: HermiteExpansion) -> Concept:
     """Polynomial threshold function ``sign(p(x))`` (ties to +1).
 
-    ``p`` is evaluated in blocks whose stacked table holds ``dimension x
-    (largest per-axis degree + 1)`` cells a point; a ``p`` whose one point
-    needs more than :data:`mc.BLOCK_CELLS` raises :class:`NodeBudgetError`
-    before any evaluation.
+    ``p`` is evaluated by :func:`hermite.expansion_eval_batch`, whose work a
+    point is ``dimension x (largest per-axis degree + 1)`` cells: the steps of
+    the weighted recurrence in 1-D, the stacked table in more dimensions.  A
+    ``p`` whose one point needs more than :data:`mc.BLOCK_CELLS` raises
+    :class:`NodeBudgetError` before any evaluation; it bounds work, not
+    memory, and at the edge, 1-D degree 131,071, 1000 points take under 1 s.
     """
     top = max((max(alpha) for alpha in p.terms), default=0)
     cells = p.dimension * (top + 1)

@@ -332,9 +332,17 @@ def _prefix_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     """Evaluate ``p`` at ``points`` of shape ``(N, dimension)`` -> ``(N,)``.
 
-    Blocked per-axis contraction.  The terms are grouped by their prefix
-    ``alpha[:-1]`` into a dense matrix ``C`` (prefixes x last-axis degree),
-    whose rows are taken in chunks of at most as many rows as the table has.
+    In one dimension, ``sum_j c_j H_j(x)`` is the weighted three-term
+    recurrence of :func:`hermite_eval` (``_recurrence(k, x, weights=c)``),
+    which holds a few rows a point whatever the degree: the points go in
+    blocks of about :data:`BLOCK_CELLS` cells, the work is linear in the
+    degree, and each value depends only on its own point, so it is the same
+    bits however the input is split.
+
+    In more dimensions, a blocked per-axis contraction.  The terms are
+    grouped by their prefix ``alpha[:-1]`` into a dense matrix ``C``
+    (prefixes x last-axis degree), whose rows are taken in chunks of at most
+    as many rows as the table has.
     Per block of points one recurrence pass builds the stacked table
     ``H_j(x_i)`` for every axis ``i`` up to the largest per-axis degree
     ``k``, ``n (k + 1)`` rows; an expansion whose axes reach unequal degrees
@@ -344,8 +352,11 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     chunk, one matrix product ``C @ H_last`` contracts the last axis; each
     prefix row is then multiplied by its table row on every leading axis in
     axis order (degree 0 gathers ``H_0 = 1``) and the rows are summed.
-    Values are deterministic for a given input array; they may differ from
-    the term-by-term sum in the last bits (about 1e-15 relative).
+    These values are deterministic for a given input array, but a different
+    split into blocks may move their last bits.
+
+    In any dimension the values may differ from the term-by-term sum in the
+    last bits (about 1e-15 relative).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != p.dimension:
@@ -361,6 +372,12 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     k, top = int(index.max()), int(index[:, -1].max())
     coef = np.zeros((len(prefix_rows), top + 1))
     coef[prefix, index[:, -1]] = list(p.terms.values())
+    if n == 1:  # x, three rows, a scratch row and the sum a point
+        block = _block_length(6)
+        for start in range(0, points.shape[0], block):
+            x = points[start : start + block, 0]
+            values[start : start + block] = _recurrence(top, x, weights=coef[0])
+        return values
     table_rows = n * (k + 1)
     chunk = min(len(prefix_rows), table_rows)
     chunks = [

@@ -25,12 +25,14 @@ CHUNK_SIZE = 1 << 17
 # (concepts.gsa_mc) and the pointwise T_rho f (noise.apply_pointwise_mc);
 # tensor-quadrature coefficients evaluate f on slabs of the grid of about as
 # many points (hermite.gauss_hermite_slabs).  The Hermite kernels size their
-# blocks by it too: the stacked table of every axis plus one prefix chunk's
+# blocks by it too: the weighted recurrence's few rows a point of a 1-D
+# expansion, or else the stacked table of every axis plus one prefix chunk's
 # intermediate (hermite.expansion_eval_batch), the basis block
 # (hermite.basis_matrix) or the prefixes and their squares
 # (hermite.basis_sums).  2^17 cells are 1 MiB, so a block stays in a core's
 # L2 cache.  Block sizes never change sampled values, only their rounding
-# where a kernel sums across points.
+# where a kernel sums across points or multiplies a block's matrices (a 1-D
+# expansion's values depend on their own point alone).
 BLOCK_CELLS = 1 << 17
 
 _MAX_SEED = 2**64

@@ -468,6 +468,20 @@ def test_estimate_coefficients_validation():
         estimate_coefficients(ball(1.0, 2), 2, method="quadrature", budget=2000)
 
 
+def test_quadrature_default_rule_fits_the_node_budget():
+    # the largest m <= 400 with m^max(n, 2) <= NODE_BUDGET: 400 in 1-D and
+    # 2-D, 125 in 3-D, where 400^3 nodes would be refused
+    assert estimate_coefficients(halfspace([1.0], 0.3), 4, "quadrature").budget == 400
+    assert estimate_coefficients(ball(1.0, 2), 4, "quadrature").budget == 400
+    c = intersection([halfspace([1.0, 0.0, 0.0], 0.3), halfspace([0.0, 1.0, 0.0], 0.2),
+                      halfspace([0.0, 0.0, 1.0], 0.1)])
+    est = estimate_coefficients(c, 2, "quadrature")
+    assert est.budget == 125
+    assert est.expansion == estimate_coefficients(c, 2, "quadrature", budget=125).expansion
+    with pytest.raises(NodeBudgetError):
+        estimate_coefficients(c, 2, "quadrature", budget=126)
+
+
 def test_quadrature_degree_at_least_points_per_axis_fails_fast():
     # H_m vanishes at every node of the m-point rule, so coefficient m would
     # read 0 and higher ones alias lower ones
@@ -789,6 +803,22 @@ def test_bound_check_refuses_an_error_quadrature_past_its_budget():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(NodeBudgetError):
         l1_error_quad_1d(c, expansion(1, {(4312,): 1e-3}))
+
+
+@pytest.mark.parametrize("w", [[1.0], [0.6, 0.8]], ids=["1d", "2d"])
+def test_bound_check_at_the_largest_admitted_one_cut_degree(w):
+    # degree 4311 fills the L1 quadrature's work budget; the ridge line's p
+    # is one weighted recurrence a node, so the audit is linear in the degree
+    c = halfspace(w, 0.0)
+    aplan = ApproximationPlan(0.1, 0.4, plan(0.1, 0.4).rho, 4311)
+    start = time.perf_counter()
+    report = bound_check(c, aplan, seed=SEED)
+    assert time.perf_counter() - start < 10.0
+    assert report.passed
+    assert (report.coeff_method, report.error_method) == ("exact", "quadrature")
+    assert report.measured_l1.mean == pytest.approx(0.0318, abs=1e-4)
+    with pytest.raises(NodeBudgetError, match="budget of 134217728"):
+        bound_check(c, dataclasses.replace(aplan, degree=4312), seed=SEED)
 
 
 @pytest.mark.parametrize("n", [10, 100])

@@ -343,6 +343,24 @@ def test_approx_2d_ball_at_the_plan_degree(tmp_path):
     assert report["pass"] is True
 
 
+def test_approx_3d_intersection_at_the_default_budget(tmp_path):
+    # no profile in 3-D: tensor quadrature at its default rule, 125 points an
+    # axis, where 400^3 nodes would exceed the node budget
+    concept = tmp_path / "int3.json"
+    concept.write_text(json.dumps({"kind": "intersection", "halfspaces": [
+        {"w": [1.0, 0.0, 0.0], "c": 0.3}, {"w": [0.0, 1.0, 0.0], "c": 0.2},
+        {"w": [0.0, 0.0, 1.0], "c": 0.1}]}))
+    reports = []
+    for budget in ([], ["--coeff-budget", "125"]):
+        out = tmp_path / "int3-report.json"
+        code = main(["approx", "--concept", str(concept), "--epsilon", "0.7",
+                     "--gamma", "0.25", "--seed", "1", "--output", str(out), *budget])
+        assert code == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+    assert (reports[0]["coeff_method"], reports[0]["verdict"]) == ("quadrature", "pass")
+
+
 def test_approx_20d_halfspace_at_the_plan_degree(tmp_path):
     # degree 44 in 20-D: the n-D lift has C(64, 44) terms, past the
     # multi-index budget; p is q(<w, x>), and its error is the profile's

@@ -1,6 +1,7 @@
 """Concept classes, their geometric functionals, and the MC estimators."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from gaussl1.concepts import (
     eval_concept,
     gauss_density,
 )
-from gaussl1.hermite import expansion, expansion_eval_batch
+from gaussl1.hermite import expansion, expansion_eval_batch, hermite_eval
 from gaussl1.mc import CHUNK_SIZE, chunk_rngs, derive_seed, mc_fraction, mc_mean
 from gaussl1.quadrature1d import fixed_panels
 
@@ -89,6 +90,20 @@ def test_ptf_past_one_block_a_point_fails_before_any_evaluation(degree):
                            "terms": [{"alpha": [degree], "coeff": 1.0}]})
     # a table of exactly one block builds
     assert ptf(expansion(2, {(65535, 0): 1.0, (0, 0): -0.5})).dimension == 2
+
+
+@pytest.mark.parametrize("degree", [100_000, 131_071])
+def test_ptf_of_a_large_1d_degree_evaluates_in_linear_time(degree):
+    # a 1-D p runs the weighted recurrence on whole blocks of points, so its
+    # time is linear in the degree: 1000 points at degree 10^5, or at the
+    # budget's edge, take well under a second
+    c = concept_from_dict({"kind": "ptf", "dimension": 1,
+                           "terms": [{"alpha": [degree], "coeff": 1.0}]})
+    x = np.random.default_rng(21).standard_normal((1000, 1))
+    start = time.perf_counter()
+    got = c.batch(x)
+    assert time.perf_counter() - start < 10.0
+    assert np.array_equal(got, np.where(hermite_eval(degree, x[:, 0]) >= 0.0, 1, -1))
 
 
 def test_constant_concept():

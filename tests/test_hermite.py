@@ -42,6 +42,7 @@ from gaussl1.hermite import (
     hermite_zeros_upto,
     sqrt_factorial,
 )
+from gaussl1.sign_series import truncation, truncation_eval_direct, truncation_eval_integral
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,9 +215,9 @@ def test_expansion_eval_batch_matches_term_by_term():
     rng = np.random.default_rng(11)
     ten = _indices(10, 3)
     kept = [a for a, drop in zip(ten, rng.random(len(ten)) < 1 / 3) if not drop]
-    # one point past a block: P prefixes plus the table rows per point
+    # one point past a 1-D block, which holds six rows a point
     small = _random_expansion(rng, _indices(1, 3), 1)
-    past_block = _block_length(1 + 4) + 1
+    past_block = _block_length(6) + 1
     cases = [
         (_random_expansion(rng, _indices(2, 15), 2), 1 << 17),
         (_random_expansion(rng, _indices(4, 4), 4), 5000),
@@ -275,15 +276,52 @@ def _per_axis_eval_batch(p, points):
 
 @pytest.mark.parametrize(
     "dimension, degree, size",
-    [(2, 15, (1 << 17) + 5), (3, 6, 50000), (4, 4, 40000), (1, 30, 20000)],
+    [(2, 15, (1 << 17) + 5), (3, 6, 50000), (4, 4, 40000)],
 )
 def test_expansion_eval_batch_bit_identical_to_per_axis_kernel(dimension, degree, size):
     # every axis reaches the same degree, so the stacked table holds the same
-    # rows and the blocks split where the per-axis kernel's did
+    # rows and the blocks split where the per-axis kernel's did; a 1-D
+    # expansion runs the weighted recurrence instead (pinned below)
     rng = np.random.default_rng(16 + dimension)
     p = _random_expansion(rng, _indices(dimension, degree), dimension)
     points = rng.standard_normal((size, dimension))
     assert np.array_equal(expansion_eval_batch(p, points), _per_axis_eval_batch(p, points))
+
+
+def test_1d_expansion_eval_batch_is_the_sign_series_recurrence():
+    # the odd sign series at d = 2001: the same weighted recurrence as
+    # sign_series' direct sweep, bit for bit, and its integral form, a
+    # separate code path, to 1e-7
+    t = truncation(2001)
+    p = expansion(1, {(2 * m + 1,): c for m, c in enumerate(t.odd_coefficients)})
+    x = 2.0 * np.random.default_rng(18).standard_normal(20000)
+    got = expansion_eval_batch(p, x[:, None])
+    assert np.array_equal(got, truncation_eval_direct(t, x))
+    for i in range(0, 20000, 1000):
+        assert abs(got[i] - truncation_eval_integral(2001, x[i])) <= 1e-7
+
+
+def test_1d_expansion_eval_batch_of_one_term_is_hermite_eval():
+    x = 3.0 * np.random.default_rng(19).standard_normal(5000)
+    x[:3] = (0.0, -0.0, 1e-300)
+    for k in (0, 1, 2, 30, 2409):
+        got = expansion_eval_batch(expansion(1, {(k,): 1.0}), x[:, None])
+        assert np.array_equal(got, hermite_eval(k, x))
+
+
+def test_1d_expansion_eval_batch_values_do_not_depend_on_the_split():
+    # each value is its own point's recurrence, so any split of the rows
+    # gives the same bits as one call, across block edges too
+    rng = np.random.default_rng(20)
+    p = _random_expansion(rng, _indices(1, 60), 1)
+    points = rng.standard_normal((3 * _block_length(6) + 7, 1))
+    whole = expansion_eval_batch(p, points)
+    for size in (1000, 50000):
+        pieces = [expansion_eval_batch(p, points[i : i + size])
+                  for i in range(0, len(points), size)]
+        assert np.array_equal(np.concatenate(pieces), whole)
+    ones = [expansion_eval_batch(p, points[i : i + 1]) for i in range(500)]
+    assert np.array_equal(np.concatenate(ones), whole[:500])
 
 
 def test_lopsided_expansion_pays_the_stacked_rows_and_stays_in_tolerance():
