@@ -21,7 +21,7 @@ error measurement, and a bound check that ties everything together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -71,12 +71,7 @@ class ApproximationPlan:
     degree: int
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "gamma": self.gamma,
-            "rho": self.rho,
-            "degree": self.degree,
-        }
+        return asdict(self)
 
 
 def plan(epsilon: float, gamma: float) -> ApproximationPlan:

@@ -75,9 +75,12 @@ def _emit_csv(
 
 def _parse_list(text: str, convert: type) -> list:
     try:
-        return [convert(part) for part in text.split(",") if part.strip()]
+        values = [convert(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad {convert.__name__} list {text!r}") from exc
+    if not values:
+        raise ValidationError(f"empty {convert.__name__} list {text!r}")
+    return values
 
 
 def _cmd_plan(args, argv) -> int:
@@ -156,35 +159,27 @@ def _cmd_asymptotics(args, argv) -> int:
     return 0
 
 
-def _cmd_gns(args, argv) -> int:
-    concept = concepts.load_concept(args.concept)
-    # the closed form first: a delta its series cannot reach fails before sampling
-    closed = None if concept.gns_closed_form is None else concept.gns_closed_form(args.delta)
-    est = concepts.gns_mc(concept, args.delta, args.samples, args.seed)
-    payload = {
-        "meta": _meta(argv, args.seed),
-        "delta": args.delta,
-        "estimate": est.to_dict(),
-    }
+def _emit_estimate(args, argv, key: str, value, est, closed: float | None) -> int:
+    payload = {"meta": _meta(argv, args.seed), key: value, "estimate": est.to_dict()}
     if closed is not None:
         payload["closed_form"] = closed
     _emit_json(payload, args.output)
     return 0
 
 
+def _cmd_gns(args, argv) -> int:
+    concept = concepts.load_concept(args.concept)
+    # the closed form first: a delta its series cannot reach fails before sampling
+    closed = None if concept.gns_closed_form is None else concept.gns_closed_form(args.delta)
+    est = concepts.gns_mc(concept, args.delta, args.samples, args.seed)
+    return _emit_estimate(args, argv, "delta", args.delta, est, closed)
+
+
 def _cmd_gsa(args, argv) -> int:
     concept = concepts.load_concept(args.concept)
     deltas = _parse_list(args.deltas, float)
     est = concepts.gsa_mc(concept, deltas, args.samples, args.seed)
-    payload = {
-        "meta": _meta(argv, args.seed),
-        "deltas": deltas,
-        "estimate": est.to_dict(),
-    }
-    if concept.gsa_closed_form is not None:
-        payload["closed_form"] = concept.gsa_closed_form
-    _emit_json(payload, args.output)
-    return 0
+    return _emit_estimate(args, argv, "deltas", deltas, est, concept.gsa_closed_form)
 
 
 def _cmd_learn(args, argv) -> int:
@@ -324,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"gaussl1: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (GaussL1Error, FileNotFoundError) as exc:
+    except (GaussL1Error, OSError) as exc:
         print(f"gaussl1: {exc}", file=sys.stderr)
         return 2
 

@@ -295,9 +295,6 @@ def ball(radius: float, dimension: int) -> Concept:
     def distance(points: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, _row_norms(points) - radius)
 
-    def gns(delta: float) -> float:
-        return gns_ball_closed_form(delta, radius, dimension)
-
     # sphere area x Gaussian density at radius r, the chi density, in logs:
     # r^(n-1) and Gamma(n/2) overflow on their own from n of about 300
     gsa = math.exp(
@@ -311,7 +308,7 @@ def ball(radius: float, dimension: int) -> Concept:
         evaluator=evaluator,
         kind="ball",
         gsa_closed_form=gsa,
-        gns_closed_form=gns,
+        gns_closed_form=lambda delta: _ball_gns(delta, radius, dimension),
         distance_to_set=distance,
         params={"radius": radius, "dimension": dimension},
         profile=Profile((1.0,), (-radius, radius), (-1.0, 1.0, -1.0)) if dimension == 1 else None,
@@ -515,7 +512,7 @@ def load_concept(path) -> Concept:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return concept_from_dict(data)
 
@@ -531,11 +528,10 @@ def gns_halfspace_closed_form(delta: float, offset: float = 0.0) -> float:
         GNS_delta = (1 / pi) int_0^{arccos(1 - delta)} exp(-c^2 / (1 + cos t)) dt.
 
     At ``delta = 1`` the value is ``2 Phi(c) Phi(-c)``, and an infinite ``c``
-    leaves no cut: a constant, 0 at every ``delta``.
+    leaves no cut: a constant, 0 at every ``delta``.  An offset
+    :func:`halfspace` rejects raises :class:`ValidationError`.
     """
-    if math.isinf(offset):
-        return gns_profile_closed_form(delta, (), (1.0,))
-    return gns_profile_closed_form(delta, (offset,), (1.0, -1.0))
+    return halfspace([1.0], offset).gns_closed_form(delta)
 
 
 def gns_profile_closed_form(delta: float, breakpoints, values) -> float:
@@ -611,11 +607,13 @@ def gns_ball_closed_form(delta: float, radius: float, dimension: int) -> float:
     ``delta = 1`` gives ``2 P (1 - P)``; arguments :func:`ball` rejects, or a
     ``delta`` outside ``[0, 1]``, raise :class:`ValidationError`.
     """
+    return ball(radius, dimension).gns_closed_form(delta)
+
+
+def _ball_gns(delta: float, radius: float, dimension: int) -> float:
+    """The series of :func:`gns_ball_closed_form` for a radius and dimension
+    :func:`ball` has checked."""
     delta = check_probability("delta", delta)
-    radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValidationError(f"radius must be finite and > 0, got {radius}")
-    dimension = check_dimension(dimension)
     if delta == 0.0:
         return 0.0
     rho = 1.0 - delta
@@ -854,4 +852,6 @@ def gns_gsa_bound_check(
         est = gns_mc(c, 1.0 - rho, samples, derive_seed(seed, i))
         bound = math.sqrt(math.pi) * math.sqrt(1.0 - rho) * gsa
         rows.append(GnsGsaRow(rho, est, bound))
+    if not rows:  # all() over no rows would pass
+        raise ValidationError("rho_list must be non-empty")
     return GnsGsaReport(float(gsa), tuple(rows))

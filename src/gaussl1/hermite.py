@@ -125,12 +125,10 @@ def hermite_zero(k: int) -> float:
 def hermite_zeros_upto(k: int) -> np.ndarray:
     """Array ``[H_0(0), ..., H_k(0)]`` via the same product recurrence."""
     k = check_integer("degree", k, 0)
+    m = np.arange(1, k // 2 + 1)
     out = np.zeros(k + 1)
-    value = 1.0
-    out[0] = value
-    for m in range(1, k // 2 + 1):
-        value *= -math.sqrt((2 * m - 1) / (2 * m))
-        out[2 * m] = value
+    out[0] = 1.0
+    out[2::2] = np.cumprod(-np.sqrt((2 * m - 1) / (2 * m)))
     return out
 
 
@@ -247,9 +245,6 @@ class HermiteExpansion:
         return expansion(
             self.dimension, {a: scalar * c for a, c in self.terms.items()}
         )
-
-    def __call__(self, x):
-        return expansion_eval(self, x)
 
     # -- serialization ------------------------------------------------------
 
@@ -513,10 +508,6 @@ class QuadratureRule:
     dimension: int
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.nodes.shape[0]
 
 
 @lru_cache(maxsize=64)

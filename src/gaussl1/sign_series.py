@@ -59,7 +59,7 @@ def sign_coefficient(k: int) -> float:
     """Hermite coefficient ``<sign, H_k>`` for an integer ``k >= 0``; zero for even ``k``."""
     if check_integer("k", k, 0) % 2 == 0:
         return 0.0
-    return math.sqrt(2.0 / (k * math.pi)) * hermite_zero(k - 1)
+    return truncation(k).coefficient(k)
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,7 @@ def truncation_l1_error(d: int, abs_tol: float = 1e-8) -> float:
 
 def parseval_residual(d: int) -> float:
     """L2 mass of sign missing below degree ``d``: ``1 - sum_{k<=d} c_k^2``."""
-    d = _check_odd_degree(d)
-    zeros = hermite_zeros_upto(d - 1)
-    ks = np.arange(1, d + 1, 2)
-    squares = (2.0 / (ks * math.pi)) * zeros[ks - 1] ** 2
-    return 1.0 - math.fsum(squares.tolist())
+    return 1.0 - math.fsum((truncation(d).odd_coefficients ** 2).tolist())
 
 
 # ---------------------------------------------------------------------------

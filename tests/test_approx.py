@@ -652,6 +652,9 @@ def test_quad_error_rejects_multivariate():
     p = expansion(2, {(0, 0): 0.5})
     with pytest.raises(ValidationError):
         l1_error_quad_1d(c, p)
+    # a 2-D concept with a 2-D p passes the dimension match and meets the 1-D rule
+    with pytest.raises(ValidationError, match="dimension 1 only"):
+        l1_error_quad_1d(ball(1.0, 2), p)
 
 
 # ---------------------------------------------------------------------------

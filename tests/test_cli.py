@@ -117,6 +117,31 @@ def test_malformed_concept_file_exit_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gns", "--concept", "{dir}", "--delta", "0.1", "--samples", "1000", "--seed", "1"],
+        ["gns", "--concept", "{bytes}", "--delta", "0.1", "--samples", "1000", "--seed", "1"],
+        ["plan", "--epsilon", "0.5", "--gamma", "0.4", "--output", "{dir}"],
+        ["approx", "--concept", "{hs}", "--epsilon", "0.5", "--gamma", "0.4", "--seed", "-1"],
+        ["asymptotics", "--dlist", ""],
+        ["asymptotics", "--dlist", ","],
+        ["gsa", "--concept", "{hs}", "--deltas", "", "--samples", "1000", "--seed", "1"],
+    ],
+    ids=["concept-directory", "concept-not-utf8", "output-directory", "negative-seed",
+         "empty-dlist", "comma-dlist", "empty-deltas"],
+)
+def test_unusable_paths_lists_and_seeds_exit_2_with_one_line(tmp_path, capsys, argv):
+    # exit 1 is kept for a failed bound or check, and a traceback is no message
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    paths = {"dir": str(tmp_path), "bytes": str(not_utf8), "hs": _write_halfspace(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gaussl1: ")
+
+
 def test_wrong_concept_payload_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "dodecahedron"}))

@@ -401,6 +401,28 @@ def test_gns_halfspace_offset_matches_mc():
             assert abs(est.mean - closed) <= 4.0 * est.stderr, (offset, delta)
 
 
+# the closed forms' values, pinned to the last bit
+_HALFSPACE_GNS_BITS = {  # delta: offsets 0, -0.7, 1.6, inf
+    0.05: ["0x1.9e08d04b8be8ep-4", "0x1.4364d48f43da6p-4", "0x1.c78360993e533p-6", "0x0.0p+0"],
+    0.3: ["0x1.03427c64624b7p-2", "0x1.905249da6c637p-3", "0x1.0cdf9b9706c45p-4", "0x0.0p+0"],
+    1.0: ["0x1.0000000000000p-1", "0x1.77a375a96c5c7p-2", "0x1.a850c690a3a50p-4", "0x0.0p+0"],
+}
+_BALL_GNS_BITS = {  # delta: (radius, dimension) = (1.5, 2), (2.2, 4), (17, 300)
+    0.05: ["0x1.f5fc33307a696p-4", "0x1.e745db9e1919ap-4", "0x1.0a136b3cb5e22p-3"],
+    0.3: ["0x1.2d83a4182a1bdp-2", "0x1.227d01d999b52p-2", "0x1.3955fca8dad31p-2"],
+    1.0: ["0x1.c107d81ad2a44p-2", "0x1.b169f32e8a6cep-2", "0x1.c7f0b0b167897p-2"],
+}
+
+
+def test_closed_forms_keep_their_bits():
+    for delta, bits in _HALFSPACE_GNS_BITS.items():
+        got = [gns_halfspace_closed_form(delta, c) for c in (0.0, -0.7, 1.6, math.inf)]
+        assert got == [float.fromhex(b) for b in bits], delta
+    for delta, bits in _BALL_GNS_BITS.items():
+        got = [gns_ball_closed_form(delta, r, n) for r, n in ((1.5, 2), (2.2, 4), (17.0, 300))]
+        assert got == [float.fromhex(b) for b in bits], delta
+
+
 def _ball_gns_reference(delta, radius, dimension):
     # 2 P[|X| <= r, |Y| > r]: given |X| = t, |Y|^2 / sigma^2 is noncentral
     # chi-square with n degrees of freedom and noncentrality rho^2 t^2 / sigma^2;
@@ -720,6 +742,12 @@ def test_gns_gsa_bound_needs_gsa():
     assert rep.passed  # sign(H_1) is the origin halfspace in disguise
 
 
+def test_gns_gsa_bound_refuses_an_empty_rho_list():
+    # a report with no rows would pass vacuously
+    with pytest.raises(ValidationError, match="rho_list"):
+        gns_gsa_bound_check(halfspace([1.0], 0.0), [], 1000, 1)
+
+
 def test_sample_counts_must_be_integers():
     # a count is checked as given, never truncated first; numpy integers pass
     hs = halfspace([1.0], 0.0)
@@ -950,10 +978,15 @@ def test_ball_surface_area_is_the_chi_density_without_overflow():
         (lambda: halfspace([1.0], "0.5"), "c"),
         (lambda: ball("1.5", 2), "radius"),
         (lambda: concept_from_dict({"kind": "halfspace", "w": [1.0], "c": "0.5"}), "c"),
+        # the closed forms refuse what their constructors refuse
+        (lambda: gns_halfspace_closed_form(0.1, "0.5"), "c"),
+        (lambda: gns_halfspace_closed_form(0.1, None), "c"),
+        (lambda: gns_ball_closed_form(0.1, "1.5", 2), "radius"),
     ],
     ids=[
         "w", "c", "c-none", "radius", "radius-list",
         "w-text", "c-text", "radius-text", "file-c-text",
+        "closed-form-c-text", "closed-form-c-none", "closed-form-radius-text",
     ],
 )
 def test_non_numeric_constructor_arguments_raise_validation_error(call, name):

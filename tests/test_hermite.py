@@ -86,6 +86,16 @@ def test_hermite_zero_matches_recurrence_to_k200():
         assert abs(hermite_zero(k) - hermite_eval(k, 0.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 11, 2001, 200_001])
+def test_hermite_zeros_upto_is_the_product_loop(k):
+    want = np.zeros(k + 1)
+    value = want[0] = 1.0
+    for m in range(1, k // 2 + 1):
+        value *= -math.sqrt((2 * m - 1) / (2 * m))
+        want[2 * m] = value
+    assert hermite_zeros_upto(k).tobytes() == want.tobytes()
+
+
 def test_hermite_zero_asymptotics_at_large_even_degree():
     # |H_d(0)| (pi d / 2)^{1/4} -> 1 with a 1/d-scale correction
     for d in (100, 400, 1600):

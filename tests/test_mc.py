@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from gaussl1 import ValidationError
+from gaussl1 import ValidationError, bound_check, gns_mc, halfspace, plan
 from gaussl1.mc import (
     CHUNK_SIZE,
     Moments,
@@ -59,6 +59,19 @@ def test_mc_means_reject_non_finite_values(bad, where):
         mc_means(sampler, 1000, 3)
     with pytest.raises(ValidationError, match="non-finite"):
         mc_mean(lambda rng, m: sampler(rng, m)[1], 1000, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bound_check(halfspace([1.0], 0.0), plan(0.5, 0.4), seed=-1),
+        lambda: gns_mc(halfspace([1.0], 0.0), 0.1, 1000, 2**64),
+    ],
+    ids=["bound-check-negative", "gns-mc-past-64-bits"],
+)
+def test_seeds_outside_64_unsigned_bits_raise(call):
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        call()
 
 
 @pytest.mark.parametrize("shape", [(1000,), (1000, 3)])

@@ -35,6 +35,13 @@ def test_coefficient_values():
     assert sign_coefficient(3) == pytest.approx(-1.0 / math.sqrt(3.0 * math.pi), abs=1e-15)
 
 
+def test_sign_coefficient_is_the_truncation_table():
+    table = truncation(2001)
+    for k in range(1, 2002, 2):
+        want = math.sqrt(2.0 / (k * math.pi)) * hermite_zero(k - 1)
+        assert sign_coefficient(k) == truncation(k).coefficient(k) == table.coefficient(k) == want
+
+
 def test_coefficient_validation():
     with pytest.raises(ValidationError):
         sign_coefficient(-1)
