@@ -463,9 +463,10 @@ def bound_check(
     the L2 error, drawing and evaluating one block of points
     (:func:`mc.normal_blocks`) at a time, so it holds one block and a chunk's
     two value arrays, whatever the dimension.  GNS is the
-    concept's closed form when present (every halfspace, ball and 1-D
-    intersection has one; ``dataclasses.replace(c, gns_closed_form=...)``
-    supplies another), whose value outside ``[0, 1/2]`` raises
+    concept's closed form when present (every halfspace and ball, and every
+    intersection whose normals are all ``+-w``, has one;
+    ``dataclasses.replace(c, gns_closed_form=...)`` supplies another), whose
+    value outside ``[0, 1/2]`` raises
     :class:`ValidationError`, or else a Monte-Carlo estimate.
     A non-integral or smaller than 2 ``error_budget``, or a ``coeff_budget``
     that is neither ``None`` nor an integer >= 1, raises

@@ -283,11 +283,18 @@ def _ridge(profile: Profile, kind: str, params: dict) -> Concept:
 
 def ball(radius: float, dimension: int) -> Concept:
     """``f(x) = +1`` iff ``|x| <= radius`` (boundary counts as +1) for a finite
-    ``radius > 0`` and a whole ``dimension >= 1``; others raise :class:`ValidationError`."""
+    ``radius > 0`` and a whole ``dimension >= 1``; others raise :class:`ValidationError`.
+
+    In one dimension the ball is the interval ``[-radius, radius]``, a ridge
+    whose evaluator, distance, GSA and GNS are its profile's (:func:`_ridge`).
+    """
     radius = check_numeric("radius", radius)
     if not (math.isfinite(radius) and radius > 0):
         raise ValidationError(f"radius must be finite and > 0, got {radius}")
     dimension = check_dimension(dimension)
+    params = {"radius": radius, "dimension": dimension}
+    if dimension == 1:
+        return _ridge(Profile((1.0,), (-radius, radius), (-1.0, 1.0, -1.0)), "ball", params)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         return _signs(_row_norms(points) <= radius)
@@ -310,8 +317,7 @@ def ball(radius: float, dimension: int) -> Concept:
         gsa_closed_form=gsa,
         gns_closed_form=lambda delta: _ball_gns(delta, radius, dimension),
         distance_to_set=distance,
-        params={"radius": radius, "dimension": dimension},
-        profile=Profile((1.0,), (-radius, radius), (-1.0, 1.0, -1.0)) if dimension == 1 else None,
+        params=params,
     )
 
 
@@ -333,10 +339,14 @@ _MAX_INTERSECTION_FACES = 10
 def intersection(halfspaces: Sequence[Concept]) -> Concept:
     """Intersection of halfspaces: +1 iff every component is +1.
 
-    In one dimension the intersection is a ridge (an interval, a half-line, the
-    line or empty) and carries its profile with everything derived from it.  From two
-    dimensions on, an exact distance oracle (projection onto the polyhedron
-    by active-set enumeration) is attached for up to 10 faces.
+    When every normal is ``w`` or ``-w`` (in one dimension always, with ``w =
+    (1,)``) the intersection is the ridge along ``w`` of an interval, a
+    half-line, the line or the empty set, and carries its profile with
+    everything derived from it.  Here ``w`` is the first normal, flipped so
+    that its first non-zero entry is positive, and the test is exact: normals
+    that differ in a last bit span two directions.  Otherwise an exact
+    distance oracle (projection onto the polyhedron by active-set
+    enumeration) is attached for up to 10 faces.
     """
     if not halfspaces:
         raise ValidationError("intersection needs at least one halfspace")
@@ -352,13 +362,19 @@ def intersection(halfspaces: Sequence[Concept]) -> Concept:
     cvec.setflags(write=False)
 
     params = {"halfspaces": [{"w": h.params["w"], "c": h.params["c"]} for h in halfspaces]}
-    if n == 1:  # read one finite point a piece; an infinite offset holds everywhere or nowhere
-        t = sorted(set(float(v) for v in cvec / W[:, 0] if math.isfinite(v)))
+    if n == 1:  # every normal is +-1 up to its unit check
+        w, s = np.ones(1), W[:, 0]
+    else:  # s_i = +-1 where normal i is exactly +-w, and 0 where it is neither
+        w = W[0] if W[0][np.flatnonzero(W[0])[0]] > 0.0 else -W[0]
+        s = 1.0 * (W == w).all(axis=1) - (W == -w).all(axis=1)
+    if s.all():  # read one finite point a piece; an infinite offset holds everywhere or nowhere
+        t = sorted(set(float(v) for v in cvec / s if math.isfinite(v)))
         ends = [t[0] - 1.0, *t, t[-1] + 1.0] if t else [-1.0, 1.0]
         mids = [(a + b) / 2.0 for a, b in zip(ends, ends[1:])]
-        inside = (np.outer(mids, W[:, 0]) <= cvec).all(axis=1)
+        inside = (np.outer(mids, s) <= cvec).all(axis=1)
         values = tuple(1.0 if a else -1.0 for a in inside)
-        return _ridge(Profile((1.0,), tuple(t), values), "intersection", params)
+        profile = Profile(tuple(float(v) for v in w), tuple(t), values)
+        return _ridge(profile, "intersection", params)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         # column by column: numpy's all() over the short length-k axis
@@ -603,9 +619,11 @@ def gns_ball_closed_form(delta: float, radius: float, dimension: int) -> float:
     the Gamma(beta + 1) density factor so that no term overflows.  The sum
     stops once ``rho^(2J) <= 1e-17``, about ``20 / delta`` terms; more than
     ``NODE_BUDGET`` terms (``delta`` below about 1e-5) raise
-    :class:`NodeBudgetError` before any is summed.  ``delta = 0`` gives 0 and
-    ``delta = 1`` gives ``2 P (1 - P)``; arguments :func:`ball` rejects, or a
-    ``delta`` outside ``[0, 1]``, raise :class:`ValidationError`.
+    :class:`NodeBudgetError` before any is summed.  The 1-D ball is a ridge,
+    so its GNS is its profile's :func:`gns_profile_closed_form`, with no
+    series and no budget refusal.  ``delta = 0`` gives 0 and ``delta = 1``
+    gives ``2 P (1 - P)``; arguments :func:`ball` rejects, or a ``delta``
+    outside ``[0, 1]``, raise :class:`ValidationError`.
     """
     return ball(radius, dimension).gns_closed_form(delta)
 
@@ -696,7 +714,7 @@ def gsa_mc(
 ) -> EstimateWithError:
     """Shell-volume estimate of the Gaussian surface area of ``{f = +1}``.
 
-    For the two smallest ``delta`` the shell mass ``P[0 < dist(X, K) <=
+    For the two smallest distinct deltas the shell mass ``P[0 < dist(X, K) <=
     delta] / delta`` is estimated with common samples; their linear
     (Richardson-style) extrapolation to ``delta -> 0`` is returned, with the
     standard error propagated through the extrapolation.  Deltas so small that
@@ -713,8 +731,8 @@ def gsa_mc(
     ds = [float(d) for d in deltas]
     if not all(math.isfinite(d) and d > 0 for d in ds):
         raise ValidationError(f"deltas must be finite and > 0, got {ds}")
-    ds.sort()
-    if len(ds) < 2 or len(set(ds)) != len(ds):
+    ds = sorted(set(ds))
+    if len(ds) < 2:
         raise ValidationError("need at least two distinct deltas")
 
     d1, d2 = ds[0], ds[1]

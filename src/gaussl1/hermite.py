@@ -73,7 +73,14 @@ def _recurrence(k: int, x: np.ndarray, start=None, weights=None, table=False):
     Returns the ``(k + 1,) + x.shape`` table of ``h_0 .. h_k`` with ``table``;
     otherwise, holding three rows at a time, ``h_k`` or, given ``weights``
     (length ``k + 1``), ``sum_j weights[j] h_j`` over the non-zero weights.
+    More than ``NODE_BUDGET`` steps, or a table of more than
+    ``MC_CHUNK_CELLS`` cells, raise :class:`NodeBudgetError` before the first.
     """
+    if k + 1 > NODE_BUDGET or (table and (k + 1) * x.size > MC_CHUNK_CELLS):
+        raise NodeBudgetError(
+            f"a Hermite recurrence to degree {k} over {x.size} points is past the budget of "
+            f"{NODE_BUDGET} steps and {MC_CHUNK_CELLS} table cells"
+        )
     shape = x.shape
     # x steps in place as a flat array: row j goes into its table row, or
     # else into the buffer that h_{j-3} leaves in a ring of three
@@ -100,13 +107,16 @@ def hermite_upto(k: int, x) -> np.ndarray:
 
     ``x`` may be a scalar or an ndarray; the result has shape
     ``(k + 1,) + shape(x)``.  ``k`` must be an integer >= 0 (numpy's too).
+    More than ``NODE_BUDGET`` rows, or more than ``MC_CHUNK_CELLS`` values,
+    raise :class:`NodeBudgetError` before any is allocated.
     """
     k = check_integer("degree", k, 0)
     return _recurrence(k, np.asarray(x, dtype=np.float64), table=True)
 
 
 def hermite_eval(k: int, x):
-    """``H_k(x)``, integer ``k >= 0``, by the three-term recurrence (scalar or ndarray ``x``)."""
+    """``H_k(x)``, integer ``k >= 0``, by the three-term recurrence (scalar or ndarray ``x``);
+    ``k >= NODE_BUDGET`` raises :class:`NodeBudgetError` before the first step."""
     k = check_integer("degree", k, 0)
     value = _recurrence(k, np.asarray(x, dtype=np.float64))
     return float(value) if value.ndim == 0 else value
@@ -123,8 +133,11 @@ def hermite_zero(k: int) -> float:
 
 
 def hermite_zeros_upto(k: int) -> np.ndarray:
-    """Array ``[H_0(0), ..., H_k(0)]`` via the same product recurrence."""
+    """Array ``[H_0(0), ..., H_k(0)]`` via the same product recurrence; more
+    than ``NODE_BUDGET`` entries raise :class:`NodeBudgetError`."""
     k = check_integer("degree", k, 0)
+    if k + 1 > NODE_BUDGET:
+        raise NodeBudgetError(f"more than {NODE_BUDGET} values H_0(0) .. H_{k}(0)")
     m = np.arange(1, k // 2 + 1)
     out = np.zeros(k + 1)
     out[0] = 1.0

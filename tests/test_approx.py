@@ -1,6 +1,7 @@
 """Tests for the plan / coefficient / build / error-measurement pipeline."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -899,6 +900,38 @@ def test_bound_check_on_an_nd_halfspace_reports_the_1d_one(n):
     for offset, aplan in ((0.3, plan(0.6, 0.3)), (-0.45, plan(0.5, gauss_density(0.0)))):
         got = bound_check(halfspace(w, offset), aplan, seed=SEED).to_dict()
         assert got == bound_check(halfspace([1.0], offset), aplan, seed=SEED).to_dict()
+
+
+def test_bound_check_on_a_slab_reports_its_interval(monkeypatch):
+    # |<w, x>| <= 1/2 is the ridge of the interval [-1/2, 1/2], in any order of
+    # its faces and with a face repeated: no tensor rule, index set or sample
+    real = hermite.multi_indices_upto
+
+    def one_dimensional(dimension, degree):
+        assert dimension == 1, f"multi-indices enumerated in dimension {dimension}"
+        return real(dimension, degree)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a slab's bound check drew samples")
+
+    for module in (approx, concepts, hermite):
+        monkeypatch.setattr(module, "multi_indices_upto", one_dimensional)
+    for module in (approx, concepts, mc):
+        monkeypatch.setattr(module, "normal_blocks", no_draws)
+        monkeypatch.setattr(module, "chunk_rngs", no_draws)
+    interval = intersection([halfspace([1.0], 0.5), halfspace([-1.0], 0.5)])
+    slabs = []
+    for w in (np.ones(2), np.array([0.1, -0.3, 0.5, 0.7, -0.1])):
+        w /= np.linalg.norm(w)
+        faces = [halfspace(w, 0.5), halfspace(-w, 0.5)]
+        slabs += [intersection(faces), intersection(faces[::-1]),
+                  intersection([*faces, faces[0]])]
+    for aplan in (plan(0.6, 0.3), plan(0.5, 2.0 * gauss_density(0.5))):
+        want = json.dumps(bound_check(interval, aplan, seed=SEED).to_dict())
+        for c in slabs:
+            report = bound_check(c, aplan, seed=SEED)
+            assert (report.coeff_method, report.measured_l1.samples) == ("exact", 0)
+            assert json.dumps(report.to_dict()) == want, (c.dimension, aplan.degree)
 
 
 @pytest.mark.parametrize(

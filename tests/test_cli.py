@@ -220,6 +220,18 @@ def test_gsa_estimate(tmp_path):
     assert abs(payload["estimate"]["mean"] - phi0) <= 0.05 * phi0
 
 
+def test_gsa_reads_a_repeated_delta_once(tmp_path):
+    concept = _write_halfspace(tmp_path)
+    payloads = []
+    for deltas in ("0.02,0.04", "0.02,0.04,0.04"):
+        out = tmp_path / "gsa.json"
+        code = main(["gsa", "--concept", concept, "--deltas", deltas,
+                     "--samples", "1000", "--seed", "3", "--output", str(out)])
+        assert code == 0
+        payloads.append(json.loads(out.read_text())["estimate"])
+    assert payloads[0] == payloads[1]
+
+
 @pytest.mark.parametrize("deltas", ["nan,0.02", "0.02,inf", "0.04,0.02,nan"])
 def test_gsa_non_finite_deltas_exit_2(tmp_path, capsys, deltas):
     concept = _write_halfspace(tmp_path)
@@ -518,6 +530,18 @@ def test_asymptotics_validates_degrees(capsys):
     capsys.readouterr()
     assert main(["asymptotics", "--dlist", "11,1.5"]) == 2
     assert "bad int list '11,1.5'" in capsys.readouterr().err
+
+
+def test_asymptotics_refuses_a_degree_past_the_recurrence_budget(tmp_path, capsys):
+    # 10^9 recurrence steps would run for about half an hour: refused at once
+    out = tmp_path / "asym.csv"
+    start = time.perf_counter()
+    code = main(["asymptotics", "--dlist", "11,1000000000", "--grid-points", "21",
+                 "--output", str(out)])
+    assert code == 2 and time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("gaussl1:") and "budget" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])

@@ -31,6 +31,7 @@ from gaussl1 import (
 from gaussl1.concepts import (
     Concept,
     Profile,
+    _ridge,
     concept_from_dict,
     concept_to_dict,
     eval_concept,
@@ -343,6 +344,7 @@ def test_only_ridges_carry_a_profile():
     square = ptf(expansion(1, {(2,): 1.0, (0,): -0.5}))
     for c in (ball(1.0, 2), ball(2.0, 4), poly, square, Concept(1, lambda p: p[:, 0])):
         assert c.profile is None
+    assert poly.gns_closed_form is None
 
 
 # -- noise sensitivity -----------------------------------------------------------
@@ -543,7 +545,9 @@ def test_gns_profile_trivial_cases_and_validation():
     assert empty.gns_closed_form(0.5) == 0.0
     assert gns_profile_closed_form(0.5, (), (1.0,)) == 0.0
     assert gns_profile_closed_form(0.0, (-0.3, 0.5), (-1.0, 1.0, -1.0)) == 0.0
-    assert intersection([halfspace([1.0, 0.0], 0.5)]).gns_closed_form is None
+    one_face = intersection([halfspace([1.0, 0.0], 0.5)])  # a ridge: its halfspace's GNS
+    for delta in (0.0, 1e-4, 0.3, 1.0):
+        assert one_face.gns_closed_form(delta) == gns_halfspace_closed_form(delta, 0.5)
     assert gns_halfspace_closed_form(0.3, math.inf) == 0.0  # a cut at infinity never flips
     for breakpoints, values in (
         ((0.1,), (1.0, 0.5)),  # not +-1
@@ -681,6 +685,16 @@ def test_gsa_mc_reads_only_the_two_smallest_deltas():
     for samples in (1000, 10**5):
         want = gsa_mc(hs, [0.02, 0.04], samples, SEED)
         assert gsa_mc(hs, [0.5, 0.04, 0.02, 0.3], samples, SEED) == want
+
+
+def test_gsa_mc_reads_a_repeated_delta_once():
+    # [0.02, 0.04, 0.04] holds two distinct deltas; [0.02, 0.02] holds one
+    hs = halfspace([1.0], 0.0)
+    want = gsa_mc(hs, [0.02, 0.04], 1000, 3)
+    assert gsa_mc(hs, [0.02, 0.04, 0.04], 1000, 3) == want
+    assert gsa_mc(hs, [0.04, 0.02, 0.02, 0.04], 1000, 3) == want
+    with pytest.raises(ValidationError, match="two distinct deltas"):
+        gsa_mc(hs, [0.02, 0.02], 1000, 3)
 
 
 def test_gsa_mc_deterministic():
@@ -918,6 +932,77 @@ def test_ridge_constructors_keep_the_bits_of_their_hand_written_closures():
             for delta in (0.0, 1e-4, 0.1, 0.5, 1.0):
                 assert concept.gns_closed_form(delta) == gns(delta), (old, delta)
             assert concept.gsa_closed_form == gsa, old
+
+
+def test_a_1d_ball_is_the_ridge_of_its_profile():
+    # [-r, r] read off its profile: evaluator, distance, GSA and GNS, bit for bit
+    deltas = [0.0, 1e-7, 1e-4, *np.linspace(0.001, 1.0, 200)]
+    for r in (0.1, 0.5, 1.0, 1.2, 5.0):
+        c = ball(r, 1)
+        params = {"radius": r, "dimension": 1}
+        ref = _ridge(Profile((1.0,), (-r, r), (-1.0, 1.0, -1.0)), "ball", params)
+        assert (c.kind, c.params, c.profile) == ("ball", params, ref.profile)
+        x = np.random.default_rng([SEED, 5]).standard_normal((4000, 1)) * 2.0 * r
+        points = np.vstack([x, [[r], [-r], [0.0], [-0.0]]])
+        assert _same_bits(c.batch(points), ref.batch(points)), r
+        assert _same_bits(c.distance_to_set(points), ref.distance_to_set(points)), r
+        assert c.gsa_closed_form == ref.gsa_closed_form == 2.0 * gauss_density(r)
+        # the profile's closed form has no series to cut: delta = 1e-7 is no refusal
+        assert [c.gns_closed_form(d) for d in deltas] == [ref.gns_closed_form(d) for d in deltas]
+        assert [gns_ball_closed_form(d, r, 1) for d in deltas[:3]] == [
+            gns_profile_closed_form(d, (-r, r), (-1.0, 1.0, -1.0)) for d in deltas[:3]
+        ]
+
+
+def test_an_intersection_whose_normals_are_all_plus_minus_w_is_its_ridge():
+    rng = np.random.default_rng([SEED, 6])
+    for n in (2, 5, 30):
+        w = rng.standard_normal(n)
+        w /= np.linalg.norm(w)
+        w *= math.copysign(1.0, w[0])  # first entry positive: the profile's direction
+        faces = [halfspace(w, 0.5), halfspace(-w, 0.3), halfspace(w, 0.9), halfspace(-w, 0.3)]
+        for order in (faces, faces[::-1], faces[1:2]):
+            c = intersection(order)
+            # the same faces on the line u = <w, x>: normal i is s_i w
+            line = intersection(
+                [halfspace([math.copysign(1.0, h.params["w"][0])], h.params["c"]) for h in order]
+            )
+            assert c.profile == Profile(tuple(w), line.profile.breakpoints, line.profile.values)
+            assert c.gsa_closed_form == line.gsa_closed_form
+            assert c.gns_closed_form(0.3) == line.gns_closed_form(0.3)
+            x = rng.standard_normal((2000, n))
+            W = np.array([h.params["w"] for h in order])
+            cvec = np.array([h.params["c"] for h in order])
+            want = np.where((x @ W.T <= cvec).all(axis=1), 1.0, -1.0)
+            assert np.array_equal(c.batch(x), want), (n, len(order))
+            if len(order) == 1:  # one face: the halfspace itself, distance included
+                assert np.array_equal(c.distance_to_set(x), halfspace(-w, 0.3).distance_to_set(x))
+            else:  # the slab -0.3 <= <w, x> <= 0.5, whose projection moves along w
+                u = x @ w
+                assert np.array_equal(c.distance_to_set(x), np.maximum(
+                    0.0, np.maximum(u - 0.5, -0.3 - u)))
+    # flipped so that the first non-zero entry is positive
+    assert intersection([halfspace([0.0, -1.0], 0.5)]).profile == Profile(
+        (0.0, 1.0), (-0.5,), (-1.0, 1.0))
+    empty = intersection([halfspace([0.6, 0.8], -0.5), halfspace([-0.6, -0.8], -0.5)])
+    assert empty.profile == Profile((0.6, 0.8), (-0.5, 0.5), (-1.0, -1.0, -1.0))
+
+
+def test_an_intersection_of_two_or_more_directions_carries_no_profile():
+    w = np.array([0.6, 0.8])
+    near = np.array([0.6, np.nextafter(0.8, 1.0)])  # a unit normal one bit from w
+    for faces in (
+        [halfspace(w, 0.5), halfspace(near, 0.5)],
+        [halfspace(w, 0.5), halfspace(-near, 0.5)],
+        [halfspace(w, 0.5), halfspace(-w, 0.5), halfspace([0.8, -0.6], 0.1)],
+        [halfspace([1.0, 0.0, 0.0], 0.3), halfspace([0.0, 1.0, 0.0], 0.2)],
+    ):
+        c = intersection(faces)
+        assert (c.profile, c.gns_closed_form, c.gsa_closed_form) == (None, None, None)
+    # in 1-D every normal is +-1 up to the unit check: w = (1,) and s = W[:, 0]
+    off = 1.0 - 5e-13
+    c = intersection([halfspace([off], 0.5), halfspace([-1.0], 0.3)])
+    assert c.profile == Profile((1.0,), (-0.3, 0.5 / off), (-1.0, 1.0, -1.0))
 
 
 def _interval(lo, hi):

@@ -30,6 +30,7 @@ from gaussl1 import (
     multi_indices_upto,
     truncate,
 )
+from gaussl1 import hermite
 from gaussl1.hermite import (
     _block_length,
     _gauss_hermite_1d,
@@ -94,6 +95,36 @@ def test_hermite_zeros_upto_is_the_product_loop(k):
         value *= -math.sqrt((2 * m - 1) / (2 * m))
         want[2 * m] = value
     assert hermite_zeros_upto(k).tobytes() == want.tobytes()
+
+
+def test_the_recurrence_refuses_work_past_its_budget_before_the_first_step(monkeypatch):
+    # 10^6 rows over 1000 points would be an 8 GB table, and 10^9 steps run
+    # for about half an hour: both are refused before anything is allocated
+    # (the cheap cases go first, so that code without the budget fails early)
+    start = time.perf_counter()
+    for call in (
+        lambda: hermite_zeros_upto(hermite.NODE_BUDGET),
+        lambda: truncation_eval_direct(truncation(10**9 + 1), 0.5),
+        lambda: hermite_eval(hermite.NODE_BUDGET, np.zeros(3)),
+        lambda: hermite_upto(hermite.NODE_BUDGET, 0.0),
+        lambda: hermite_eval(10**9, 0.5),
+        lambda: hermite_upto(10**6, np.zeros(1000)),
+    ):
+        assert traced_peak(lambda: pytest.raises(NodeBudgetError, call)) < 10**6
+    assert time.perf_counter() - start < 5.0
+    assert hermite_zeros_upto(hermite.NODE_BUDGET - 1).shape == (hermite.NODE_BUDGET,)
+    # the edges, on small budgets: k + 1 steps and (k + 1) x points table cells
+    monkeypatch.setattr(hermite, "NODE_BUDGET", 50)
+    monkeypatch.setattr(hermite, "MC_CHUNK_CELLS", 100)
+    x = np.linspace(-1.0, 1.0, 10)
+    assert hermite_upto(9, x).shape == (10, 10)
+    assert hermite_upto(49, x[:2]).shape == (50, 2)
+    assert hermite_eval(49, x).shape == (10,)
+    for call in (lambda: hermite_upto(10, x), lambda: hermite_upto(9, np.zeros(11)),
+                 lambda: hermite_eval(50, x), lambda: hermite_zeros_upto(50)):
+        with pytest.raises(NodeBudgetError):
+            call()
+    assert hermite_zeros_upto(49).shape == (50,)
 
 
 def test_hermite_zero_asymptotics_at_large_even_degree():
