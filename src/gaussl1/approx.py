@@ -58,7 +58,7 @@ from .mc import (
     normal_blocks,
 )
 from .noise import validate_noise_level
-from .quadrature1d import integrate_adaptive
+from .quadrature1d import _check_first_sweeps, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -337,17 +337,14 @@ def l1_error_quad_1d(
 
 def _quad_pieces(degree: int, breakpoints: list[float]) -> int:
     # initial pieces per seed interval of the L1 quadrature of a degree-`degree`
-    # p; a first sweep of more than MC_CHUNK_CELLS cells of work (seed intervals
-    # x pieces x 31 nodes x (degree + 1) recurrence steps) raises
-    # NodeBudgetError.  It bounds work, not memory: the recurrence holds a few
-    # rows a node, and one cut admits degrees up to 4311, which bound_check
-    # audits in about 0.5 s
+    # p, whose first sweep (seed intervals x pieces) passes the work budget of
+    # quadrature1d._check_first_sweeps or raises NodeBudgetError.  It bounds
+    # work, not memory: the recurrence holds a few rows a node, and one cut
+    # admits degrees up to 4311, which bound_check audits in about 0.5 s
     pieces = max(8, int(math.ceil(2 * GAUSS_CUTOFF * math.sqrt(degree + 1) / math.pi)))
     seeds = 1 + len({float(t) for t in breakpoints if -GAUSS_CUTOFF < float(t) < GAUSS_CUTOFF})
-    cells = seeds * pieces * 31 * (degree + 1)
-    if cells > MC_CHUNK_CELLS:
-        raise NodeBudgetError(f"the L1 quadrature of a degree-{degree} polynomial needs {cells} "
-                              f"cells in its first sweep, more than the budget of {MC_CHUNK_CELLS}")
+    what = f"the L1 quadrature of a degree-{degree} polynomial"
+    _check_first_sweeps(what, [(seeds * pieces, degree)])
     return pieces
 
 

@@ -30,8 +30,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__, approx, checks, concepts, learner, sign_series
-from .errors import GaussL1Error, ValidationError
+from .errors import GaussL1Error, NodeBudgetError, ValidationError
+from .hermite import MC_CHUNK_CELLS
 from .mc import check_integer
+from .quadrature1d import _check_first_sweeps
 
 
 def _meta(argv: Sequence[str], seed: int | None) -> dict:
@@ -119,8 +121,11 @@ def _cmd_approx(args, argv) -> int:
 
 def _cmd_sign_study(args, argv) -> int:
     dmax = check_integer("dmax", args.dmax, 1)
+    degrees = range(1, dmax + 1, 2)
+    sweeps = [sign_series._l1_error_sweep(d) for d in degrees]
+    _check_first_sweeps(f"sign-study --dmax {dmax}", sweeps)
     rows = []
-    for d in range(1, dmax + 1, 2):
+    for d in degrees:
         err = sign_series.truncation_l1_error(d)
         res = sign_series.parseval_residual(d)
         rows.append((d, err, res))
@@ -135,6 +140,11 @@ def _cmd_asymptotics(args, argv) -> int:
     dlist = _parse_list(args.dlist, int)
     if any(d < 3 for d in dlist):
         raise ValidationError("degrees must be >= 3")
+    # every remainder grid is a degree-d recurrence over the grid points
+    cells = grid_points * sum(d + 1 for d in dlist)
+    if cells > MC_CHUNK_CELLS:
+        raise NodeBudgetError(f"--dlist and --grid-points need {cells} recurrence cells, more "
+                              f"than the budget of {MC_CHUNK_CELLS}")
     xs = np.linspace(0.0, 1.0, grid_points)
     rows = []
     sup_by_degree = {}

@@ -806,18 +806,19 @@ def noise_distance_check(
     c: Concept, rho: float, samples: int, seed: int
 ) -> NoiseDistanceReport:
     """Sample ``E|f - T_rho f|`` and compare it with ``2 GNS_{1-rho}(f)``,
-    exact when the concept has a closed form and sampled otherwise.  A
-    sampled side holds one chunk's ``X``, its values and one block of pairs
-    (:func:`_correlated_pair`) at a time."""
+    exact when the concept has a closed form and sampled otherwise.  The
+    closed form is read first, so a noise level it cannot reach fails before
+    any sample is drawn.  A sampled side holds one chunk's ``X``, its values
+    and one block of pairs (:func:`_correlated_pair`) at a time."""
     rho = validate_noise_level(rho)
+    closed = None if c.gns_closed_form is None else 2.0 * c.gns_closed_form(1.0 - rho)
 
     def distance_values(rng: np.random.Generator, m: int) -> np.ndarray:
         pairs = _correlated_pair(rng, m, c.dimension, rho)
         return np.concatenate([np.abs(c.batch(x) - c.batch(y)) for x, y in pairs])
 
     lhs = mc_mean(distance_values, samples, derive_seed(seed, 0))
-    if c.gns_closed_form is not None:
-        closed = 2.0 * c.gns_closed_form(1.0 - rho)
+    if closed is not None:
         rhs = EstimateWithError(closed, 0.0, 0, check_seed(seed), note="closed form")
         return NoiseDistanceReport(rho, lhs, rhs, closed)
     g = gns_mc(c, 1.0 - rho, samples, derive_seed(seed, 1))
@@ -858,18 +859,24 @@ def gns_gsa_bound_check(
     """Estimate GNS at each rho and compare against the surface-area bound.
 
     ``gsa`` overrides the concept's closed form (for example with a trusted
-    ``gsa_mc`` value); one of the two must be available.
+    ``gsa_mc`` value); one of the two must be available, and it must be
+    numeric, finite and >= 0.  ``samples``, every rho and the GSA are
+    checked before the first sample is drawn.
     """
+    samples = check_samples(samples)
+    rhos = [validate_noise_level(rho) for rho in rho_list]
+    if not rhos:  # all() over no rows would pass
+        raise ValidationError("rho_list must be non-empty")
     if gsa is None:
         gsa = c.gsa_closed_form
     if gsa is None:
         raise CapabilityError("no GSA value available; pass gsa= or use gsa_mc")
+    gsa = check_numeric("gsa", gsa)
+    if not (math.isfinite(gsa) and gsa >= 0.0):
+        raise ValidationError(f"gsa must be finite and >= 0, got {gsa}")
     rows = []
-    for i, rho in enumerate(rho_list):
-        rho = validate_noise_level(rho)
+    for i, rho in enumerate(rhos):
         est = gns_mc(c, 1.0 - rho, samples, derive_seed(seed, i))
         bound = math.sqrt(math.pi) * math.sqrt(1.0 - rho) * gsa
         rows.append(GnsGsaRow(rho, est, bound))
-    if not rows:  # all() over no rows would pass
-        raise ValidationError("rho_list must be non-empty")
-    return GnsGsaReport(float(gsa), tuple(rows))
+    return GnsGsaReport(gsa, tuple(rows))

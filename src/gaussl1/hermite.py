@@ -30,7 +30,7 @@ from .errors import (
 )
 # BLOCK_CELLS, the cells of one point block, is defined in mc with the list
 # of every pass that blocks by it
-from .mc import BLOCK_CELLS, block_rows, check_dimension, check_integer, check_numeric
+from .mc import BLOCK_CELLS, _block_length, block_rows, check_dimension, check_integer, check_numeric
 
 MultiIndex = tuple[int, ...]
 
@@ -319,11 +319,6 @@ def expansion_eval(p: HermiteExpansion, x) -> float:
     return float(expansion_eval_batch(p, x[None, :])[0])
 
 
-def _block_length(cells_per_point: int) -> int:
-    # points per block so that one block's buffers hold BLOCK_CELLS cells
-    return max(1, BLOCK_CELLS // max(1, cells_per_point))
-
-
 def _prefix_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct prefixes ``alpha[:-1]`` of the ``(terms, n)`` multi-index
     array ``index``, in order of first appearance, as their rows of the
@@ -337,6 +332,30 @@ def _prefix_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows * n + np.arange(n - 1), np.array(prefix, dtype=np.intp)
 
 
+def _table_blocks(points: np.ndarray, k: int, top: int, cells: int):
+    """The n-D kernels' walk over ``points`` ``(N, n)`` in blocks of about
+    :data:`BLOCK_CELLS` cells, a point's ``n (k + 1)`` table rows and the
+    ``cells`` its caller holds.  Yields each block's row slice, its stacked
+    table ``H_j(x_i)`` of every axis up to degree ``k`` (one
+    :func:`hermite_upto` pass; an axis of lower degree pays for the rows
+    above its own) as ``n (k + 1)`` rows, row ``j n + i``, and the last
+    axis' rows ``H_0 .. H_top``."""
+    n = points.shape[1]
+    block = _block_length(n * (k + 1) + cells)
+    for start in range(0, points.shape[0], block):
+        rows = slice(start, start + block)
+        table = hermite_upto(k, points[rows].T)
+        yield rows, table.reshape(n * (k + 1), -1), table[: top + 1, -1]
+
+
+def _times_axes(array: np.ndarray, table: np.ndarray, axis_rows: np.ndarray) -> np.ndarray:
+    """``array`` (rows x points), row ``r`` multiplied in place by the table
+    rows ``axis_rows[:, r]`` one axis after the other, in axis order."""
+    for rows_i in axis_rows:
+        array *= np.take(table, rows_i, axis=0)
+    return array
+
+
 def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     """Evaluate ``p`` at ``points`` of shape ``(N, dimension)`` -> ``(N,)``.
 
@@ -347,21 +366,16 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     degree, and each value depends only on its own point, so it is the same
     bits however the input is split.
 
-    In more dimensions, a blocked per-axis contraction.  The terms are
-    grouped by their prefix ``alpha[:-1]`` into a dense matrix ``C``
+    In more dimensions, the block walk of :func:`_table_blocks`.  The terms
+    are grouped by their prefix ``alpha[:-1]`` into a dense matrix ``C``
     (prefixes x last-axis degree), whose rows are taken in chunks of at most
-    as many rows as the table has.
-    Per block of points one recurrence pass builds the stacked table
-    ``H_j(x_i)`` for every axis ``i`` up to the largest per-axis degree
-    ``k``, ``n (k + 1)`` rows; an expansion whose axes reach unequal degrees
-    pays for the rows above each axis' own.  The blocks are sized so that the
-    table and one chunk's prefixes x points intermediate hold
-    :data:`BLOCK_CELLS` cells, whatever the number of terms.  Per block and
-    chunk, one matrix product ``C @ H_last`` contracts the last axis; each
-    prefix row is then multiplied by its table row on every leading axis in
-    axis order (degree 0 gathers ``H_0 = 1``) and the rows are summed.
-    These values are deterministic for a given input array, but a different
-    split into blocks may move their last bits.
+    as many rows as the table has, and a block holds one chunk's prefixes x
+    points intermediate beside its table, whatever the number of terms.  Per
+    block and chunk, one matrix product ``C @ H_last`` contracts the last
+    axis, each prefix row is multiplied by its leading-axis table values
+    (:func:`_times_axes`; degree 0 gathers ``H_0 = 1``) and the rows are
+    summed.  These values are deterministic for a given input array, but a
+    different split into blocks may move their last bits.
 
     In any dimension the values may differ from the term-by-term sum in the
     last bits (about 1e-15 relative).
@@ -374,35 +388,28 @@ def expansion_eval_batch(p: HermiteExpansion, points: np.ndarray) -> np.ndarray:
     values = np.zeros(points.shape[0])
     if not p.terms:
         return values
-    n = p.dimension
     index = np.array(list(p.terms), dtype=np.intp)
-    prefix_rows, prefix = _prefix_rows(index)
-    k, top = int(index.max()), int(index[:, -1].max())
-    coef = np.zeros((len(prefix_rows), top + 1))
-    coef[prefix, index[:, -1]] = list(p.terms.values())
-    if n == 1:  # x, three rows, a scratch row and the sum a point
+    top = int(index[:, -1].max())
+    if p.dimension == 1:  # x, three rows, a scratch row and the sum a point
+        coef = np.zeros(top + 1)
+        coef[index[:, 0]] = list(p.terms.values())
         block = _block_length(6)
         for start in range(0, points.shape[0], block):
             x = points[start : start + block, 0]
-            values[start : start + block] = _recurrence(top, x, weights=coef[0])
+            values[start : start + block] = _recurrence(top, x, weights=coef)
         return values
-    table_rows = n * (k + 1)
-    chunk = min(len(prefix_rows), table_rows)
+    prefix_rows, prefix = _prefix_rows(index)
+    coef = np.zeros((len(prefix_rows), top + 1))
+    coef[prefix, index[:, -1]] = list(p.terms.values())
+    k = int(index.max())
+    chunk = min(len(prefix_rows), p.dimension * (k + 1))
     chunks = [
         (coef[lo : lo + chunk], prefix_rows[lo : lo + chunk].T.copy())
         for lo in range(0, len(prefix_rows), chunk)
     ]
-    block = _block_length(table_rows + chunk)
-    for start in range(0, points.shape[0], block):
-        table = hermite_upto(k, points[start : start + block].T)
-        last = table[: top + 1, -1]
-        table = table.reshape(table_rows, -1)
-        out = values[start : start + block]
+    for rows, table, last in _table_blocks(points, k, top, chunk):
         for chunk_coef, axis_rows in chunks:
-            partial = chunk_coef @ last
-            for rows_i in axis_rows:
-                partial *= np.take(table, rows_i, axis=0)
-            out += partial.sum(axis=0)
+            values[rows] += _times_axes(chunk_coef @ last, table, axis_rows).sum(axis=0)
     return values
 
 
@@ -421,28 +428,20 @@ def _check_basis_args(points, alphas) -> tuple[np.ndarray, np.ndarray, int]:
 def basis_matrix(points: np.ndarray, alphas: list[MultiIndex]) -> np.ndarray:
     """Design matrix ``M[i, j] = H_{alphas[j]}(points[i])``.
 
-    Rows are built in blocks of :data:`BLOCK_CELLS` cells: per block, one
-    recurrence pass for the stacked table of every axis up to the largest
-    per-axis degree ``k`` (``n (k + 1)`` rows, so unequal per-axis degrees pay
-    for the rows above each axis' own), then the columns in a transposed
-    (basis x points) scratch buffer, whose rows are contiguous, copied into
-    the output.  The scratch starts as every column's table row on axis 0
-    and is multiplied by its row on each next axis in turn, so each entry is
-    the product of its table values in axis order: the matrix is
-    bit-identical to the column-by-column construction and deterministic for
-    a given input array.
+    Rows are built by the block walk of :func:`_table_blocks`, a block
+    holding its table and the columns in a transposed (basis x points)
+    scratch buffer, whose rows are contiguous, copied into the output.  The
+    scratch starts as every column's table row on axis 0 and is multiplied
+    by its rows on the next axes (:func:`_times_axes`), so each entry is the
+    product of its table values in axis order: the matrix is bit-identical to
+    the column-by-column construction and deterministic for a given input
+    array.
     """
     points, index, k = _check_basis_args(points, alphas)
-    n = points.shape[1]
-    rows = (index * n + np.arange(n)).T.copy()
+    rows = (index * points.shape[1] + np.arange(points.shape[1])).T.copy()
     out = np.empty((points.shape[0], len(alphas)))
-    block = _block_length(len(alphas) + n * (k + 1))
-    for start in range(0, points.shape[0], block):
-        table = hermite_upto(k, points[start : start + block].T).reshape(n * (k + 1), -1)
-        scratch = np.take(table, rows[0], axis=0)
-        for rows_i in rows[1:]:
-            scratch *= np.take(table, rows_i, axis=0)
-        out[start : start + block] = scratch.T
+    for block, table, _ in _table_blocks(points, k, k, len(alphas)):
+        out[block] = _times_axes(np.take(table, rows[0], axis=0), table, rows[1:]).T
     return out
 
 
@@ -453,12 +452,11 @@ def basis_sums(
     ``alpha`` in ``alphas``, over ``points`` of shape ``(N, n)`` and
     ``weights`` of shape ``(N,)``, without the ``N x terms`` basis.
 
-    The points go in blocks of about :data:`BLOCK_CELLS` cells, so the pass
-    holds one block whatever ``N`` and the number of terms are.  Per block
-    the stacked table is built as in :func:`basis_matrix`, and the row of
-    each distinct prefix ``alpha[:-1]`` is ``w`` times its table values on
-    the leading ``n - 1`` axes, multiplied in axis order.  Two matrix
-    products with the last axis' rows then give every prefix's sums at every
+    The points go through the block walk of :func:`_table_blocks`, so the
+    pass holds one block whatever ``N`` and the number of terms are.  Per
+    block the row of each distinct prefix ``alpha[:-1]`` is ``w`` times its
+    leading-axis table values (:func:`_times_axes`).  Two matrix products
+    with the last axis' rows then give every prefix's sums at every
     last-axis degree: one of the prefix rows with ``H_j``, one of their
     squares with ``H_j^2``.  The sums are deterministic for given input
     arrays; they differ from the sums of the basis matrix's columns in the
@@ -470,24 +468,16 @@ def basis_sums(
         raise DimensionMismatchError(
             f"weights shape {weights.shape} does not match {points.shape[0]} points"
         )
-    n = points.shape[1]
     prefix_rows, prefix = _prefix_rows(index)
     count = len(prefix_rows)
     last = index[:, -1]
     top = int(last.max(initial=0))
     sums = np.zeros((count, top + 1))
     sumsq = np.zeros((count, top + 1))
-    # per point: the table and three rows per prefix, which hold the prefixes
-    # with a gathered table row or with their squares; the squared last-axis
-    # rows go uncounted
-    block = _block_length(n * (k + 1) + 3 * count)
-    for start in range(0, points.shape[0], block):
-        table = hermite_upto(k, points[start : start + block].T)
-        last_rows = table[: top + 1, -1]
-        table = table.reshape(n * (k + 1), -1)
-        scratch = np.repeat(weights[None, start : start + block], count, axis=0)
-        for rows_i in prefix_rows.T:
-            scratch *= np.take(table, rows_i, axis=0)
+    # three rows a prefix, which hold the prefixes with a gathered table row
+    # or with their squares; the squared last-axis rows go uncounted
+    for rows, table, last_rows in _table_blocks(points, k, top, 3 * count):
+        scratch = _times_axes(np.repeat(weights[None, rows], count, axis=0), table, prefix_rows.T)
         sums += scratch @ last_rows.T
         sumsq += np.square(scratch) @ np.square(last_rows).T
     return sums[prefix, last], sumsq[prefix, last]

@@ -26,14 +26,20 @@ CHUNK_SIZE = 1 << 17
 # tensor-quadrature coefficients evaluate f on slabs of the grid of about as
 # many points (hermite.gauss_hermite_slabs).  The Hermite kernels size their
 # blocks by it too: the weighted recurrence's few rows a point of a 1-D
-# expansion, or else the stacked table of every axis plus one prefix chunk's
-# intermediate (hermite.expansion_eval_batch), the basis block
-# (hermite.basis_matrix) or the prefixes and their squares
-# (hermite.basis_sums).  2^17 cells are 1 MiB, so a block stays in a core's
-# L2 cache.  Block sizes never change sampled values, only their rounding
-# where a kernel sums across points or multiplies a block's matrices (a 1-D
-# expansion's values depend on their own point alone).
+# expansion, or else, in their one walk (hermite._table_blocks), the stacked
+# table of every axis plus one prefix chunk's intermediate
+# (hermite.expansion_eval_batch), the basis block (hermite.basis_matrix) or
+# the prefixes and their squares (hermite.basis_sums).  2^17 cells are 1 MiB,
+# so a block stays in a core's L2 cache.  Block sizes never change sampled
+# values, only their rounding where a kernel sums across points or multiplies
+# a block's matrices (a 1-D expansion's values depend on their own point alone).
 BLOCK_CELLS = 1 << 17
+
+
+def _block_length(cells_per_point: int) -> int:
+    # points per block so that one block's buffers hold BLOCK_CELLS cells
+    return max(1, BLOCK_CELLS // max(1, cells_per_point))
+
 
 _MAX_SEED = 2**64
 
@@ -67,7 +73,7 @@ def block_rows(dimension: int) -> int:
     """Points per block in ``dimension``: about :data:`BLOCK_CELLS` cells,
     counting a point as its coordinates and, in few dimensions, at least the
     handful of per-point values that a pass makes of it (8 cells in all)."""
-    return max(1, BLOCK_CELLS // max(dimension, 8))
+    return _block_length(max(dimension, 8))
 
 
 def normal_blocks(

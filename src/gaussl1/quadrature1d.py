@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ToleranceError, ValidationError
+from .errors import EvaluationError, NodeBudgetError, ToleranceError, ValidationError
+from .hermite import MC_CHUNK_CELLS
 from .mc import check_integer
 
 _HI = 21
@@ -30,6 +31,19 @@ def _panel(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _check_first_sweeps(what: str, sweeps: Iterable[tuple[int, int]]) -> None:
+    """Refuse quadratures before their work: each sweep is ``(intervals,
+    degree)``, the seed intervals of one :func:`integrate_adaptive` call whose
+    integrand runs a degree-``degree`` Hermite recurrence at each of an
+    interval's nodes.  First sweeps of more than ``MC_CHUNK_CELLS`` cells in
+    all (intervals x nodes per interval x (degree + 1) steps) raise
+    :class:`NodeBudgetError` naming ``what``."""
+    cells = sum(intervals * (_HI + _LO) * (degree + 1) for intervals, degree in sweeps)
+    if cells > MC_CHUNK_CELLS:
+        raise NodeBudgetError(f"{what} needs {cells} cells in its first sweep, more than the "
+                              f"budget of {MC_CHUNK_CELLS}")
 
 
 def _batch_estimates(f, lo, hi, n):

@@ -37,7 +37,7 @@ from .hermite import (
     hermite_zeros_upto,
 )
 from .mc import check_integer
-from .quadrature1d import integrate_adaptive
+from .quadrature1d import _check_first_sweeps, integrate_adaptive
 
 # Small-t switchover for the removable singularity of H_d(t)/t.
 _TAYLOR_CUT = 1e-4
@@ -121,7 +121,9 @@ def truncation_eval_integral(d: int, x: float, tol: float = 1e-9) -> float:
     """Evaluate the truncation through its integral form (``d`` odd).
 
     Extended to negative ``x`` by antisymmetry.  ``tol`` is an absolute
-    tolerance on the returned value, prefactor included.
+    tolerance on the returned value, prefactor included.  A first sweep past
+    the work budget of :func:`quadrature1d._check_first_sweeps` raises
+    :class:`NodeBudgetError` before it.
     """
     d = _check_odd_degree(d)
     x = float(x)
@@ -129,10 +131,11 @@ def truncation_eval_integral(d: int, x: float, tol: float = 1e-9) -> float:
         raise ValidationError(f"x must be finite, got {x}")
     if x == 0.0:
         return 0.0
-    prefactor = math.sqrt(2.0 * d / math.pi) * hermite_zero(d - 1)
-    inner_tol = tol / max(1.0, abs(prefactor))
     # one initial interval per half oscillation of H_d
     pieces = max(4, int(math.ceil(abs(x) * math.sqrt(d) / math.pi)) + 1)
+    _check_first_sweeps(f"the integral form of the degree-{d} sign truncation", [(pieces, d)])
+    prefactor = math.sqrt(2.0 * d / math.pi) * hermite_zero(d - 1)
+    inner_tol = tol / max(1.0, abs(prefactor))
     integral = integrate_adaptive(
         lambda t: _hermite_over_t(d, t),
         0.0,
@@ -148,16 +151,26 @@ def truncation_l1_error(d: int, abs_tol: float = 1e-8) -> float:
 
     By symmetry equals ``2 int_0^inf |1 - sign_{<=d}(x)| phi(x) dx``; the
     integral is cut at ``x = 12`` where the Gaussian weight is negligible.
+    A first sweep past the work budget of
+    :func:`quadrature1d._check_first_sweeps` (``d`` past 10855) raises
+    :class:`NodeBudgetError` before it.
     """
+    d = _check_odd_degree(d)
+    sweep = _l1_error_sweep(d)
+    _check_first_sweeps(f"the L1 error of the degree-{d} sign truncation", [sweep])
     t = truncation(d)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return np.abs(1.0 - truncation_eval_direct(t, x)) * gauss_density(x)
 
-    pieces = max(16, int(math.ceil(GAUSS_CUTOFF * math.sqrt(d) / math.pi)))
     return 2.0 * integrate_adaptive(
-        integrand, 0.0, GAUSS_CUTOFF, abs_tol=abs_tol / 2.0, initial_intervals=pieces
+        integrand, 0.0, GAUSS_CUTOFF, abs_tol=abs_tol / 2.0, initial_intervals=sweep[0]
     )
+
+
+def _l1_error_sweep(d: int) -> tuple[int, int]:
+    # the seed intervals and degree of the first sweep of truncation_l1_error(d)
+    return max(16, int(math.ceil(GAUSS_CUTOFF * math.sqrt(d) / math.pi))), d
 
 
 def parseval_residual(d: int) -> float:
@@ -320,22 +333,30 @@ def truncation_integral_envelopes(
 
     The small-t branch applies only for ``tau <= d^{1/6}`` and is reported as
     ``None`` outside that range.  The large-t integral is cut at
-    ``GAUSS_CUTOFF``, so from ``tau >= GAUSS_CUTOFF`` on it is 0.0.
+    ``GAUSS_CUTOFF``, so from ``tau >= GAUSS_CUTOFF`` on it is 0.0.  First
+    sweeps past the work budget of :func:`quadrature1d._check_first_sweeps`
+    raise :class:`NodeBudgetError` before the first.
     """
     d = _check_odd_degree(d)
     tau = float(tau)
     if not (math.isfinite(tau) and tau >= 1.0):
         raise ValidationError(f"tau must be finite and >= 1, got {tau}")
     pieces = max(8, int(math.ceil(GAUSS_CUTOFF * math.sqrt(d) / math.pi)))
+    sweeps = [(pieces, d)] if tau < GAUSS_CUTOFF else []
+    small = tau <= d ** (1.0 / 6.0) + 1e-12
+    if small:
+        small_pieces = max(4, int(math.ceil(tau * math.sqrt(d) / math.pi)) + 1)
+        sweeps.append((small_pieces, d))
+    _check_first_sweeps(f"the envelope integrals of degree {d}", sweeps)
 
     small_value = small_bound = None
-    if tau <= d ** (1.0 / 6.0) + 1e-12:
+    if small:
         small_value = integrate_adaptive(
             lambda t: _hermite_over_t(d, t, absolute=True),
             0.0,
             tau,
             abs_tol=abs_tol,
-            initial_intervals=max(4, int(math.ceil(tau * math.sqrt(d) / math.pi)) + 1),
+            initial_intervals=small_pieces,
         )
         small_bound = SMALL_T_CONSTANT * d**0.25 * tau * math.exp(tau * tau / 4.0)
 

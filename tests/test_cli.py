@@ -487,6 +487,60 @@ def test_sign_study_validates_dmax(tmp_path, capsys, dmax):
     assert not out.exists()
 
 
+def test_sign_study_refuses_a_dmax_past_the_work_budget(tmp_path, capsys, monkeypatch):
+    # the first sweeps of its L1 errors, summed over the odd degrees, may not
+    # pass MC_CHUNK_CELLS: --dmax 499 is the last admitted, and --dmax 501 is
+    # refused before any degree is evaluated
+    out = tmp_path / "sign.csv"
+    monkeypatch.setattr(sign_series, "truncation_l1_error", lambda d: 0.0)
+    assert main(["sign-study", "--dmax", "499", "--output", str(out)]) == 0
+    assert len(_read_csv(out)[2]) == 250
+    out.unlink()
+
+    def evaluated(d):
+        raise AssertionError(f"degree {d} was evaluated")
+
+    monkeypatch.setattr(sign_series, "truncation_l1_error", evaluated)
+    assert main(["sign-study", "--dmax", "501", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gaussl1:") and err.count("\n") == 1
+    assert "sign-study --dmax 501" in err and "budget of 134217728" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dlist, points, admitted",
+    [
+        ("1048575,1048575", "64", True),  # 2 x 2^20 x 64 = 2^27 cells
+        ("1048575,1048576", "64", False),
+        ("1999999,1999999,1999999,1999999", "21", False),
+        ("3", "33554433", False),  # 4 x 33554433 cells; the grid is never built
+    ],
+)
+def test_asymptotics_refuses_a_list_past_the_work_budget(
+    tmp_path, capsys, monkeypatch, dlist, points, admitted
+):
+    # sum (d + 1) x grid points recurrence cells may not pass MC_CHUNK_CELLS,
+    # checked before any degree is evaluated
+    def stub(d, xs):
+        if not admitted:
+            raise AssertionError(f"degree {d} was evaluated")
+        return np.zeros(xs.size), np.zeros(xs.size)
+
+    monkeypatch.setattr(sign_series, "remainder_grid", stub)
+    out = tmp_path / "asym.csv"
+    start = time.perf_counter()
+    code = main(["asymptotics", "--dlist", dlist, "--grid-points", points, "--output", str(out)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    if admitted:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.startswith("gaussl1:") and err.count("\n") == 1
+        assert "budget of 134217728" in err
+        assert not out.exists()
+
+
 def test_asymptotics_csv_and_report(tmp_path):
     out = tmp_path / "asym.csv"
     rep = tmp_path / "asym.json"

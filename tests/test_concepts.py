@@ -28,6 +28,7 @@ from gaussl1 import (
     profile_coefficients,
     ptf,
 )
+from gaussl1 import concepts, mc
 from gaussl1.concepts import (
     Concept,
     Profile,
@@ -762,6 +763,32 @@ def test_gns_gsa_bound_refuses_an_empty_rho_list():
         gns_gsa_bound_check(halfspace([1.0], 0.0), [], 1000, 1)
 
 
+def test_identity_checks_refuse_their_arguments_before_sampling(monkeypatch):
+    # the closed form, every rho, the samples and the GSA are read before the
+    # first draw: a ball's GNS series past its node budget used to draw
+    # 2 x 10^6 pairs first, and a bad third rho sampled the two before it
+    def no_draws(*args, **kwargs):
+        raise AssertionError("samples were drawn")
+
+    for module in (concepts, mc):
+        monkeypatch.setattr(module, "normal_blocks", no_draws)
+        monkeypatch.setattr(module, "chunk_rngs", no_draws)
+    with pytest.raises(NodeBudgetError):
+        noise_distance_check(ball(2.0, 2), 1 - 1e-7, 2 * 10**6, 1)
+    hs = halfspace([1.0], 0.0)
+    with pytest.raises(ValidationError, match="rho must lie in"):
+        gns_gsa_bound_check(hs, [0.5, 0.9, 1.5], 10**6, SEED)
+    with pytest.raises(ValidationError, match="samples"):
+        gns_gsa_bound_check(hs, [0.5], 1, SEED)
+    for gsa, message in ((math.nan, "finite"), (math.inf, "finite"), (-1.0, ">= 0"),
+                         ("x", "gsa must be numeric")):
+        with pytest.raises(ValidationError, match=message):
+            gns_gsa_bound_check(hs, [0.5], 10**6, SEED, gsa=gsa)
+    c = ptf(expansion(1, {(1,): 1.0}))
+    with pytest.raises(ValidationError, match="gsa must be numeric"):
+        gns_gsa_bound_check(c, [0.5], 10**6, SEED, gsa=[0.4, 0.4])
+
+
 def test_sample_counts_must_be_integers():
     # a count is checked as given, never truncated first; numpy integers pass
     hs = halfspace([1.0], 0.0)
@@ -1099,6 +1126,14 @@ def test_empty_intersection_in_two_dimensions_is_infinitely_far():
     assert np.all(np.isposinf(empty.distance_to_set(x)))
     assert np.all(empty.batch(x) == -1.0)
     assert gsa_mc(empty, [0.04, 0.02], 1000, SEED).mean == 0.0
+    # x1 <= 0, x2 <= 0 and x1 + x2 >= 1 span two directions, so no profile
+    # reads them: the projection from 0 finds no point of the set
+    s = math.sqrt(0.5)
+    empty = intersection([halfspace([1.0, 0.0], 0.0), halfspace([0.0, 1.0], 0.0),
+                          halfspace([-s, -s], -s)])
+    assert empty.profile is None
+    assert np.all(np.isposinf(empty.distance_to_set(x)))
+    assert np.all(empty.batch(x) == -1.0)
     # a point of the set gives the projection away: a non-empty one still measures
     wedge = intersection([halfspace([1.0, 0.0], -0.5), halfspace([0.0, 1.0], -0.5)])
     assert wedge.distance_to_set(np.zeros((1, 2)))[0] == pytest.approx(math.sqrt(0.5))

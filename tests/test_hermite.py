@@ -488,6 +488,8 @@ def test_basis_sums_check_their_shapes():
         basis_sums(points, [(1, 0)], np.ones(3))
     with pytest.raises(DimensionMismatchError):
         basis_sums(points, [(1,)], np.ones(4))
+    with pytest.raises(DimensionMismatchError, match="points must have shape"):
+        basis_sums(np.zeros(4), [(1,)], np.ones(4))
 
 
 def test_hermite_upto_bit_identical_to_plain_recurrence():
@@ -546,6 +548,11 @@ def test_multi_eval():
 def test_multi_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         hermite_multi_eval((1, 2), np.array([1.0, 2.0, 3.0]))
+    p = expansion(2, {(1, 2): 1.0})
+    with pytest.raises(DimensionMismatchError, match=re.escape("point shape (3,)")):
+        expansion_eval(p, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DimensionMismatchError, match=re.escape("points shape (4, 3)")):
+        expansion_eval_batch(p, np.zeros((4, 3)))
 
 
 def test_multi_index_validation():
@@ -697,6 +704,8 @@ def test_expansion_algebra():
     assert s.terms == {(0,): 1.0, (5,): 1.0}  # (2,) cancels exactly
     assert (p - p).terms == {}
     assert (0.5 * q).terms == {(2,): -1.0, (5,): 0.5}
+    with pytest.raises(DimensionMismatchError, match="different dimension"):
+        p + expansion(2, {(2, 0): 1.0})
 
 
 def test_truncate():
@@ -746,6 +755,9 @@ def test_deserialization_validation():
         HermiteExpansion.from_dict({"dimension": 1, "terms": [{"alpha": [0], "coeff": 0.0}]})
     with pytest.raises(ValidationError):
         HermiteExpansion.from_dict({"dimension": 2, "terms": [{"alpha": [1], "coeff": 1.0}]})
+    twice = [{"alpha": [1], "coeff": 1.0}, {"alpha": [1], "coeff": 2.0}]
+    with pytest.raises(ValidationError, match="duplicate multi-index"):
+        HermiteExpansion.from_dict({"dimension": 1, "terms": twice})
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -965,6 +977,8 @@ def test_coeff_via_derivatives_constant():
 
     assert coeff_via_derivatives(derivs, (0,), rule) == pytest.approx(4.2)
     assert coeff_via_derivatives(derivs, (1,), rule) == 0.0
+    with pytest.raises(DimensionMismatchError, match="does not match rule dimension 1"):
+        coeff_via_derivatives(derivs, (0, 0), rule)
 
 
 def test_sqrt_factorial_log_space():

@@ -1,6 +1,7 @@
 """Monte-Carlo accumulation tests: pooled moments and input checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gaussl1.mc import (
     Moments,
     block_rows,
     chunk_rngs,
+    mc_fraction,
     mc_mean,
     mc_means,
     normal_blocks,
@@ -59,6 +61,20 @@ def test_mc_means_reject_non_finite_values(bad, where):
         mc_means(sampler, 1000, 3)
     with pytest.raises(ValidationError, match="non-finite"):
         mc_mean(lambda rng, m: sampler(rng, m)[1], 1000, 3)
+
+
+def test_samplers_that_break_their_contract_raise():
+    def counts(rng, m):  # two quantities in the first chunk, one in the next
+        values = rng.standard_normal(m)
+        return (values, values) if m == CHUNK_SIZE else (values,)
+
+    with pytest.raises(ValidationError, match="returned 1 quantities, expected 2"):
+        mc_means(counts, CHUNK_SIZE + 10, 3)
+    with pytest.raises(ValidationError, match=re.escape("shape (999,), expected (1000,)")):
+        mc_mean(lambda rng, m: rng.standard_normal(m - 1), 1000, 3)
+    for hits in (-1, 1001):
+        with pytest.raises(ValidationError, match=re.escape(f"hit count {hits} outside [0, 1000]")):
+            mc_fraction(lambda rng, m: hits, 1000, 3)
 
 
 @pytest.mark.parametrize(

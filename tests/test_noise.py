@@ -9,7 +9,7 @@ from conftest import count_constructions
 from gaussl1 import ValidationError, apply_pointwise_mc, apply_to_expansion
 from gaussl1.hermite import expansion, hermite_eval, l2_norm, truncate
 from gaussl1.mc import CHUNK_SIZE, derive_seed, mc_mean
-from gaussl1.noise import eigen_check, tail_bound_check, validate_noise_level
+from gaussl1.noise import EigenCheckRow, eigen_check, tail_bound_check, validate_noise_level
 
 SEED = 613
 
@@ -93,6 +93,9 @@ def test_eigen_check_constant_is_exact():
     report = eigen_check(0, 0.5, np.linspace(-2, 2, 5), 100, SEED)
     assert report.max_abs_deviation == 0.0
     assert report.passed
+    # with stderr 0 only an exact estimate is within any number of stderr
+    assert EigenCheckRow(0.0, 1.0, 0.0, 1.0).stderr_units == 0.0
+    assert EigenCheckRow(0.0, 1.0, 0.0, 0.5).stderr_units == math.inf
 
 
 def test_eigen_check_rho_zero():

@@ -117,6 +117,10 @@ def test_budget_exhaustion():
     with pytest.raises(ToleranceError):
         integrate_adaptive(nasty, 0.0, 1.0, abs_tol=1e-13, max_intervals=16)
     assert rng_offsets.shape == (5,)
+    # a jump off every dyadic point bisects to the width floor, whose
+    # accepted error (about 1.8e-15) is past the tolerance
+    with pytest.raises(ToleranceError, match="unreachable"):
+        integrate_adaptive(lambda t: np.where(t < 1 / 3, 0.0, 1.0), 0.0, 1.0, abs_tol=1e-16)
 
 
 def test_fixed_panels():

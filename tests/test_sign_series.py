@@ -1,12 +1,14 @@
 """Sign-function Hermite series: coefficients, dual forms, decay, asymptotics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import sici
 
-from gaussl1.errors import ValidationError
+from gaussl1 import quadrature1d, sign_series
+from gaussl1.errors import NodeBudgetError, ValidationError
 from gaussl1.hermite import GAUSS_CUTOFF, hermite_eval, hermite_zero
 from gaussl1.quadrature1d import fixed_panels, integrate_adaptive
 from gaussl1.sign_series import (
@@ -214,6 +216,35 @@ def test_l1_error_against_composite_panel_oracle():
 
     oracle = 2.0 * fixed_panels(integrand, 0.0, 12.0, 20, 3200)
     assert truncation_l1_error(d) == pytest.approx(oracle, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call, admitted, refused",
+    [
+        (truncation_l1_error, (10855,), (10857,)),
+        (truncation_eval_integral, (10849, 12.0), (10851, 12.0)),
+        (truncation_eval_integral, (101, 1e4), (101, 2e4)),
+        (truncation_integral_envelopes, (10265, 1.0), (10267, 1.0)),
+    ],
+    ids=["l1-error", "integral-degree", "integral-x", "envelopes"],
+)
+def test_quadratures_past_the_work_budget_raise_before_the_first_sweep(
+    monkeypatch, call, admitted, refused
+):
+    # seed intervals x 31 nodes x (degree + 1) recurrence steps, summed over
+    # the call's quadratures, may not pass MC_CHUNK_CELLS: truncation_l1_error
+    # at degree 20001 took 8.8 s and 100001 ran for minutes
+    def no_sweep(*args):
+        raise AssertionError("a sweep was evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sign_series, "integrate_adaptive", lambda *args, **kwargs: 0.0)
+        call(*admitted)  # the edge of the budget: not refused
+    monkeypatch.setattr(quadrature1d, "_batch_estimates", no_sweep)
+    start = time.perf_counter()
+    with pytest.raises(NodeBudgetError, match="more than the budget of 134217728"):
+        call(*refused)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parseval_residual_decreasing_positive():
